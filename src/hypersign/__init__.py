@@ -40,6 +40,7 @@ from .errors import (
     EmptySpectrumError,
     HypersignError,
     InfeasibleParametersError,
+    InternalCheckError,
     InvalidWalkError,
     NoConvergenceError,
     NotAdjacentError,

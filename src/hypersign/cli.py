@@ -17,15 +17,10 @@ import sys
 from . import __version__
 from .balance import Balanced, OracleLimits, equivalence_battery, incidence_balance
 from .core import induced_signed, uniform_edge_size
-from .errors import HypersignError
+from .errors import HypersignError, InternalCheckError
 from .fileio import load, serialize
 from .generate import generate, random_connected, random_connected_uniform
-from .linalg import (
-    JACOBI_SWEEP_BUDGET,
-    JACOBI_TOL,
-    MEMBERSHIP_ABS_TOL,
-    MEMBERSHIP_REL_TOL,
-)
+from .linalg import MEMBERSHIP_ABS_TOL, MEMBERSHIP_REL_TOL
 from .spectral import spectral_balance_tests
 from .switching import SwitchCertificate, apply_switches
 from .tensor import (
@@ -62,8 +57,6 @@ def _summary(g) -> dict:
 
 def _tolerances(abs_tol: float, nqz_tol: float) -> dict:
     return {
-        "jacobi_tol": JACOBI_TOL,
-        "jacobi_sweep_budget": JACOBI_SWEEP_BUDGET,
         "membership_abs_tol": abs_tol,
         "membership_rel_tol": MEMBERSHIP_REL_TOL,
         "nqz_tol": nqz_tol,
@@ -455,6 +448,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.handler(args)
+    except InternalCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
     except HypersignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,6 +16,7 @@ __all__ = [
     "NotAPartitionError",
     "OracleBudgetExceededError",
     "NoConvergenceError",
+    "InternalCheckError",
     "EmptySpectrumError",
     "DisconnectedInputError",
     "NotUniformError",
@@ -92,6 +93,10 @@ class OracleBudgetExceededError(HypersignError):
 
 class NoConvergenceError(HypersignError):
     """Iterative numerical method exhausted its budget."""
+
+
+class InternalCheckError(HypersignError):
+    """A certificate failed its own verification: routes that must agree did not."""
 
 
 class EmptySpectrumError(HypersignError):

@@ -16,6 +16,7 @@ serialize(parse(text)) canonicalizes text.
 from __future__ import annotations
 
 import json
+import os
 from importlib import resources
 
 from .core import OrientedHypergraph, build
@@ -39,6 +40,7 @@ def parse_text(text: str) -> OrientedHypergraph:
     n: int | None = None
     edge_specs: list[list[tuple[int, int]]] = []
     names: list[str] = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -56,7 +58,7 @@ def parse_text(text: str) -> OrientedHypergraph:
             if len(tokens) < 2:
                 raise ParseError(lineno, "expected: edge <name> <+v|-v> ...")
             name = tokens[1]
-            if name in names:
+            if name in seen:
                 raise ParseError(lineno, f"duplicate edge name {name!r}")
             incidences = []
             for token in tokens[2:]:
@@ -69,6 +71,7 @@ def parse_text(text: str) -> OrientedHypergraph:
                 )
             edge_specs.append(incidences)
             names.append(name)
+            seen.add(name)
         else:
             raise ParseError(lineno, f"unknown directive {tokens[0]!r}")
     if n is None:
@@ -135,11 +138,14 @@ def _parse_content(text: str) -> OrientedHypergraph:
 
 
 def parse(source: str) -> OrientedHypergraph:
-    """Parse a path or raw content (text or JSON, sniffed by shape)."""
-    stripped = source.lstrip()
-    if "\n" in source or stripped.startswith(("vertices", "#", "{")):
-        return _parse_content(source)
-    return load(source)
+    """Parse a path or raw content (text or JSON, sniffed by shape).
+
+    A string without a newline that names an existing file is a path;
+    anything else is content.
+    """
+    if "\n" not in source and os.path.isfile(source):
+        return load(source)
+    return _parse_content(source)
 
 
 def load(path) -> OrientedHypergraph:

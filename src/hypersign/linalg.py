@@ -1,25 +1,20 @@
-"""Self-contained numerical kernels.
+"""Numerical kernels.
 
-Dense symmetric eigenvalues via cyclic Jacobi rotations, singular values
-through the smaller Gram matrix, bitset Gaussian elimination over GF(2)
-with infeasibility witnesses, and tolerance-based spectrum membership.
-Matrices at this scale are desk-sized (tens of rows), so the quadratic
-sweep is comfortably fast and accurate to ~tol * ||A||_F.
+Dense symmetric eigenvalues and singular values through LAPACK
+(``numpy.linalg``), bitset Gaussian elimination over GF(2) with
+infeasibility witnesses, and tolerance-based spectrum membership.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySpectrumError, NoConvergenceError
+from .errors import EmptySpectrumError
 
 __all__ = [
-    "JACOBI_TOL",
-    "JACOBI_SWEEP_BUDGET",
     "MEMBERSHIP_ABS_TOL",
     "MEMBERSHIP_REL_TOL",
     "DenseSymMatrix",
@@ -33,8 +28,6 @@ __all__ = [
     "spectrum_contains",
 ]
 
-JACOBI_TOL = 1e-12
-JACOBI_SWEEP_BUDGET = 100
 MEMBERSHIP_ABS_TOL = 1e-7
 MEMBERSHIP_REL_TOL = 1e-9
 
@@ -90,103 +83,35 @@ class RectMatrix:
 
 
 def _as_sym_array(a) -> np.ndarray:
-    if isinstance(a, DenseSymMatrix):
-        return np.array(a.values, dtype=np.float64)
-    arr = np.array(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.array_equal(arr, arr.T):
-        raise ValueError("expected an exactly symmetric square matrix")
+    arr = np.asarray(a.values if isinstance(a, DenseSymMatrix) else a, dtype=np.float64)
+    if (
+        arr.ndim != 2
+        or arr.shape[0] != arr.shape[1]
+        or not np.isfinite(arr).all()
+        or not np.array_equal(arr, arr.T)
+    ):
+        raise ValueError("expected a finite, exactly symmetric square matrix")
     return arr
 
 
-def _off_diagonal_mass(mat: np.ndarray) -> float:
-    # Sum the off-diagonal squares directly: subtracting the diagonal mass
-    # from the total cancels catastrophically and floors near sqrt(eps)*fro.
-    stripped = mat.copy()
-    np.fill_diagonal(stripped, 0.0)
-    return math.sqrt(float((stripped * stripped).sum()))
+def sym_eigenvalues(a: DenseSymMatrix | np.ndarray) -> list[float]:
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
+    return [float(x) for x in np.linalg.eigvalsh(_as_sym_array(a))]
 
 
-def sym_eigenvalues(
-    a: DenseSymMatrix | np.ndarray,
-    tol: float = JACOBI_TOL,
-    sweep_budget: int = JACOBI_SWEEP_BUDGET,
-) -> list[float]:
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    Cyclic Jacobi: sweep the upper triangle, rotating away each pivot,
-    until the off-diagonal Frobenius mass drops below tol * ||A||_F.
-    Pivots already below tol * ||A||_F / (n^2 + 1) are skipped — if every
-    pivot is that small the convergence test already holds.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mat = _as_sym_array(a)
-    n = mat.shape[0]
-    if n == 0:
-        return []
-    fro = math.sqrt(float((mat * mat).sum()))
-    if fro == 0.0:
-        return [0.0] * n
-    skip_below = tol * fro / (n * n + 1)
-    for _ in range(sweep_budget):
-        if _off_diagonal_mass(mat) <= tol * fro:
-            return sorted(float(x) for x in np.diagonal(mat))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = mat[p, q]
-                if abs(apq) <= skip_below:
-                    continue
-                app = mat[p, p]
-                aqq = mat[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = mat[:, p].copy()
-                colq = mat[:, q].copy()
-                newp = c * colp - s * colq
-                newq = s * colp + c * colq
-                mat[:, p] = newp
-                mat[p, :] = newp
-                mat[:, q] = newq
-                mat[q, :] = newq
-                mat[p, p] = app - t * apq
-                mat[q, q] = aqq + t * apq
-                mat[p, q] = 0.0
-                mat[q, p] = 0.0
-    off = _off_diagonal_mass(mat)
-    if off <= tol * fro:
-        return sorted(float(x) for x in np.diagonal(mat))
-    raise NoConvergenceError(
-        f"Jacobi sweep budget of {sweep_budget} exhausted "
-        f"(off-diagonal mass {off:.3e})"
-    )
-
-
-def singular_values(
-    m: RectMatrix | np.ndarray,
-    tol: float = JACOBI_TOL,
-) -> list[float]:
+def singular_values(m: RectMatrix | np.ndarray) -> list[float]:
     """min(rows, cols) singular values, ascending.
 
-    Square roots of the Gram-matrix eigenvalues (the smaller of M Mᵀ and
-    Mᵀ M); tiny negative eigenvalues from roundoff clip to zero.
+    Golub-Kahan SVD of the matrix itself (LAPACK through
+    ``numpy.linalg.svd``), not square roots of Gram-matrix eigenvalues,
+    which keep only about half the digits of a singular value near zero.
     """
-    arr = m.values if isinstance(m, RectMatrix) else np.asarray(m)
-    arr = np.array(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    rows, cols = arr.shape
-    if min(rows, cols) == 0:
+    arr = np.asarray(m.values if isinstance(m, RectMatrix) else m, dtype=np.float64)
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        raise ValueError("expected a finite 2-d array")
+    if min(arr.shape) == 0:
         return []
-    gram = arr @ arr.T if rows <= cols else arr.T @ arr
-    eigs = sym_eigenvalues(gram, tol)
-    return sorted(math.sqrt(max(0.0, x)) for x in eigs)
+    return [float(x) for x in np.linalg.svd(arr, compute_uv=False)[::-1]]
 
 
 # ---------------------------------------------------------------------------

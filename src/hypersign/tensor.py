@@ -29,6 +29,7 @@ from .core import (
 )
 from .errors import (
     DimensionMismatchError,
+    InternalCheckError,
     NoConvergenceError,
     NotConnectedError,
     NotUniformError,
@@ -377,7 +378,7 @@ def h_eigen_minus_rho(
     vector = np.array(signs, dtype=np.float64) * np.array(radius.vector)
     residual = eigenpair_residual(h, -radius.rho, vector)
     if residual > 10.0 * tol:
-        raise RuntimeError(
+        raise InternalCheckError(
             f"internal check failed: certified eigenpair has residual {residual:.3e}"
         )
     return ParityCertificate(
@@ -414,7 +415,7 @@ def lap_zero_h_eigen(
                 prod *= signs[u - 1]
             inner += prod
         if inner != 0:
-            raise RuntimeError(
+            raise InternalCheckError(
                 f"internal check failed: Laplacian contraction is {inner} at vertex {v}"
             )
     return ParityCertificate(
@@ -479,7 +480,7 @@ def signed_tensor_similarity(
         ).max()
     )
     if deviation > tol:
-        raise RuntimeError(
+        raise InternalCheckError(
             f"internal check failed: similarity identity off by {deviation:.3e}"
         )
     return TensorSimilarity(

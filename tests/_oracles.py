@@ -1,10 +1,11 @@
 """Brute-force reference implementations used only by the tests.
 
 These deliberately take the slowest, most literal route (explicit dense
-tensors, exhaustive enumeration) so they share no code with the package
-internals they check.
+tensors, exhaustive enumeration, pair loops, cyclic Jacobi rotations) so
+they share no code with the package internals they check.
 """
 
+import math
 from itertools import permutations
 from math import factorial
 
@@ -64,3 +65,127 @@ def balance_by_bipartition_bruteforce(g: hs.OrientedHypergraph):
             neg = tuple(v for v in range(1, n + 1) if (bits >> (v - 1)) & 1)
             return pos, neg
     return None
+
+
+def loop_incidence_matrix(g: hs.OrientedHypergraph) -> np.ndarray:
+    """m x n int64 orientations, filled one incidence at a time."""
+    arr = np.zeros((g.m, g.n), dtype=np.int64)
+    for j, edge in enumerate(g.edges):
+        for v, s in edge:
+            arr[j, v - 1] = s
+    return arr
+
+
+def loop_adjacency_matrix(g: hs.OrientedHypergraph) -> np.ndarray:
+    """Orientation products summed over every vertex pair of every edge."""
+    arr = np.zeros((g.n, g.n), dtype=np.int64)
+    for edge in g.edges:
+        for i in range(len(edge)):
+            u, su = edge[i]
+            for t in range(i + 1, len(edge)):
+                v, sv = edge[t]
+                arr[u - 1, v - 1] += su * sv
+                arr[v - 1, u - 1] += su * sv
+    return arr
+
+
+def loop_laplacian_matrix(g: hs.OrientedHypergraph) -> np.ndarray:
+    """Degrees on the diagonal, adjacency off it."""
+    arr = loop_adjacency_matrix(g)
+    for v in range(1, g.n + 1):
+        arr[v - 1, v - 1] = g.degree(v)
+    return arr
+
+
+JACOBI_TOL = 1e-12
+JACOBI_SWEEP_BUDGET = 100
+
+
+def _off_diagonal_mass(mat: np.ndarray) -> float:
+    # Sum the off-diagonal squares directly: subtracting the diagonal mass
+    # from the total cancels catastrophically and floors near sqrt(eps)*fro.
+    stripped = mat.copy()
+    np.fill_diagonal(stripped, 0.0)
+    return math.sqrt(float((stripped * stripped).sum()))
+
+
+def jacobi_eigenvalues(
+    a,
+    tol: float = JACOBI_TOL,
+    sweep_budget: int = JACOBI_SWEEP_BUDGET,
+) -> list[float]:
+    """All eigenvalues of a symmetric matrix, ascending.
+
+    Cyclic Jacobi: sweep the upper triangle, rotating away each pivot,
+    until the off-diagonal Frobenius mass drops below tol * ||A||_F.
+    Pivots already below tol * ||A||_F / (n^2 + 1) are skipped — if every
+    pivot is that small the convergence test already holds.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    mat = np.array(a.values if isinstance(a, hs.DenseSymMatrix) else a, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.array_equal(mat, mat.T):
+        raise ValueError("expected an exactly symmetric square matrix")
+    n = mat.shape[0]
+    if n == 0:
+        return []
+    fro = math.sqrt(float((mat * mat).sum()))
+    if fro == 0.0:
+        return [0.0] * n
+    skip_below = tol * fro / (n * n + 1)
+    for _ in range(sweep_budget):
+        if _off_diagonal_mass(mat) <= tol * fro:
+            return sorted(float(x) for x in np.diagonal(mat))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = mat[p, q]
+                if abs(apq) <= skip_below:
+                    continue
+                app = mat[p, p]
+                aqq = mat[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                if abs(theta) > 1e150:
+                    t = 0.5 / theta
+                else:
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(theta * theta + 1.0)
+                    )
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                colp = mat[:, p].copy()
+                colq = mat[:, q].copy()
+                newp = c * colp - s * colq
+                newq = s * colp + c * colq
+                mat[:, p] = newp
+                mat[p, :] = newp
+                mat[:, q] = newq
+                mat[q, :] = newq
+                mat[p, p] = app - t * apq
+                mat[q, q] = aqq + t * apq
+                mat[p, q] = 0.0
+                mat[q, p] = 0.0
+    off = _off_diagonal_mass(mat)
+    if off <= tol * fro:
+        return sorted(float(x) for x in np.diagonal(mat))
+    raise hs.NoConvergenceError(
+        f"Jacobi sweep budget of {sweep_budget} exhausted "
+        f"(off-diagonal mass {off:.3e})"
+    )
+
+
+def jacobi_singular_values(m, tol: float = JACOBI_TOL) -> list[float]:
+    """min(rows, cols) singular values, ascending.
+
+    Square roots of the Jacobi eigenvalues of the smaller Gram matrix
+    (M Mᵀ or Mᵀ M); tiny negative eigenvalues from roundoff clip to zero.
+    A singular value near zero keeps only about half its digits.
+    """
+    arr = np.array(m.values if isinstance(m, hs.RectMatrix) else m, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    rows, cols = arr.shape
+    if min(rows, cols) == 0:
+        return []
+    gram = arr @ arr.T if rows <= cols else arr.T @ arr
+    eigs = jacobi_eigenvalues(gram, tol)
+    return sorted(math.sqrt(max(0.0, x)) for x in eigs)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,15 @@ def test_battery_json_report():
     faulty = run_battery(instances=5, seed=9, inject_fault=True)
     assert faulty["disagreements"]
     assert faulty["disagreements"][0]["suite"] == "five-way"
+
+
+def test_internal_check_failure_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr("hypersign.tensor.eigenpair_residual", lambda *args: 1.0)
+    path = resources.files("hypersign").joinpath("data").joinpath("e1.ohg")
+    assert main(["tensor", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed")
+    assert "Traceback" not in err
 
 
 def _run_cli(command, cwd):

@@ -33,6 +33,7 @@ def test_parse_error_line_numbers():
     with pytest.raises(ParseError) as err:
         hs.parse_text("vertices 2\nedge e1 +1\nedge e1 +2\n")
     assert err.value.line == 3
+    assert "duplicate edge name 'e1'" in str(err.value)
     with pytest.raises(ParseError) as err:
         hs.parse_text("vertices 2\nedge e1 1\n")
     assert err.value.line == 2
@@ -101,6 +102,13 @@ def test_parse_accepts_path_or_content(tmp_path, ex):
     p = tmp_path / "x.ohg"
     hs.save(ex, p)
     assert hs.parse(str(p)) == ex
+
+
+def test_parse_reads_a_path_that_starts_like_content(tmp_path, monkeypatch, e1):
+    name = "vertices_e1.ohg"
+    hs.save(e1, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    assert hs.parse(name) == hs.load(name) == e1
 
 
 def test_bundled_fixtures_parse(ex, e1, triangle):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypersign as hs
 from hypersign.errors import EmptySpectrumError
 from hypersign.linalg import (
     DenseSymMatrix,
@@ -17,6 +18,8 @@ from hypersign.linalg import (
     spectrum_contains,
     sym_eigenvalues,
 )
+
+from _oracles import jacobi_eigenvalues, jacobi_singular_values
 
 # ---------------------------------------------------------------------------
 # Matrix wrappers.
@@ -78,7 +81,7 @@ def symmetric_int_matrices(draw):
 @given(symmetric_int_matrices())
 def test_eigenvalues_match_reference(a):
     ours = sym_eigenvalues(a)
-    ref = np.linalg.eigvalsh(a)
+    ref = jacobi_eigenvalues(a)
     fro = max(1.0, math.sqrt((a * a).sum()))
     assert max(abs(x - y) for x, y in zip(ours, ref)) <= 1e-10 * fro
 
@@ -92,14 +95,39 @@ def test_eigenvalue_invariants(a):
     assert abs(sum(x * x for x in ev) - fro2) <= 1e-8 * max(1.0, fro2)
 
 
-def test_singular_values_gram_route():
+def test_singular_values_match_reference():
     m = RectMatrix.from_rows([[1, -1]])
     assert singular_values(m) == pytest.approx([math.sqrt(2)], abs=1e-12)
     wide = RectMatrix.from_rows([[1, 0, 2], [0, 1, -2]])
     tall = RectMatrix.from_rows([[1, 0], [0, 1], [2, -2]])
     assert singular_values(wide) == pytest.approx(singular_values(tall), abs=1e-9)
-    ref = np.linalg.svd(np.array(wide.values, dtype=float), compute_uv=False)
-    assert singular_values(wide) == pytest.approx(sorted(ref), abs=1e-9)
+    assert singular_values(wide) == pytest.approx(jacobi_singular_values(wide), abs=1e-9)
+
+
+def test_small_singular_value_keeps_absolute_accuracy():
+    g = hs.parse_text(
+        "vertices 4\n"
+        "edge e1 -1 +2 -3 +4\n"
+        "edge e2 +1 +2 +3 -4\n"
+        "edge e3 +1 +2\n"
+        "edge e4 +1 -2 +3 -4\n"
+    )
+    m = hs.incidence_matrix(g).values
+    # M (0, 0, 1, 1)ᵀ = 0 exactly, so the smallest singular value is 0; a
+    # Gram-matrix route reports it as about 3e-8.
+    assert not (m @ np.array([0, 0, 1, 1])).any()
+    ours = singular_values(m)
+    ref = sorted(np.linalg.svd(m.astype(float), compute_uv=False))
+    assert max(abs(x - y) for x, y in zip(ours, ref)) <= 1e-12 * ref[-1]
+    assert ours[0] <= 1e-12 * ours[-1]
+
+
+def test_non_finite_entries_are_rejected():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            sym_eigenvalues(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            singular_values(np.array([[1.0, bad]]))
 
 
 def test_singular_values_empty():

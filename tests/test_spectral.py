@@ -6,7 +6,16 @@ import pytest
 
 import hypersign as hs
 from hypersign.errors import DisconnectedInputError, NotUniformError
+from hypersign.linalg import MEMBERSHIP_ABS_TOL, MEMBERSHIP_REL_TOL
 from hypersign.spectral import A_CRITERION, L_CRITERION, M_CRITERION
+
+from _oracles import (
+    jacobi_eigenvalues,
+    jacobi_singular_values,
+    loop_adjacency_matrix,
+    loop_incidence_matrix,
+    loop_laplacian_matrix,
+)
 
 
 def test_incidence_matrix_entries(ex):
@@ -126,3 +135,65 @@ def test_laplacian_positive_semidefinite():
     for _ in range(40):
         g = hs.random_connected(rng, n_max=7, m_max=5)
         assert min(hs.sym_eigenvalues(hs.laplacian_matrix(g))) >= -1e-9
+
+
+def _bundled_and_random(draws: int, seed: int):
+    instances = [hs.load_bundled(name) for name in hs.bundled_names()]
+    rng = random.Random(seed)
+    return instances + [hs.random_connected(rng) for _ in range(draws)]
+
+
+def test_matrix_builders_match_pair_loops():
+    rng = random.Random(35)
+    parallel = [  # parallel edges and unit edges, not necessarily connected
+        hs.generate(6, 9, size_range=(1, 4), p_neg=0.5, seed=rng.randrange(2**32))
+        for _ in range(30)
+    ]
+    for g in _bundled_and_random(300, 34) + parallel:
+        for ours, ref in (
+            (hs.incidence_matrix(g), loop_incidence_matrix(g)),
+            (hs.laplacian_matrix(g), loop_laplacian_matrix(g)),
+            (hs.adjacency_matrix(g), loop_adjacency_matrix(g)),
+        ):
+            assert ours.values.dtype == ref.dtype
+            assert np.array_equal(ours.values, ref)
+
+
+def _referee_suite(g) -> hs.SpectralTestSuite:
+    """The three criteria, from pair-loop matrices and Jacobi spectra."""
+    plus = hs.all_positive_variant(g)
+
+    def report(criterion, spectrum, plus_spectrum):
+        target = max(plus_spectrum)
+        decision, margin = hs.spectrum_contains(spectrum, target)
+        return hs.SpectralReport(
+            criterion, target, tuple(spectrum), decision, margin,
+            MEMBERSHIP_ABS_TOL, MEMBERSHIP_REL_TOL,
+        )
+
+    return hs.SpectralTestSuite(
+        report(
+            M_CRITERION,
+            jacobi_singular_values(loop_incidence_matrix(g)),
+            jacobi_singular_values(loop_incidence_matrix(plus)),
+        ),
+        report(
+            L_CRITERION,
+            jacobi_eigenvalues(loop_laplacian_matrix(g)),
+            jacobi_eigenvalues(loop_laplacian_matrix(plus)),
+        ),
+        report(
+            A_CRITERION,
+            jacobi_eigenvalues(loop_adjacency_matrix(g)),
+            jacobi_eigenvalues(loop_adjacency_matrix(plus)),
+        ),
+    )
+
+
+def test_decisions_match_jacobi_referee():
+    for g in _bundled_and_random(300, 36):
+        structural = bool(hs.incidence_balance(g))
+        suite = hs.spectral_balance_tests(g)
+        ref = _referee_suite(g)
+        assert suite.decisions == ref.decisions
+        assert suite.classify(structural) == ref.classify(structural)
