@@ -15,7 +15,6 @@ routes on oracle-scale instances.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,8 @@ from .walks import (
     Walk,
     connected_components,
     enumerate_cycles,
-    fundamental_cycle,
     paths_sign_consistent,
+    propagate_labels,
 )
 
 __all__ = [
@@ -85,36 +84,11 @@ def incidence_balance(g: OrientedHypergraph) -> BalanceVerdict:
     node with label +1, which makes certificates deterministic.
     """
     n, m = g.n, g.m
-    adj: list[list[int]] = [[] for _ in range(n + m)]
-    sign_of: dict[tuple[int, int], int] = {}
-    for j, edge in enumerate(g.edges):
-        for v, s in edge:
-            adj[v - 1].append(n + j)
-            adj[n + j].append(v - 1)
-            sign_of[(v - 1, n + j)] = s
-
-    def incidence_sign(a: int, b: int) -> int:
-        key = (a, b) if a < n else (b, a)
-        return sign_of[key]
-
-    label = [0] * (n + m)
-    parent: dict[int, int] = {}
-    for root in range(n + m):
-        if label[root]:
-            continue
-        label[root] = 1
-        parent[root] = root
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                want = label[x] * incidence_sign(x, y)
-                if label[y] == 0:
-                    label[y] = want
-                    parent[y] = x
-                    queue.append(y)
-                elif label[y] != want:
-                    return Unbalanced(cycle=fundamental_cycle(n, parent, x, y))
+    label = propagate_labels(
+        n, m, ((j, v, s) for j, edge in enumerate(g.edges) for v, s in edge)
+    )
+    if isinstance(label, Walk):
+        return Unbalanced(cycle=label)
     part_positive = tuple(v + 1 for v in range(n) if label[v] == 1)
     part_negative = tuple(v + 1 for v in range(n) if label[v] == -1)
     return Balanced(
@@ -188,21 +162,39 @@ class FiveWayReport:
         return len(set(self.values())) == 1
 
 
+_LABELING_BLOCK_CELLS = 1 << 18
+
+
 def _labeling_exists(g: OrientedHypergraph, max_nodes: int) -> bool:
-    """Exhaustive search for a labeling with label(e)*label(v) = orientation."""
+    """Exhaustive search for a labeling with label(e)*label(v) = orientation.
+
+    A labeling is an integer below 2^(n+m) whose bit i is set when node i
+    (vertices first, then edges) is labelled -1; an incidence holds when
+    its two bits differ exactly for orientation -1.  Labelings are
+    checked in blocks of about _LABELING_BLOCK_CELLS array cells, so
+    memory stays fixed whatever the node cap.
+    """
     nodes = g.n + g.m
     if nodes > max_nodes:
         raise OracleBudgetExceededError(f"{nodes} nodes exceed the {max_nodes} cap")
-    if nodes == 0:
+    if nodes > 63:
+        raise OracleBudgetExceededError(
+            f"{nodes} nodes exceed the 63 bits of a uint64 labeling"
+        )
+    if g.m == 0:
         return True
-    shifts = np.arange(nodes, dtype=np.uint32)
-    bits = np.arange(1 << nodes, dtype=np.uint32)
-    labels = (1 - 2 * ((bits[:, None] >> shifts) & 1)).astype(np.int8)
-    ok = np.ones(len(bits), dtype=bool)
-    for j, edge in enumerate(g.edges):
-        for v, s in edge:
-            ok &= labels[:, v - 1] * labels[:, g.n + j] == s
-    return bool(ok.any())
+    vertex_ids, edge_ids, negative = np.array(
+        [(v - 1, g.n + j, s < 0) for j, edge in enumerate(g.edges) for v, s in edge]
+    ).T
+    shifts = np.arange(nodes, dtype=np.uint64)
+    block = max(1, _LABELING_BLOCK_CELLS // (nodes + vertex_ids.size))
+    total = 1 << nodes
+    for start in range(0, total, block):
+        codes = np.arange(start, min(start + block, total), dtype=np.uint64)
+        minus = ((codes[:, None] >> shifts) & np.uint64(1)).astype(bool)
+        if ((minus[:, vertex_ids] ^ minus[:, edge_ids]) == negative).all(axis=1).any():
+            return True
+    return False
 
 
 def equivalence_battery(

@@ -130,6 +130,16 @@ def _parity_json(outcome) -> dict:
     return {"decision": False, "witness_edges": list(outcome.witness_edges)}
 
 
+def _write_instance(args, g) -> int:
+    text = serialize(g, "json" if args.json else "ohg")
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
 def _emit(args, report: dict, human_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(report, indent=2))
@@ -231,13 +241,7 @@ def _cmd_switch(args) -> int:
     g = load(args.instance)
     cert = SwitchCertificate(vertices=tuple(args.vertices), edges=tuple(args.edges))
     switched = apply_switches(g, cert)
-    text = serialize(switched, "json" if args.json else "ohg")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_instance(args, switched)
 
 
 def _cmd_gen(args) -> int:
@@ -253,13 +257,7 @@ def _cmd_gen(args) -> int:
         connected=args.connected,
         seed=args.seed,
     )
-    text = serialize(g, "json" if args.json else "ohg")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_instance(args, g)
 
 
 def run_battery(

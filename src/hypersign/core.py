@@ -63,28 +63,17 @@ def _default_names(m: int) -> tuple[str, ...]:
     return tuple(f"e{j + 1}" for j in range(m))
 
 
-@dataclass(frozen=True)
-class OrientedHypergraph:
-    """Hypergraph with a +1/-1 orientation on every incidence."""
+class _IncidenceStructure:
+    """What both hypergraph kinds share: vertex ids 1..n, edge indices
+    0..m-1 with optional names, and the edges at each vertex."""
 
-    n: int
-    edges: tuple[tuple[tuple[int, int], ...], ...]
-    names: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
+    def _check_names(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         if not self.names:
             object.__setattr__(self, "names", _default_names(len(self.edges)))
         if len(self.names) != len(self.edges):
             raise ValueError("names must match edge count")
-        for j, edge in enumerate(self.edges):
-            _check_edge_vertices(self.n, j, tuple(v for v, _ in edge))
-            for v, s in edge:
-                if s not in (-1, 1):
-                    raise ValueError(
-                        f"edge {j}: orientation at vertex {v} must be +1 or -1"
-                    )
 
     @property
     def m(self) -> int:
@@ -98,6 +87,40 @@ class OrientedHypergraph:
         if not 0 <= e < self.m:
             raise UnknownEdgeError(e, self.m)
 
+    def edges_of(self, v: int) -> tuple[int, ...]:
+        self.check_vertex(v)
+        return self._edges_of[v - 1]
+
+    def degree(self, v: int) -> int:
+        return len(self.edges_of(v))
+
+    @cached_property
+    def _edges_of(self) -> tuple[tuple[int, ...], ...]:
+        buckets: list[list[int]] = [[] for _ in range(self.n)]
+        for e in range(self.m):
+            for v in self.members(e):
+                buckets[v - 1].append(e)
+        return tuple(tuple(b) for b in buckets)
+
+
+@dataclass(frozen=True)
+class OrientedHypergraph(_IncidenceStructure):
+    """Hypergraph with a +1/-1 orientation on every incidence."""
+
+    n: int
+    edges: tuple[tuple[tuple[int, int], ...], ...]
+    names: tuple[str, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        self._check_names()
+        for j, edge in enumerate(self.edges):
+            _check_edge_vertices(self.n, j, tuple(v for v, _ in edge))
+            for v, s in edge:
+                if s not in (-1, 1):
+                    raise ValueError(
+                        f"edge {j}: orientation at vertex {v} must be +1 or -1"
+                    )
+
     def members(self, e: int) -> tuple[int, ...]:
         """Vertices of edge e, in stored order."""
         self.check_edge(e)
@@ -109,13 +132,6 @@ class OrientedHypergraph:
         if s is None:
             raise NotAdjacentError(f"vertex {v} is not incident to edge {e}")
         return s
-
-    def edges_of(self, v: int) -> tuple[int, ...]:
-        self.check_vertex(v)
-        return self._edges_of[v - 1]
-
-    def degree(self, v: int) -> int:
-        return len(self.edges_of(v))
 
     def incidences(self) -> Iterator[Incidence]:
         for e, edge in enumerate(self.edges):
@@ -130,31 +146,14 @@ class OrientedHypergraph:
     def _orientations(self) -> dict[tuple[int, int], int]:
         return {(e, v): s for e, edge in enumerate(self.edges) for v, s in edge}
 
-    @cached_property
-    def _edges_of(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for e, edge in enumerate(self.edges):
-            for v, _ in edge:
-                buckets[v - 1].append(e)
-        return tuple(tuple(b) for b in buckets)
-
     def with_orientations(
         self, edges: tuple[tuple[tuple[int, int], ...], ...]
     ) -> "OrientedHypergraph":
         return replace(self, edges=edges)
 
-    def same_structure(self, other: "OrientedHypergraph | SignedHypergraph") -> bool:
-        """True when vertex count and per-index vertex sets coincide."""
-        if self.n != other.n or self.m != other.m:
-            return False
-        return all(
-            sorted(self.members(j)) == sorted(other.members(j))
-            for j in range(self.m)
-        )
-
 
 @dataclass(frozen=True)
-class SignedHypergraph:
+class SignedHypergraph(_IncidenceStructure):
     """Hypergraph with a +1/-1 sign per edge (orientations forgotten)."""
 
     n: int
@@ -163,30 +162,13 @@ class SignedHypergraph:
     names: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if not self.names:
-            object.__setattr__(self, "names", _default_names(len(self.edges)))
-        if len(self.names) != len(self.edges):
-            raise ValueError("names must match edge count")
+        self._check_names()
         if len(self.gamma) != len(self.edges):
             raise ValueError("gamma must assign a sign to every edge")
         for j, edge in enumerate(self.edges):
             _check_edge_vertices(self.n, j, edge)
             if self.gamma[j] not in (-1, 1):
                 raise ValueError(f"edge {j}: sign must be +1 or -1")
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def check_vertex(self, v: int) -> None:
-        if not 1 <= v <= self.n:
-            raise UnknownVertexError(v, self.n)
-
-    def check_edge(self, e: int) -> None:
-        if not 0 <= e < self.m:
-            raise UnknownEdgeError(e, self.m)
 
     def members(self, e: int) -> tuple[int, ...]:
         self.check_edge(e)
@@ -195,21 +177,6 @@ class SignedHypergraph:
     def sign(self, e: int) -> int:
         self.check_edge(e)
         return self.gamma[e]
-
-    def edges_of(self, v: int) -> tuple[int, ...]:
-        self.check_vertex(v)
-        return self._edges_of[v - 1]
-
-    def degree(self, v: int) -> int:
-        return len(self.edges_of(v))
-
-    @cached_property
-    def _edges_of(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for e, edge in enumerate(self.edges):
-            for v in edge:
-                buckets[v - 1].append(e)
-        return tuple(tuple(b) for b in buckets)
 
     def with_gamma(self, gamma: tuple[int, ...]) -> "SignedHypergraph":
         return replace(self, gamma=gamma)
@@ -285,7 +252,7 @@ def all_positive_variant(g: OrientedHypergraph) -> OrientedHypergraph:
 
 def uniform_edge_size(h: OrientedHypergraph | SignedHypergraph) -> int | None:
     """Common edge size k, or None when edges have mixed sizes or are absent."""
-    sizes = {len(h.members(e)) for e in range(h.m)}
+    sizes = {len(edge) for edge in h.edges}
     if len(sizes) != 1:
         return None
     return sizes.pop()

@@ -103,10 +103,6 @@ class EmptySpectrumError(HypersignError):
     """Membership query against an empty spectrum."""
 
 
-class DisconnectedInputError(HypersignError):
-    """Operation requires a connected instance."""
-
-
 class NotUniformError(HypersignError):
     """Operation requires a k-uniform instance."""
 
@@ -125,6 +121,9 @@ class OddUniformityError(HypersignError):
 
 class NotConnectedError(HypersignError):
     """Operation requires a connected instance."""
+
+
+DisconnectedInputError = NotConnectedError
 
 
 class InfeasibleParametersError(HypersignError):

@@ -15,6 +15,7 @@ serialize(parse(text)) canonicalizes text.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from importlib import resources
@@ -141,11 +142,17 @@ def parse(source: str) -> OrientedHypergraph:
     """Parse a path or raw content (text or JSON, sniffed by shape).
 
     A string without a newline that names an existing file is a path;
-    anything else is content.
+    anything else is content.  A one-line string that names no file and
+    fails to parse as text names a missing file: FileNotFoundError.
     """
     if "\n" not in source and os.path.isfile(source):
         return load(source)
-    return _parse_content(source)
+    try:
+        return _parse_content(source)
+    except ParseError as exc:
+        if "\n" in source or source.lstrip().startswith("{"):
+            raise
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), source) from exc
 
 
 def load(path) -> OrientedHypergraph:

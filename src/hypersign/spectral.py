@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrientedHypergraph, SignedHypergraph
-from .errors import DisconnectedInputError, NotUniformError
+from .errors import NotConnectedError, NotUniformError
 from .linalg import (
     MEMBERSHIP_ABS_TOL,
     MEMBERSHIP_REL_TOL,
@@ -161,7 +161,7 @@ def spectral_balance_tests(
     report with zero margin.
     """
     if not is_connected(g):
-        raise DisconnectedInputError(
+        raise NotConnectedError(
             "the spectral characterization assumes a connected instance"
         )
 

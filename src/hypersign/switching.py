@@ -14,13 +14,12 @@ equivalence reduces to a GF(2) linear system over the vertices.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import OrientedHypergraph, SignedHypergraph, structures_match
 from .errors import StructureMismatchError
 from .linalg import GF2Infeasible, GF2System, gf2_solve
-from .walks import Walk, fundamental_cycle
+from .walks import Walk, propagate_labels
 
 __all__ = [
     "SwitchCertificate",
@@ -153,36 +152,13 @@ def oriented_switch_equivalent(
             "switching equivalence needs identical underlying structures"
         )
     n, m = source.n, source.m
-    diff: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = [[] for _ in range(n + m)]
-    for j in range(m):
-        for v in source.members(j):
-            diff[(j, v)] = source.orientation(j, v) * target.orientation(j, v)
-            adj[v - 1].append(n + j)
-            adj[n + j].append(v - 1)
-
-    def incidence_diff(a: int, b: int) -> int:
-        e, v = (a - n, b + 1) if a >= n else (b - n, a + 1)
-        return diff[(e, v)]
-
-    label = [0] * (n + m)
-    parent: dict[int, int] = {}
-    for root in range(n + m):
-        if label[root]:
-            continue
-        label[root] = 1
-        parent[root] = root
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                want = label[x] * incidence_diff(x, y)
-                if label[y] == 0:
-                    label[y] = want
-                    parent[y] = x
-                    queue.append(y)
-                elif label[y] != want:
-                    return NotEquivalent(cycle=fundamental_cycle(n, parent, x, y))
+    label = propagate_labels(n, m, (
+        (j, v, s * target.orientation(j, v))
+        for j, edge in enumerate(source.edges)
+        for v, s in edge
+    ))
+    if isinstance(label, Walk):
+        return NotEquivalent(cycle=label)
     return SwitchCertificate(
         vertices=tuple(v + 1 for v in range(n) if label[v] == -1),
         edges=tuple(j for j in range(m) if label[n + j] == -1),

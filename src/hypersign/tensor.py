@@ -5,6 +5,14 @@ of each edge; contracting against x therefore reduces to one product per
 edge and vertex, which is how everything here is computed — the tensor
 is never materialized.  The Laplacian adds the degrees on the diagonal.
 
+All contractions run through one kernel over the (m, k) array of
+0-based member indices: gather x at every incidence, take exclusive
+prefix and suffix products along each row, multiply them with the edge
+sign, and scatter-add the (m, k) terms onto the vertices.  It works
+unchanged for float64, complex128 and int64 vectors, so the Laplacian
+zero-eigenvalue check stays in exact integer arithmetic.  A form T x^k
+is x . (T x^{k-1}).
+
 For even k and a connected instance, the negated structural spectral
 radius is an H-eigenvalue exactly when a parity system over the vertices
 is solvable: positive edges must meet the switched set an odd number of
@@ -17,6 +25,7 @@ equivalent statements checked by theorem_battery_even.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -104,38 +113,54 @@ def _as_vector(h, x) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def _structure_only(h: OrientedHypergraph | SignedHypergraph) -> SignedHypergraph:
-    """The underlying hypergraph with every edge sign +1."""
-    members = tuple(tuple(h.members(j)) for j in range(h.m))
-    return SignedHypergraph(h.n, members, (1,) * h.m)
+def _edge_index(h: OrientedHypergraph | SignedHypergraph) -> np.ndarray:
+    """(m, k) array of 0-based members in stored order; checks uniformity."""
+    _uniform_k(h)
+    members = np.array(h.edges, dtype=np.intp)
+    if isinstance(h, OrientedHypergraph):
+        members = members[:, :, 0]
+    return members - 1
+
+
+def _gamma(h: SignedHypergraph) -> np.ndarray:
+    return np.array(h.gamma, dtype=np.int64)
+
+
+def _edge_products(idx: np.ndarray, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Adjacency contraction: per vertex v, the sum over edges e holding v
+    of gamma_e times the product of x over the other members of e.
+
+    The products are taken in the same order as a per-edge loop would:
+    left-to-right prefix, right-to-left suffix, then (gamma * prefix) *
+    suffix; the scatter adds terms in edge order.
+    """
+    vals = x[idx]
+    prefix = np.ones_like(vals)
+    suffix = np.ones_like(vals)
+    prefix[:, 1:] = np.cumprod(vals[:, :-1], axis=1)
+    suffix[:, :-1] = np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1]
+    out = np.zeros_like(x)
+    np.add.at(out, idx.ravel(), ((gamma[:, None] * prefix) * suffix).ravel())
+    return out
+
+
+def _lap_products(idx: np.ndarray, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Laplacian contraction: degree * x_v^(k-1) plus the adjacency part."""
+    degrees = np.bincount(idx.ravel(), minlength=x.size)
+    return degrees * x ** (idx.shape[1] - 1) + _edge_products(idx, gamma, x)
 
 
 def adj_apply(h: SignedHypergraph, x) -> np.ndarray:
     """Adjacency contraction: per vertex, the signed sum over incident
     edges of the product of the other k-1 coordinates."""
-    _uniform_k(h)
-    arr = _as_vector(h, x)
-    out = np.zeros(h.n, dtype=arr.dtype)
-    for j, edge in enumerate(h.edges):
-        idx = np.fromiter((v - 1 for v in edge), dtype=np.intp, count=len(edge))
-        vals = arr[idx]
-        size = len(vals)
-        prefix = np.empty(size + 1, dtype=arr.dtype)
-        suffix = np.empty(size + 1, dtype=arr.dtype)
-        prefix[0] = 1
-        suffix[size] = 1
-        prefix[1:] = np.cumprod(vals)
-        suffix[:size] = np.cumprod(vals[::-1])[::-1]
-        out[idx] += h.gamma[j] * prefix[:size] * suffix[1:]
-    return out
+    idx = _edge_index(h)
+    return _edge_products(idx, _gamma(h), _as_vector(h, x))
 
 
 def lap_apply(h: SignedHypergraph, x) -> np.ndarray:
     """Laplacian contraction: degree * x_v^(k-1) plus the adjacency part."""
-    k = _uniform_k(h)
-    arr = _as_vector(h, x)
-    degrees = np.fromiter((h.degree(v) for v in range(1, h.n + 1)), dtype=np.float64)
-    return degrees * arr ** (k - 1) + adj_apply(h, arr)
+    idx = _edge_index(h)
+    return _lap_products(idx, _gamma(h), _as_vector(h, x))
 
 
 def lap_form(h: SignedHypergraph, x) -> complex | float:
@@ -143,14 +168,7 @@ def lap_form(h: SignedHypergraph, x) -> complex | float:
 
     Nonnegative for real x and even k (term-wise AM-GM).
     """
-    k = _uniform_k(h)
-    arr = _as_vector(h, x)
-    total = arr.dtype.type(0)
-    for j, edge in enumerate(h.edges):
-        vals = arr[[v - 1 for v in edge]]
-        total = total + (vals**k).sum() + k * h.gamma[j] * vals.prod()
-    value = complex(total)
-    return value if value.imag != 0 else value.real
+    return laplacian_tensor(h).form(x)
 
 
 @dataclass(frozen=True)
@@ -168,14 +186,9 @@ class TensorView:
         return lap_apply(self.source, x)
 
     def form(self, x) -> complex | float:
-        if self.kind == "laplacian":
-            return lap_form(self.source, x)
-        arr = _as_vector(self.source, x)
-        total = arr.dtype.type(0)
-        for j, edge in enumerate(self.source.edges):
-            vals = arr[[v - 1 for v in edge]]
-            total = total + self.k * self.source.gamma[j] * vals.prod()
-        value = complex(total)
+        """T x^k, the contraction against x once more."""
+        contraction = self.apply(x)
+        value = complex(_as_vector(self.source, x) @ contraction)
         return value if value.imag != 0 else value.real
 
 
@@ -212,17 +225,18 @@ def nqz_spectral_radius(
     the positive max-normalized iterate (an eigenvector to residual
     below tol), and the bracket history.
     """
-    structure = _structure_only(h)
-    k = _uniform_k(structure)
-    if not is_connected(structure):
+    idx = _edge_index(h)
+    k = idx.shape[1]
+    if not is_connected(h):
         raise NotConnectedError("the iteration needs a connected structure")
     if tol <= 0 or shift <= 0:
         raise ValueError("tol and shift must be positive")
-    x = np.ones(structure.n, dtype=np.float64)
+    structure = np.ones(h.m, dtype=np.int64)  # every edge sign +1
+    x = np.ones(h.n, dtype=np.float64)
     history: list[tuple[float, float]] = []
     for iteration in range(1, max_iters + 1):
         powered = x ** (k - 1)
-        y = adj_apply(structure, x) + shift * powered
+        y = _edge_products(idx, structure, x) + shift * powered
         ratios = y / powered
         lower = float(ratios.min()) - shift
         upper = float(ratios.max()) - shift
@@ -246,17 +260,14 @@ def nqz_spectral_radius(
 
 def eigenpair_residual(h: SignedHypergraph, eigenvalue: complex, x) -> float:
     """Max-norm defect of the eigen-relation after max-modulus normalization."""
-    k = _uniform_k(h)
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.shape != (h.n,):
-        raise DimensionMismatchError(
-            f"vector of length {h.n} expected, got shape {arr.shape}"
-        )
+    idx = _edge_index(h)
+    arr = _as_vector(h, x).astype(np.complex128)
     scale = float(np.abs(arr).max()) if arr.size else 0.0
     if scale == 0.0:
         raise ZeroVectorError("eigenvectors must be nonzero")
     arr = arr / scale
-    defect = adj_apply(h, arr) - eigenvalue * arr ** (k - 1)
+    k = idx.shape[1]
+    defect = _edge_products(idx, _gamma(h), arr) - eigenvalue * arr ** (k - 1)
     return float(np.abs(defect).max())
 
 
@@ -289,11 +300,9 @@ def odd_bipartite(
     One parity equation per edge; infeasibility is witnessed by edges
     whose equations sum to an odd constant with empty left-hand side.
     """
-    k = _uniform_k(h)
-    _require_even(k)
-    system = GF2System.from_sets(
-        h.n, ((h.members(j), 1) for j in range(h.m))
-    )
+    idx = _edge_index(h)
+    _require_even(idx.shape[1])
+    system = GF2System.from_sets(h.n, zip((idx + 1).tolist(), repeat(1)))
     outcome = gf2_solve(system)
     if isinstance(outcome, GF2Infeasible):
         return NotOddBipartite(witness_edges=outcome.witness_rows)
@@ -342,13 +351,7 @@ class NoZeroHEigenvalue:
 
 def _parity_system(h: SignedHypergraph) -> GF2System:
     """Positive edges need an odd switched intersection, negative even."""
-    return GF2System.from_sets(
-        h.n,
-        (
-            (h.members(j), 1 if h.gamma[j] == 1 else 0)
-            for j in range(h.m)
-        ),
-    )
+    return GF2System.from_sets(h.n, zip(h.edges, ((_gamma(h) + 1) // 2).tolist()))
 
 
 def _signs_from_support(n: int, support: Sequence[int]) -> tuple[int, ...]:
@@ -399,25 +402,22 @@ def lap_zero_h_eigen(
     Laplacian contraction cancels edge by edge, checked in exact integer
     arithmetic.
     """
-    k = _uniform_k(h)
-    _require_even(k)
+    idx = _edge_index(h)
+    _require_even(idx.shape[1])
     if not is_connected(h):
         raise NotConnectedError("this criterion assumes a connected instance")
     outcome = gf2_solve(_parity_system(h))
     if isinstance(outcome, GF2Infeasible):
         return NoZeroHEigenvalue(witness_edges=outcome.witness_rows)
     signs = _signs_from_support(h.n, outcome.support)
-    for v in range(1, h.n + 1):
-        inner = h.degree(v)
-        for j in h.edges_of(v):
-            prod = h.gamma[j]
-            for u in h.members(j):
-                prod *= signs[u - 1]
-            inner += prod
-        if inner != 0:
-            raise InternalCheckError(
-                f"internal check failed: Laplacian contraction is {inner} at vertex {v}"
-            )
+    contraction = _lap_products(idx, _gamma(h), np.array(signs, dtype=np.int64))
+    nonzero = np.flatnonzero(contraction)
+    if nonzero.size:
+        v = int(nonzero[0])
+        raise InternalCheckError(
+            f"internal check failed: Laplacian contraction is {contraction[v]} "
+            f"at vertex {v + 1}"
+        )
     return ParityCertificate(
         vertices=outcome.support,
         signs=signs,
@@ -533,8 +533,8 @@ def theorem_battery_even(
     the two diagonal-similarity identities on a random probe vector, the
     two H-eigenvalue criteria, and the raw parity system.
     """
-    k = _uniform_k(h)
-    _require_even(k)
+    idx = _edge_index(h)
+    _require_even(idx.shape[1])
     if not is_connected(h):
         raise NotConnectedError("the equivalence battery assumes connectivity")
     # The signing induced by the all-positive orientation: every edge
@@ -561,19 +561,17 @@ def theorem_battery_even(
         rng = np.random.default_rng(seed)
         probe = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
         flipped = sign_arr * probe
-        statement_2 = bool(
-            np.abs(
-                sign_arr * adj_apply(h, flipped)
-                - adj_apply(all_positive_signing, probe)
-            ).max()
-            <= similarity_tol
-        )
-        statement_4 = bool(
-            np.abs(
-                sign_arr * lap_apply(h, flipped)
-                - lap_apply(all_positive_signing, probe)
-            ).max()
-            <= similarity_tol
+        gamma = _gamma(h)
+        target = _gamma(all_positive_signing)
+        statement_2, statement_4 = (
+            bool(
+                np.abs(
+                    sign_arr * contract(idx, gamma, flipped)
+                    - contract(idx, target, probe)
+                ).max()
+                <= similarity_tol
+            )
+            for contract in (_edge_products, _lap_products)
         )
     return SixWayReport(
         switch_equivalent_all_positive=statement_1,

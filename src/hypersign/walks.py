@@ -12,7 +12,9 @@ balance module has the linear-time decision procedure.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import OrientedHypergraph, SignedHypergraph
 from .errors import (
@@ -121,18 +123,38 @@ def adjacency_sign_of(walk: Walk, g: OrientedHypergraph) -> int:
     return (-1) ** (walk.length // 2) * incidence_sign_of(walk, g)
 
 
+def _least_rotation(seq: list[Element]) -> tuple[Element, ...]:
+    """Lexicographically least rotation, found by Booth's algorithm."""
+    n = len(seq)
+    failure = [-1] * (2 * n)
+    best = 0
+    for j in range(1, 2 * n):
+        current = seq[j % n]
+        i = failure[j - best - 1]
+        while i != -1 and current != seq[(best + i + 1) % n]:
+            if current < seq[(best + i + 1) % n]:
+                best = j - i - 1
+            i = failure[i]
+        if i == -1 and current != seq[(best + i + 1) % n]:
+            if current < seq[(best + i + 1) % n]:
+                best = j
+            failure[j - best] = -1
+        else:
+            failure[j - best] = i + 1
+    best %= n
+    return tuple(seq[best:] + seq[:best])
+
+
 def canonical_cycle(walk: Walk) -> Walk:
-    """Smallest rotation/reflection of a closed walk; sign-preserving."""
+    """Smallest rotation/reflection of a closed walk; sign-preserving.
+
+    Linear in the walk's length: the least rotation of each direction,
+    then the smaller of the two.
+    """
     if not walk.is_closed:
         raise InvalidWalkError("canonical form is defined for closed walks")
     seq = list(walk.elements[:-1])
-    best: tuple[Element, ...] | None = None
-    for base in (seq, list(reversed(seq))):
-        for r in range(len(base)):
-            rot = tuple(base[r:] + base[:r])
-            if best is None or rot < best:
-                best = rot
-    assert best is not None
+    best = min(_least_rotation(seq), _least_rotation(seq[::-1]))
     return Walk(best + (best[0],))
 
 
@@ -163,6 +185,43 @@ def fundamental_cycle(n: int, parent: dict[int, int], x: int, y: int) -> Walk:
         (VERTEX, u + 1) if u < n else (EDGE, u - n) for u in nodes
     )
     return canonical_cycle(Walk(elements + (elements[0],)))
+
+
+def propagate_labels(
+    n: int, m: int, incidences: Iterable[tuple[int, int, int]]
+) -> list[int] | Walk:
+    """+-1 node labels (vertices first, then edges) whose product across
+    every incidence (edge j, vertex v, value) equals value, or a closed
+    walk on which no such labels exist.
+
+    Breadth-first; each component is rooted at its smallest node with
+    label +1, which makes the result deterministic.
+    """
+    adj: list[list[int]] = [[] for _ in range(n + m)]
+    value: dict[tuple[int, int], int] = {}
+    for j, v, s in incidences:
+        adj[v - 1].append(n + j)
+        adj[n + j].append(v - 1)
+        value[(v - 1, n + j)] = s
+    label = [0] * (n + m)
+    parent: dict[int, int] = {}
+    for root in range(n + m):
+        if label[root]:
+            continue
+        label[root] = 1
+        parent[root] = root
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                want = label[x] * value[(x, y) if x < n else (y, x)]
+                if label[y] == 0:
+                    label[y] = want
+                    parent[y] = x
+                    queue.append(y)
+                elif label[y] != want:
+                    return fundamental_cycle(n, parent, x, y)
+    return label
 
 
 # ---------------------------------------------------------------------------

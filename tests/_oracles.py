@@ -1,8 +1,9 @@
 """Brute-force reference implementations used only by the tests.
 
 These deliberately take the slowest, most literal route (explicit dense
-tensors, exhaustive enumeration, pair loops, cyclic Jacobi rotations) so
-they share no code with the package internals they check.
+tensors, exhaustive enumeration, pair loops, per-edge contraction loops,
+all rotations of a cycle, cyclic Jacobi rotations) so they share no code
+with the package internals they check.
 """
 
 import math
@@ -189,3 +190,105 @@ def jacobi_singular_values(m, tol: float = JACOBI_TOL) -> list[float]:
     gram = arr @ arr.T if rows <= cols else arr.T @ arr
     eigs = jacobi_eigenvalues(gram, tol)
     return sorted(math.sqrt(max(0.0, x)) for x in eigs)
+
+
+def _loop_vector(x) -> np.ndarray:
+    arr = np.asarray(x)
+    return arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
+
+
+def loop_adj_apply(h: hs.SignedHypergraph, x) -> np.ndarray:
+    """Adjacency contraction one edge at a time: prefix and suffix
+    products of the edge's coordinates, times the edge sign."""
+    arr = _loop_vector(x)
+    out = np.zeros(h.n, dtype=arr.dtype)
+    for j, edge in enumerate(h.edges):
+        idx = np.fromiter((v - 1 for v in edge), dtype=np.intp, count=len(edge))
+        vals = arr[idx]
+        size = len(vals)
+        prefix = np.empty(size + 1, dtype=arr.dtype)
+        suffix = np.empty(size + 1, dtype=arr.dtype)
+        prefix[0] = 1
+        suffix[size] = 1
+        prefix[1:] = np.cumprod(vals)
+        suffix[:size] = np.cumprod(vals[::-1])[::-1]
+        out[idx] += h.gamma[j] * prefix[:size] * suffix[1:]
+    return out
+
+
+def loop_lap_apply(h: hs.SignedHypergraph, x) -> np.ndarray:
+    arr = _loop_vector(x)
+    k = len(h.edges[0])
+    degrees = np.fromiter((h.degree(v) for v in range(1, h.n + 1)), dtype=np.float64)
+    return degrees * arr ** (k - 1) + loop_adj_apply(h, arr)
+
+
+def _loop_value(total) -> complex | float:
+    value = complex(total)
+    return value if value.imag != 0 else value.real
+
+
+def loop_lap_form(h: hs.SignedHypergraph, x) -> complex | float:
+    """Sum over edges of (sum of x_v^k) + k * sign * prod x_v."""
+    arr = _loop_vector(x)
+    k = len(h.edges[0])
+    total = arr.dtype.type(0)
+    for j, edge in enumerate(h.edges):
+        vals = arr[[v - 1 for v in edge]]
+        total = total + (vals**k).sum() + k * h.gamma[j] * vals.prod()
+    return _loop_value(total)
+
+
+def loop_adj_form(h: hs.SignedHypergraph, x) -> complex | float:
+    """Sum over edges of k * sign * prod x_v."""
+    arr = _loop_vector(x)
+    k = len(h.edges[0])
+    total = arr.dtype.type(0)
+    for j, edge in enumerate(h.edges):
+        vals = arr[[v - 1 for v in edge]]
+        total = total + k * h.gamma[j] * vals.prod()
+    return _loop_value(total)
+
+
+def loop_nqz_spectral_radius(
+    h, tol: float = 1e-8, max_iters: int = 100_000, shift: float = 1.0
+) -> hs.NQZResult:
+    """Shifted NQZ power iteration on the structure, one loop_adj_apply
+    per step."""
+    members = tuple(tuple(h.members(j)) for j in range(h.m))
+    structure = hs.SignedHypergraph(h.n, members, (1,) * h.m)
+    k = len(members[0])
+    x = np.ones(h.n, dtype=np.float64)
+    history = []
+    for iteration in range(1, max_iters + 1):
+        powered = x ** (k - 1)
+        y = loop_adj_apply(structure, x) + shift * powered
+        ratios = y / powered
+        lower = float(ratios.min()) - shift
+        upper = float(ratios.max()) - shift
+        history.append((lower, upper))
+        if upper - lower < tol:
+            return hs.NQZResult(
+                rho=(upper + lower) / 2.0,
+                vector=tuple(float(t) for t in x),
+                iterations=iteration,
+                lower=lower,
+                upper=upper,
+                bounds_history=tuple(history),
+            )
+        x = y ** (1.0 / (k - 1))
+        x /= x.max()
+    raise hs.NoConvergenceError("loop NQZ did not converge")
+
+
+def canonical_cycle_by_rotations(walk) -> tuple:
+    """Smallest of all 2L rotations of both directions of a closed walk,
+    closed again; compares every rotation in full."""
+    seq = list(walk.elements[:-1])
+    best = None
+    for base in (seq, list(reversed(seq))):
+        for r in range(len(base)):
+            rot = tuple(base[r:] + base[:r])
+            if best is None or rot < best:
+                best = rot
+    return best + (best[0],)

@@ -5,6 +5,8 @@ import pytest
 import hypersign as hs
 from hypersign.errors import NotAPartitionError, OracleBudgetExceededError
 
+from hypersign import balance
+
 from _oracles import balance_by_bipartition_bruteforce
 
 
@@ -123,3 +125,37 @@ def test_five_way_battery_exhaustive_small_structure():
         assert rep.agree, bits
         balanced += bool(rep.values()[0])
     assert 0 < balanced < 2**count
+
+
+def test_blocked_labeling_search_matches_bruteforce(monkeypatch):
+    instances = [hs.load_bundled(name) for name in hs.bundled_names()]
+    rng = random.Random(902)
+    for _ in range(150):
+        instances.append(hs.random_connected(rng, n_max=7, m_max=5))
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        instances.append(hs.generate(
+            n, rng.randint(0, 12 - n), size_range=(1, n), p_neg=0.5,
+            seed=rng.randrange(2**32),
+        ))
+    checked = 0
+    for g in instances:
+        nodes = g.n + g.m
+        if nodes > 12 or g.m == 0:
+            continue
+        incidences = g.incidence_count
+        expected = balance_by_bipartition_bruteforce(g) is not None
+        # blocks of one labeling, and about a third of all labelings
+        for per_block in (1, max(1, 2**nodes // 3)):
+            assert per_block < 2**nodes
+            cells = per_block * (nodes + incidences)
+            monkeypatch.setattr(balance, "_LABELING_BLOCK_CELLS", cells)
+            assert balance._labeling_exists(g, 16) == expected
+        checked += 1
+    assert checked > 150
+
+
+def test_labeling_search_refuses_more_than_63_nodes():
+    g = hs.build(60, [[(1, 1), (2, 1)]] * 4)
+    with pytest.raises(OracleBudgetExceededError):
+        balance._labeling_exists(g, max_nodes=100)

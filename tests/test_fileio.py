@@ -134,3 +134,20 @@ def test_round_trip_random_instances():
         )
         assert hs.parse(hs.serialize(g, "ohg")) == g
         assert hs.parse(hs.serialize(g, "json")) == g
+
+
+def test_parse_missing_one_line_path_is_file_not_found(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("missing.ohg", "vertices_e1.ohg"):
+        with pytest.raises(FileNotFoundError) as caught:
+            hs.parse(name)
+        assert caught.value.filename == name
+        assert name in str(caught.value)
+
+
+def test_parse_one_line_content(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert hs.parse("vertices 3") == hs.build(3, [])
+    assert hs.parse('{"n": 2, "edges": []}') == hs.build(2, [])
+    with pytest.raises(ParseError):
+        hs.parse("{not json")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hypersign as hs
-from hypersign.errors import DisconnectedInputError, NotUniformError
+from hypersign.errors import DisconnectedInputError, NotConnectedError, NotUniformError
 from hypersign.linalg import MEMBERSHIP_ABS_TOL, MEMBERSHIP_REL_TOL
 from hypersign.spectral import A_CRITERION, L_CRITERION, M_CRITERION
 
@@ -103,6 +103,10 @@ def test_suite_rejects_disconnected():
     g = hs.build(4, [[(1, 1), (2, 1)], [(3, 1), (4, 1)]])
     with pytest.raises(DisconnectedInputError):
         hs.spectral_balance_tests(g)
+    # one class under two names
+    with pytest.raises(NotConnectedError):
+        hs.spectral_balance_tests(g)
+    assert DisconnectedInputError is NotConnectedError is hs.DisconnectedInputError
 
 
 def test_suite_trivial_instances():

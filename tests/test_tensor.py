@@ -7,6 +7,7 @@ import pytest
 import hypersign as hs
 from hypersign.errors import (
     DimensionMismatchError,
+    InternalCheckError,
     NotConnectedError,
     NotUniformError,
     OddUniformityError,
@@ -14,7 +15,16 @@ from hypersign.errors import (
 )
 from hypersign.tensor import NQZ_TOL
 
-from _oracles import dense_adjacency_tensor, dense_contract, dense_laplacian_tensor
+from _oracles import (
+    dense_adjacency_tensor,
+    dense_contract,
+    dense_laplacian_tensor,
+    loop_adj_apply,
+    loop_adj_form,
+    loop_lap_apply,
+    loop_lap_form,
+    loop_nqz_spectral_radius,
+)
 
 
 @pytest.fixture
@@ -66,13 +76,104 @@ def test_lap_apply_adds_degree_term(sex):
 
 
 def test_apply_input_validation(sex):
-    with pytest.raises(DimensionMismatchError):
-        hs.adj_apply(sex, np.ones(5))
+    vector_calls = (
+        hs.adj_apply,
+        hs.lap_apply,
+        hs.lap_form,
+        lambda h, x: hs.eigenpair_residual(h, 1.0, x),
+        lambda h, x: hs.adjacency_tensor(h).form(x),
+        lambda h, x: hs.laplacian_tensor(h).form(x),
+    )
+    for call in vector_calls:
+        for bad in (np.ones(5), np.ones((6, 1)), np.ones((2, 3))):
+            with pytest.raises(DimensionMismatchError):
+                call(sex, bad)
     mixed = hs.build_signed(3, [(1, 2), (1, 2, 3)], [1, 1])
-    with pytest.raises(NotUniformError):
-        hs.adj_apply(mixed, np.ones(3))
-    with pytest.raises(NotUniformError):
-        hs.adj_apply(hs.build_signed(2, [], []), np.ones(0))
+    singletons = hs.build_signed(2, [(1,), (2,)], [1, 1])
+    edgeless = hs.build_signed(2, [], [])
+    for h in (mixed, singletons, edgeless):
+        for call in vector_calls + (lambda h, x: hs.nqz_spectral_radius(h),):
+            with pytest.raises(NotUniformError):
+                call(h, np.ones(h.n))
+
+
+# ---------------------------------------------------------------------------
+# The edge-product kernel against the per-edge loop referees.
+
+
+def _kernel_instances() -> list[hs.SignedHypergraph]:
+    """Bundled instances, then 320 seeded uniform draws with k in
+    {2, 3, 4, 6}: half connected, half from generate (possibly
+    disconnected, with parallel edges and isolated vertices)."""
+    out = [hs.induced_signed(hs.load_bundled(name)) for name in hs.bundled_names()]
+    rng = random.Random(2024)
+    for i in range(320):
+        k = (2, 3, 4, 6)[i % 4]
+        seed = rng.randrange(2**32)
+        if i % 8 < 4:
+            g = hs.random_connected_uniform(random.Random(seed), k, n_max=k + 6, m_max=8)
+        else:
+            n = rng.randint(k, k + 6)
+            g = hs.generate(n, rng.randint(1, 8), k=k, p_neg=0.5, seed=seed)
+        out.append(hs.induced_signed(g))
+    return out
+
+
+def test_kernel_matches_edge_loop_bit_for_bit():
+    # Same products in the same order, same scatter order: float64
+    # contractions must not move by a single bit.
+    rng = np.random.default_rng(7)
+    for h in _kernel_instances():
+        x = rng.standard_normal(h.n)
+        x[rng.random(h.n) < 0.1] = 0.0
+        for ours, loop in ((hs.adj_apply, loop_adj_apply), (hs.lap_apply, loop_lap_apply)):
+            got, want = ours(h, x), loop(h, x)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_complex_and_forms_within_rounding():
+    # A priori bound, fixed before running: every value is a sum of at
+    # most m*(k+1) + n products of at most k+1 factors, and a complex
+    # product errs by at most 2*sqrt(2)*eps per factor, so two evaluation
+    # orders differ by at most 4 * (m*(k+1) + n + k + 1) * eps * sum|terms|.
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(8)
+    for h in _kernel_instances():
+        k = len(h.edges[0])
+        ulps = 4 * (h.m * (k + 1) + h.n + k + 1)
+        structure = h.with_gamma((1,) * h.m)
+        z = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
+        for ours, loop in ((hs.adj_apply, loop_adj_apply), (hs.lap_apply, loop_lap_apply)):
+            got = ours(h, z)
+            assert got.dtype == np.complex128
+            magnitude = loop(structure, np.abs(z))
+            assert np.all(np.abs(got - loop(h, z)) <= ulps * eps * magnitude)
+        for x in (z, z.real):
+            size = np.abs(x)
+            pairs = (
+                (hs.lap_form(h, x), loop_lap_form(h, x), loop_lap_form(structure, size)),
+                (hs.laplacian_tensor(h).form(x), loop_lap_form(h, x),
+                 loop_lap_form(structure, size)),
+                (hs.adjacency_tensor(h).form(x), loop_adj_form(h, x),
+                 loop_adj_form(structure, size)),
+            )
+            for got, want, magnitude in pairs:
+                assert type(got) is type(want)
+                assert abs(got - want) <= ulps * eps * magnitude
+
+
+def test_nqz_matches_edge_loop_iteration_exactly():
+    graphs = [hs.load_bundled(name) for name in hs.bundled_names()]
+    rng = random.Random(31)
+    for i in range(80):
+        k = (2, 3, 4, 6)[i % 4]
+        g = hs.random_connected_uniform(
+            random.Random(rng.randrange(2**32)), k, n_max=k + 6, m_max=8
+        )
+        graphs.append(g if i % 2 else hs.induced_signed(g))
+    for g in graphs:
+        assert hs.nqz_spectral_radius(g) == loop_nqz_spectral_radius(g)
 
 
 def test_lap_form_values(sex):
@@ -234,6 +335,14 @@ def test_lap_zero_h_eigen_exact_certificate():
                 prod *= signs[u - 1]
             inner += prod
         assert inner == 0
+
+
+def test_lap_zero_h_eigen_rejects_a_vector_that_does_not_cancel(monkeypatch):
+    h = hs.build_signed(4, [(1, 2, 3, 4)], [1])
+    # all-ones leaves degree + sign = 2 at every vertex
+    monkeypatch.setattr(hs.tensor, "_signs_from_support", lambda n, support: (1,) * n)
+    with pytest.raises(InternalCheckError, match="contraction is 2 at vertex 1"):
+        hs.lap_zero_h_eigen(h)
 
 
 def test_lap_zero_h_eigen_infeasible(sex):

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 import hypersign as hs
 from hypersign.errors import DisconnectedPairError, InvalidWalkError
 from hypersign.walks import EDGE, VERTEX, Walk, edge_node, vertex_node
+
+from _oracles import canonical_cycle_by_rotations
 
 
 def test_walk_validation():
@@ -134,3 +138,44 @@ def test_paths_balanced_instance_consistent_everywhere(ex):
     for i, a in enumerate(elements):
         for b in elements[i + 1 :]:
             assert hs.paths_sign_consistent(plus, a, b).consistent
+
+
+def test_canonical_cycle_matches_all_rotations():
+    # bundled instances: the certified negative cycles and every
+    # enumerated cycle
+    walks = []
+    for name in hs.bundled_names():
+        g = hs.load_bundled(name)
+        verdict = hs.incidence_balance(g)
+        if not verdict:
+            walks.append(verdict.cycle)
+        walks.extend(walk for walk, _ in hs.enumerate_cycles(g).cycles)
+    # 500 seeded closed walks over few labels, so rotations tie often
+    rng = random.Random(77)
+    for _ in range(500):
+        half = rng.randint(1, 9)
+        labels = rng.randint(1, 3)
+        elements = []
+        for _ in range(half):
+            elements.append(vertex_node(rng.randint(1, labels)))
+            elements.append(edge_node(rng.randint(0, labels - 1)))
+        if rng.random() < 0.5:
+            elements = elements[1:] + elements[:1]
+        walks.append(Walk(tuple(elements) + (elements[0],)))
+    for walk in walks:
+        assert hs.canonical_cycle(walk).elements == canonical_cycle_by_rotations(walk)
+
+
+def test_canonical_cycle_of_a_long_loose_cycle():
+    # 2-uniform cycle of 2000 edges with one negative incidence: the
+    # negative cycle has 4000 steps
+    n = 2000
+    specs = [[(v, 1), (v % n + 1, 1)] for v in range(1, n + 1)]
+    specs[0][1] = (2, -1)
+    verdict = hs.incidence_balance(hs.build(n, specs))
+    assert not verdict and verdict.cycle.length == 2 * n
+    rotated = verdict.cycle.elements[:-1]
+    rotated = rotated[n + 1 :] + rotated[: n + 1]
+    walk = Walk(rotated + (rotated[0],))
+    assert hs.canonical_cycle(walk) == verdict.cycle
+    assert verdict.cycle.elements == canonical_cycle_by_rotations(walk)
