@@ -3,9 +3,8 @@ import random
 import pytest
 
 import hypersign as hs
-from hypersign.errors import NotAPartitionError, OracleBudgetExceededError
-
 from hypersign import balance
+from hypersign.errors import NotAPartitionError, OracleBudgetExceededError
 
 from _oracles import balance_by_bipartition_bruteforce
 
