@@ -32,6 +32,7 @@ from .core import (
     uniform_edge_size,
 )
 from .errors import (
+    DenseLimitExceededError,
     DimensionMismatchError,
     DisconnectedInputError,
     DisconnectedPairError,

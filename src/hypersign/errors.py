@@ -15,6 +15,7 @@ __all__ = [
     "StructureMismatchError",
     "NotAPartitionError",
     "OracleBudgetExceededError",
+    "DenseLimitExceededError",
     "NoConvergenceError",
     "InternalCheckError",
     "EmptySpectrumError",
@@ -89,6 +90,10 @@ class NotAPartitionError(HypersignError):
 
 class OracleBudgetExceededError(HypersignError):
     """Brute-force oracle hit its enumeration budget."""
+
+
+class DenseLimitExceededError(HypersignError):
+    """A dense matrix would exceed the fixed cell limit of the matrix layer."""
 
 
 class NoConvergenceError(HypersignError):

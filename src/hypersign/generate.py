@@ -11,6 +11,7 @@ a bounded number of times (parallel edges are legal, just avoided).
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from .core import OrientedHypergraph, build
 from .errors import InfeasibleParametersError
@@ -19,6 +20,36 @@ __all__ = ["generate", "random_connected", "random_connected_uniform"]
 
 _DEDUP_RETRIES = 30
 _ENSEMBLE_RETRIES = 200
+
+
+class _Without(Sequence):
+    """Read-only view of a list with the entry at one position left out."""
+
+    def __init__(self, items: list[int], skip: int):
+        self._items = items
+        self._skip = skip
+
+    def __len__(self) -> int:
+        return len(self._items) - 1
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return self._items[i + (i >= self._skip)]
+
+
+def _draw_rest(
+    rng: random.Random,
+    covered: list[int],
+    position: list[int],
+    anchors: list[int],
+    count: int,
+) -> list[int]:
+    """count covered vertices other than the anchor, drawn exactly as
+    rng.sample draws them from the covered list without the anchor, but
+    without copying that list (position[v] is v's index in covered)."""
+    pool = _Without(covered, position[anchors[0]]) if anchors else covered
+    return rng.sample(pool, count)
 
 
 def generate(
@@ -98,6 +129,7 @@ def generate(
         uncovered = list(range(1, n + 1))
         rng.shuffle(uncovered)
         covered: list[int] = []
+        position = [0] * (n + 1)
         for j, size in enumerate(sizes):
             if j > 0 and not uncovered:
                 # Everything is covered: any vertex set keeps connectivity.
@@ -106,10 +138,13 @@ def generate(
                 anchors = [] if j == 0 else [rng.choice(covered)]
                 fresh_count = min(size - len(anchors), len(uncovered))
                 fresh = [uncovered.pop() for _ in range(fresh_count)]
-                pool = [v for v in covered if v not in anchors]
-                rest = rng.sample(pool, size - len(anchors) - fresh_count)
+                rest = _draw_rest(
+                    rng, covered, position, anchors, size - len(anchors) - fresh_count
+                )
                 members = anchors + fresh + rest
-                covered.extend(fresh)
+                for v in fresh:
+                    position[v] = len(covered)
+                    covered.append(v)
             specs.append(orient(members))
             seen_sets.add(frozenset(members))
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrientedHypergraph, SignedHypergraph
-from .errors import NotConnectedError, NotUniformError
+from .errors import DenseLimitExceededError, NotConnectedError, NotUniformError
 from .linalg import (
     MEMBERSHIP_ABS_TOL,
     MEMBERSHIP_REL_TOL,
@@ -30,6 +30,7 @@ from .linalg import (
 from .walks import is_connected
 
 __all__ = [
+    "DENSE_MAX_CELLS",
     "M_CRITERION",
     "L_CRITERION",
     "A_CRITERION",
@@ -46,8 +47,26 @@ M_CRITERION = "incidence-singular-value"
 L_CRITERION = "laplacian-eigenvalue"
 A_CRITERION = "adjacency-eigenvalue"
 
+# Largest dense matrix, in cells, that this layer builds: 2^23 int64 cells
+# are 64 MiB.  The spectral tests hold M, |M|, L, L+ and float64 copies at
+# once; at a quarter of the limit (n=1000, m=2000) they peaked 82 MB above
+# the interpreter's baseline.
+DENSE_MAX_CELLS = 1 << 23
+
+
+def _check_dense_size(rows: int, cols: int) -> None:
+    if rows * cols > DENSE_MAX_CELLS:
+        raise DenseLimitExceededError(
+            f"a dense {rows} x {cols} matrix exceeds the limit of "
+            f"{DENSE_MAX_CELLS} cells"
+        )
+
 
 def _incidence_array(g: OrientedHypergraph) -> np.ndarray:
+    """M as an int64 array; refuses input whose M or n x n Gram matrix
+    would exceed DENSE_MAX_CELLS, before allocating either."""
+    _check_dense_size(g.m, g.n)
+    _check_dense_size(g.n, g.n)
     arr = np.zeros((g.m, g.n), dtype=np.int64)
     entries = np.array(
         [(j, v - 1, s) for j, edge in enumerate(g.edges) for v, s in edge],
@@ -90,6 +109,7 @@ def laplacian_matrix(g: OrientedHypergraph) -> DenseSymMatrix:
 
 def signed_adjacency_matrix(h: SignedHypergraph) -> DenseSymMatrix:
     """Adjacency matrix of a 2-uniform signed hypergraph (entries = signs)."""
+    _check_dense_size(h.n, h.n)
     arr = np.zeros((h.n, h.n), dtype=np.int64)
     for j, edge in enumerate(h.edges):
         if len(edge) != 2:

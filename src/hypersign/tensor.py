@@ -16,10 +16,10 @@ is x . (T x^{k-1}).
 For even k and a connected instance, the negated structural spectral
 radius is an H-eigenvalue exactly when a parity system over the vertices
 is solvable: positive edges must meet the switched set an odd number of
-times, negative edges an even number.  The same parity solution makes
-the Laplacian contraction vanish in exact integer arithmetic, and powers
-the diagonal-similarity tests, so one GF(2) solve feeds five of the six
-equivalent statements checked by theorem_battery_even.
+times, negative edges an even number.  theorem_battery_even solves it
+once: statements 1, 3, 5 and 6 restate that solve (3 adds an NQZ
+eigenpair residual check, 5 exact Laplacian cancellation), and 2 and 4
+probe its solution on a random vector.
 """
 
 from __future__ import annotations
@@ -226,13 +226,18 @@ def nqz_spectral_radius(
     below tol), and the bracket history.
     """
     idx = _edge_index(h)
-    k = idx.shape[1]
     if not is_connected(h):
         raise NotConnectedError("the iteration needs a connected structure")
+    return _nqz(idx, h.n, tol, max_iters, shift)
+
+
+def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
+    """The iteration itself, for callers that checked connectivity."""
     if tol <= 0 or shift <= 0:
         raise ValueError("tol and shift must be positive")
-    structure = np.ones(h.m, dtype=np.int64)  # every edge sign +1
-    x = np.ones(h.n, dtype=np.float64)
+    m, k = idx.shape
+    structure = np.ones(m, dtype=np.int64)  # every edge sign +1
+    x = np.ones(n, dtype=np.float64)
     history: list[tuple[float, float]] = []
     for iteration in range(1, max_iters + 1):
         powered = x ** (k - 1)
@@ -359,25 +364,20 @@ def _signs_from_support(n: int, support: Sequence[int]) -> tuple[int, ...]:
     return tuple(-1 if v in inside else 1 for v in range(1, n + 1))
 
 
-def h_eigen_minus_rho(
-    h: SignedHypergraph,
-    tol: float = NQZ_TOL,
-) -> ParityCertificate | NotHEigenvalue:
-    """Is the negated structural spectral radius an H-eigenvalue?
-
-    Decided by the parity system; a feasible solution flips the Perron
-    vector on the switched set, which is then verified to satisfy the
-    eigen-relation to within 10x the iteration tolerance.
-    """
-    k = _uniform_k(h)
-    _require_even(k)
+def _solve_parity(h: SignedHypergraph, message: str):
+    """Edge index and parity-system outcome of an even, connected instance."""
+    idx = _edge_index(h)
+    _require_even(idx.shape[1])
     if not is_connected(h):
-        raise NotConnectedError("this criterion assumes a connected instance")
-    outcome = gf2_solve(_parity_system(h))
+        raise NotConnectedError(message)
+    return idx, gf2_solve(_parity_system(h))
+
+
+def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotHEigenvalue:
     if isinstance(outcome, GF2Infeasible):
         return NotHEigenvalue(witness_edges=outcome.witness_rows)
     signs = _signs_from_support(h.n, outcome.support)
-    radius = nqz_spectral_radius(h, tol)
+    radius = _nqz(idx, h.n, tol, NQZ_MAX_ITERS, NQZ_SHIFT)
     vector = np.array(signs, dtype=np.float64) * np.array(radius.vector)
     residual = eigenpair_residual(h, -radius.rho, vector)
     if residual > 10.0 * tol:
@@ -393,20 +393,7 @@ def h_eigen_minus_rho(
     )
 
 
-def lap_zero_h_eigen(
-    h: SignedHypergraph,
-) -> ParityCertificate | NoZeroHEigenvalue:
-    """Is zero an H-eigenvalue of the Laplacian tensor?
-
-    Same parity system; a feasible solution gives a +-1 vector whose
-    Laplacian contraction cancels edge by edge, checked in exact integer
-    arithmetic.
-    """
-    idx = _edge_index(h)
-    _require_even(idx.shape[1])
-    if not is_connected(h):
-        raise NotConnectedError("this criterion assumes a connected instance")
-    outcome = gf2_solve(_parity_system(h))
+def _zero_certificate(h, idx, outcome) -> ParityCertificate | NoZeroHEigenvalue:
     if isinstance(outcome, GF2Infeasible):
         return NoZeroHEigenvalue(witness_edges=outcome.witness_rows)
     signs = _signs_from_support(h.n, outcome.support)
@@ -425,6 +412,30 @@ def lap_zero_h_eigen(
         eigenvector=tuple(float(s) for s in signs),
         residual=0,
     )
+
+
+def h_eigen_minus_rho(
+    h: SignedHypergraph, tol: float = NQZ_TOL
+) -> ParityCertificate | NotHEigenvalue:
+    """Is the negated structural spectral radius an H-eigenvalue?
+
+    Decided by the parity system; a feasible solution flips the Perron
+    vector on the switched set, which is then verified to satisfy the
+    eigen-relation to within 10x the iteration tolerance.
+    """
+    idx, outcome = _solve_parity(h, "this criterion assumes a connected instance")
+    return _minus_rho_certificate(h, idx, outcome, tol)
+
+
+def lap_zero_h_eigen(h: SignedHypergraph) -> ParityCertificate | NoZeroHEigenvalue:
+    """Is zero an H-eigenvalue of the Laplacian tensor?
+
+    Same parity system; a feasible solution gives a +-1 vector whose
+    Laplacian contraction cancels edge by edge, checked in exact integer
+    arithmetic.
+    """
+    idx, outcome = _solve_parity(h, "this criterion assumes a connected instance")
+    return _zero_certificate(h, idx, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +501,9 @@ def signed_tensor_similarity(
 
 @dataclass(frozen=True)
 class SixWayReport:
-    """One boolean per statement of the even-k equivalence; the
-    underlying certificates ride along for reporting and replay."""
+    """One boolean per statement of the even-k equivalence, with the
+    certificates for reporting and replay.  Statements 1, 3, 5 and 6
+    restate one parity solve; 2 and 4 probe its solution numerically."""
 
     switch_equivalent_all_positive: bool
     adjacency_similarity: bool
@@ -528,45 +540,32 @@ def theorem_battery_even(
     seed: int = 0,
     similarity_tol: float = 1e-10,
 ) -> SixWayReport:
-    """Evaluate the six equivalent statements for even k, each by its own
-    route: switching equivalence to the all-positive-structure signing,
-    the two diagonal-similarity identities on a random probe vector, the
-    two H-eigenvalue criteria, and the raw parity system.
+    """Evaluate the six equivalent statements for even k from one solve of
+    the parity system: its feasibility is statement 6, and statement 1
+    restates it, since switching to the signing induced by the
+    all-positive orientation (every edge -1) poses the same system row
+    for row.  Statements 3 and 5 build their certificates from its
+    solution, 2 and 4 probe both similarity identities with it.
     """
-    idx = _edge_index(h)
-    _require_even(idx.shape[1])
-    if not is_connected(h):
-        raise NotConnectedError("the equivalence battery assumes connectivity")
-    # The signing induced by the all-positive orientation: every edge
-    # gets (-1)^(k-1) = -1 for even k.
-    all_positive_signing = SignedHypergraph(h.n, h.edges, (-1,) * h.m, h.names)
-
-    switch_outcome = signed_switch_equivalent(h, all_positive_signing)
-    statement_1 = isinstance(switch_outcome, SignedSwitchCertificate)
-
-    eigen_outcome = h_eigen_minus_rho(h, tol)
-    statement_3 = isinstance(eigen_outcome, ParityCertificate)
-
-    laplacian_outcome = lap_zero_h_eigen(h)
-    statement_5 = isinstance(laplacian_outcome, ParityCertificate)
-
-    parity_outcome = gf2_solve(_parity_system(h))
-    statement_6 = not isinstance(parity_outcome, GF2Infeasible)
-
-    statement_2 = False
-    statement_4 = False
+    idx, outcome = _solve_parity(h, "the equivalence battery assumes connectivity")
+    statement_6 = not isinstance(outcome, GF2Infeasible)
     if statement_6:
-        signs = _signs_from_support(h.n, parity_outcome.support)
-        sign_arr = np.array(signs, dtype=np.float64)
+        switch_outcome = SignedSwitchCertificate(vertices=outcome.support)
+    else:
+        switch_outcome = NotEquivalent(witness_edges=outcome.witness_rows)
+    eigen_outcome = _minus_rho_certificate(h, idx, outcome, tol)
+    laplacian_outcome = _zero_certificate(h, idx, outcome)
+
+    statement_2 = statement_4 = False
+    if statement_6:
+        sign_arr = np.array(laplacian_outcome.signs, dtype=np.float64)
         rng = np.random.default_rng(seed)
         probe = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
-        flipped = sign_arr * probe
-        gamma = _gamma(h)
-        target = _gamma(all_positive_signing)
+        gamma, target = _gamma(h), np.full(h.m, -1, dtype=np.int64)
         statement_2, statement_4 = (
             bool(
                 np.abs(
-                    sign_arr * contract(idx, gamma, flipped)
+                    sign_arr * contract(idx, gamma, sign_arr * probe)
                     - contract(idx, target, probe)
                 ).max()
                 <= similarity_tol
@@ -574,11 +573,11 @@ def theorem_battery_even(
             for contract in (_edge_products, _lap_products)
         )
     return SixWayReport(
-        switch_equivalent_all_positive=statement_1,
+        switch_equivalent_all_positive=statement_6,
         adjacency_similarity=statement_2,
-        minus_rho_h_eigen=statement_3,
+        minus_rho_h_eigen=isinstance(eigen_outcome, ParityCertificate),
         laplacian_similarity=statement_4,
-        zero_h_eigen=statement_5,
+        zero_h_eigen=isinstance(laplacian_outcome, ParityCertificate),
         parity_bipartition=statement_6,
         switch_certificate=switch_outcome,
         eigen_certificate=eigen_outcome,

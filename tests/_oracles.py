@@ -2,8 +2,8 @@
 
 These deliberately take the slowest, most literal route (explicit dense
 tensors, exhaustive enumeration, pair loops, per-edge contraction loops,
-all rotations of a cycle, cyclic Jacobi rotations) so they share no code
-with the package internals they check.
+all rotations of a cycle, cyclic Jacobi rotations, a rebuilt sampling
+pool) so they share no code with the package internals they check.
 """
 
 import math
@@ -292,3 +292,29 @@ def canonical_cycle_by_rotations(walk) -> tuple:
             if best is None or rot < best:
                 best = rot
     return best + (best[0],)
+
+
+def parity_sign_vector_bruteforce(h: hs.SignedHypergraph, max_n: int = 16):
+    """First +-1 vector, in binary counting order of the switched set, with
+    an odd number of -1 entries on every positive edge and an even number
+    on every negative edge; None if there is none.  Enumerates all 2^n
+    vectors and tests every edge parity on each; nothing is eliminated."""
+    if h.n > max_n:
+        raise ValueError(f"sign-vector enumeration is limited to {max_n} vertices")
+    codes = np.arange(2 ** h.n, dtype=np.int64)
+    switched = (codes[:, None] >> np.arange(h.n)) & 1  # row c: bit v-1 of c
+    ok = np.ones(codes.size, dtype=bool)
+    for j, edge in enumerate(h.edges):
+        count = switched[:, [v - 1 for v in edge]].sum(axis=1)
+        ok &= count % 2 == (1 if h.gamma[j] == 1 else 0)
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        return None
+    return tuple(-1 if bit else 1 for bit in switched[hits[0]])
+
+
+def draw_rest_by_pool_rebuild(rng, covered, position, anchors, count):
+    """The covered vertices other than the anchors, copied into a new list
+    for every edge, then sampled."""
+    pool = [v for v in covered if v not in anchors]
+    return rng.sample(pool, count)

@@ -96,6 +96,15 @@ def test_spectra_disconnected_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_spectra_refuses_oversized_dense_input(tmp_path):
+    p = tmp_path / "path.ohg"
+    hs.save(hs.build(30_000, [[(v, 1), (v + 1, 1)] for v in range(1, 30_000)]), p)
+    proc = _run_cli([sys.executable, "-m", "hypersign", "spectra", str(p)], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "exceeds the limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_tensor_on_bundled_example(ex_path, capsys):
     assert main(["tensor", ex_path, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

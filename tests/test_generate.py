@@ -1,9 +1,12 @@
+import importlib
 import random
 
 import pytest
 
 import hypersign as hs
 from hypersign.errors import InfeasibleParametersError
+
+from _oracles import draw_rest_by_pool_rebuild
 
 
 def test_generate_is_deterministic():
@@ -83,3 +86,45 @@ def test_random_connected_uniform_stays_in_bounds():
             assert hs.uniform_edge_size(g) == k
             assert hs.is_connected(g)
             assert g.n <= 8 and g.m <= 6
+
+
+def test_connected_draw_matches_pool_rebuild(monkeypatch):
+    # The view of the covered list must hand rng.sample the same sequence
+    # as the rebuilt pool, so every instance stays bit-identical per seed.
+    module = importlib.import_module("hypersign.generate")
+    rng = random.Random(5150)
+    params = []
+    for i in range(360):
+        n = rng.randint(1, 12) if i % 3 == 0 else rng.randint(13, 200)
+        m = rng.randint(max(1, n // 2), 2 * n + 2)
+        if i % 2:
+            kwargs = dict(k=rng.randint(1, min(n, 6)))
+        else:
+            lo = rng.randint(1, min(n, 4))
+            kwargs = dict(size_range=(lo, min(n, lo + rng.randint(0, 4))))
+        params.append((n, m, kwargs, rng.random(), rng.randrange(2**32)))
+
+    def draw_all():
+        out = []
+        for n, m, kwargs, p_neg, seed in params:
+            try:
+                out.append(hs.generate(n, m, p_neg=p_neg, connected=True, seed=seed, **kwargs))
+            except InfeasibleParametersError as exc:
+                out.append(str(exc))
+        return out
+
+    fast = draw_all()
+    draws = []
+
+    def referee(rng, covered, position, anchors, count):
+        draws.append((len(covered), count))
+        return draw_rest_by_pool_rebuild(rng, covered, position, anchors, count)
+
+    monkeypatch.setattr(module, "_draw_rest", referee)
+    assert fast == draw_all()
+    assert sum(isinstance(g, hs.OrientedHypergraph) for g in fast) >= 300
+    # Nonempty draws from pools both below and above random.sample's
+    # switch from copying the population to indexing it.
+    nonempty = [size for size, count in draws if count]
+    assert sum(size <= 21 for size in nonempty) >= 20
+    assert sum(size > 21 for size in nonempty) >= 20

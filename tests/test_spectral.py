@@ -1,13 +1,19 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hypersign as hs
-from hypersign.errors import DisconnectedInputError, NotConnectedError, NotUniformError
+from hypersign.errors import (
+    DenseLimitExceededError,
+    DisconnectedInputError,
+    NotConnectedError,
+    NotUniformError,
+)
 from hypersign.linalg import MEMBERSHIP_ABS_TOL, MEMBERSHIP_REL_TOL
-from hypersign.spectral import A_CRITERION, L_CRITERION, M_CRITERION
+from hypersign.spectral import A_CRITERION, DENSE_MAX_CELLS, L_CRITERION, M_CRITERION
 
 from _oracles import (
     jacobi_eigenvalues,
@@ -107,6 +113,38 @@ def test_suite_rejects_disconnected():
     with pytest.raises(NotConnectedError):
         hs.spectral_balance_tests(g)
     assert DisconnectedInputError is NotConnectedError is hs.DisconnectedInputError
+
+
+def test_dense_layer_refuses_oversized_input_before_allocating():
+    n = 30_000
+    path = hs.build(n, [[(v, 1), (v + 1, -1)] for v in range(1, n)])
+    signed = hs.induced_signed(path)
+    builders = (
+        (hs.incidence_matrix, path),
+        (hs.laplacian_matrix, path),
+        (hs.adjacency_matrix, path),
+        (hs.signed_adjacency_matrix, signed),
+    )
+    for build, instance in builders:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitExceededError, match="exceeds the limit"):
+                build(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a refused 30,000-vertex matrix is 6.7 GiB
+    with pytest.raises(DenseLimitExceededError):
+        hs.spectral_balance_tests(path)
+    assert issubclass(DenseLimitExceededError, hs.HypersignError)
+    assert hs.DenseLimitExceededError is DenseLimitExceededError
+
+
+def test_dense_limit_admits_the_n1000_rung():
+    g = hs.generate(1000, 2000, size_range=(2, 4), connected=True, seed=1)
+    assert 2000 * 1000 <= DENSE_MAX_CELLS
+    assert hs.incidence_matrix(g).values.shape == (2000, 1000)
+    assert hs.laplacian_matrix(g).order == 1000
 
 
 def test_suite_trivial_instances():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from _oracles import (
     loop_lap_apply,
     loop_lap_form,
     loop_nqz_spectral_radius,
+    parity_sign_vector_bruteforce,
 )
 
 
@@ -417,6 +419,119 @@ def test_battery_statements_agree_on_random_even_instances():
         assert rep.agree
         if hs.incidence_balance(g):
             assert rep.all_true
+
+
+# ---------------------------------------------------------------------------
+# One parity solve per battery.  Statements 1, 3, 5 and 6 restate that
+# solve, so their agreement proves nothing; these tests check it against
+# sign-vector enumeration and replay its certificates by loops.
+
+
+def _parity_instances(count: int) -> list[hs.SignedHypergraph]:
+    """Seeded connected even-k instances on at most 14 vertices, signed by
+    their orientation (even i) or at random (odd i)."""
+    rng = random.Random(808)
+    out = []
+    for i in range(count):
+        k = (2, 4, 6)[i % 3]
+        g = hs.random_connected_uniform(
+            random.Random(rng.randrange(2**32)), k, n_max=k + 8, m_max=8
+        )
+        h = hs.induced_signed(g)
+        if i % 2:
+            h = h.with_gamma(tuple(rng.choice((-1, 1)) for _ in range(h.m)))
+        out.append(h)
+    return out
+
+
+def _meets_every_parity(h, signs) -> bool:
+    for j, edge in enumerate(h.edges):
+        switched = sum(1 for v in edge if signs[v - 1] == -1)
+        if switched % 2 != (1 if h.gamma[j] == 1 else 0):
+            return False
+    return True
+
+
+def _laplacian_contraction(h, signs) -> list[int]:
+    k = len(h.edges[0])
+    out = [h.degree(v) * signs[v - 1] ** (k - 1) for v in range(1, h.n + 1)]
+    for j, edge in enumerate(h.edges):
+        for v in edge:
+            product = h.gamma[j]
+            for u in edge:
+                if u != v:
+                    product *= signs[u - 1]
+            out[v - 1] += product
+    return out
+
+
+def test_parity_answers_match_sign_vector_enumeration():
+    kinds = Counter()
+    for h in _parity_instances(540):
+        rep = hs.theorem_battery_even(h)
+        assert rep.agree
+        assert rep.parity_bipartition == (parity_sign_vector_bruteforce(h) is not None)
+        all_odd = parity_sign_vector_bruteforce(h.with_gamma((1,) * h.m))
+        assert bool(hs.odd_bipartite(h)) == (all_odd is not None)
+        kinds[len(h.edges[0]), rep.parity_bipartition] += 1
+        certificates = (
+            rep.switch_certificate, rep.eigen_certificate, rep.laplacian_certificate
+        )
+        if rep.parity_bipartition:
+            switched = rep.switch_certificate.vertices
+            signs = tuple(-1 if v in switched else 1 for v in range(1, h.n + 1))
+            for cert in certificates[1:]:
+                assert cert.vertices == switched and cert.signs == signs
+            assert _meets_every_parity(h, signs)
+            assert _laplacian_contraction(h, signs) == [0] * h.n
+        else:
+            witness = rep.switch_certificate.witness_edges
+            assert witness
+            assert all(cert.witness_edges == witness for cert in certificates)
+            # Every vertex sits in an even number of witness edges (the
+            # left-hand sides cancel) and the right-hand sides sum to 1.
+            for v in range(1, h.n + 1):
+                assert sum(1 for j in witness if v in h.edges[j]) % 2 == 0
+            assert sum(1 for j in witness if h.gamma[j] == 1) % 2 == 1
+    assert min(kinds[k, feasible] for k in (2, 4, 6) for feasible in (True, False)) >= 20
+
+
+def test_one_parity_solve_and_one_connectivity_check_per_call(monkeypatch, sex):
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(hs.tensor, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("gf2_solve", "is_connected"):
+        monkeypatch.setattr(hs.tensor, name, counting(name))
+    feasible = hs.build_signed(6, [(1, 2, 3, 4), (3, 4, 5, 6)], [-1, -1])
+    assert hs.theorem_battery_even(feasible).all_true
+    assert not hs.theorem_battery_even(sex).parity_bipartition
+    for h in (feasible, sex):
+        for call, solves in (
+            (hs.theorem_battery_even, 1),
+            (hs.h_eigen_minus_rho, 1),
+            (hs.lap_zero_h_eigen, 1),
+            (hs.nqz_spectral_radius, 0),
+        ):
+            calls.clear()
+            call(h)
+            assert (calls["is_connected"], calls["gf2_solve"]) == (1, solves)
+
+
+def test_battery_certificates_equal_the_public_calls():
+    for h in _parity_instances(120):
+        rep = hs.theorem_battery_even(h)
+        all_negative = h.with_gamma((-1,) * h.m)
+        assert rep.switch_certificate == hs.signed_switch_equivalent(h, all_negative)
+        assert rep.eigen_certificate == hs.h_eigen_minus_rho(h)
+        assert rep.laplacian_certificate == hs.lap_zero_h_eigen(h)
 
 
 def test_structural_radius_dominates_signed_h_eigenvalues():
