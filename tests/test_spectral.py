@@ -13,7 +13,7 @@ from hypersign.errors import (
     NotUniformError,
 )
 from hypersign.linalg import MEMBERSHIP_ABS_TOL, MEMBERSHIP_REL_TOL
-from hypersign.spectral import A_CRITERION, DENSE_MAX_CELLS, L_CRITERION, M_CRITERION
+from hypersign.spectral import A_CRITERION, L_CRITERION, M_CRITERION
 
 from _oracles import (
     jacobi_eigenvalues,
@@ -142,7 +142,6 @@ def test_dense_layer_refuses_oversized_input_before_allocating():
 
 def test_dense_limit_admits_the_n1000_rung():
     g = hs.generate(1000, 2000, size_range=(2, 4), connected=True, seed=1)
-    assert 2000 * 1000 <= DENSE_MAX_CELLS
     assert hs.incidence_matrix(g).values.shape == (2000, 1000)
     assert hs.laplacian_matrix(g).order == 1000
 
