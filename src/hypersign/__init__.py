@@ -19,7 +19,6 @@ from .balance import (
     verify_bipartition,
 )
 from .core import (
-    Incidence,
     OrientedHypergraph,
     SignedHypergraph,
     adjacency_sign,
@@ -134,7 +133,6 @@ from .walks import (
     connected_components,
     edge_node,
     enumerate_cycles,
-    incidence_adjacency,
     incidence_sign_of,
     is_connected,
     paths_sign_consistent,

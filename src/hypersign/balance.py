@@ -9,25 +9,27 @@ propagates such labels in one pass and either returns the bipartition
 (with the switching certificate that positivizes everything) or a cycle
 whose incidence sign is -1.
 
-equivalence_battery re-derives the same verdict along five independent
-routes on oracle-scale instances.
+equivalence_battery evaluates the five equivalent statements on
+oracle-scale instances: four by independent computations, and the
+fifth by replaying the decision procedure's own witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .core import OrientedHypergraph, all_positive_variant
-from .errors import NotAPartitionError, OracleBudgetExceededError
-from .switching import SwitchCertificate, oriented_switch_equivalent
+from .errors import InvalidWalkError, NotAPartitionError, OracleBudgetExceededError
+from .switching import SwitchCertificate, apply_switches
 from .walks import (
-    EDGE,
-    VERTEX,
     Walk,
     connected_components,
     enumerate_cycles,
+    incidence_sign_of,
+    node_element,
     paths_sign_consistent,
     propagate_labels,
 )
@@ -84,11 +86,10 @@ def incidence_balance(g: OrientedHypergraph) -> BalanceVerdict:
     node with label +1, which makes certificates deterministic.
     """
     n, m = g.n, g.m
-    label = propagate_labels(
-        n, m, ((j, v, s) for j, edge in enumerate(g.edges) for v, s in edge)
-    )
-    if isinstance(label, Walk):
-        return Unbalanced(cycle=label)
+    found = propagate_labels(g.incidence_core, g.incidence_core.signs)
+    if isinstance(found, Walk):
+        return Unbalanced(cycle=found)
+    label, _ = found
     part_positive = tuple(v + 1 for v in range(n) if label[v] == 1)
     part_negative = tuple(v + 1 for v in range(n) if label[v] == -1)
     return Balanced(
@@ -183,9 +184,10 @@ def _labeling_exists(g: OrientedHypergraph, max_nodes: int) -> bool:
         )
     if g.m == 0:
         return True
-    vertex_ids, edge_ids, negative = np.array(
-        [(v - 1, g.n + j, s < 0) for j, edge in enumerate(g.edges) for v, s in edge]
-    ).T
+    core = g.incidence_core
+    edges, vertex_ids = core.edge_major()
+    edge_ids = g.n + edges
+    negative = core.signs < 0
     shifts = np.arange(nodes, dtype=np.uint64)
     block = max(1, _LABELING_BLOCK_CELLS // (nodes + vertex_ids.size))
     total = 1 << nodes
@@ -197,16 +199,27 @@ def _labeling_exists(g: OrientedHypergraph, max_nodes: int) -> bool:
     return False
 
 
+def _paths_consistent(g: OrientedHypergraph, a, b, max_paths: int) -> bool:
+    report = paths_sign_consistent(g, a, b, max_paths)
+    if report.truncated:
+        raise OracleBudgetExceededError("path enumeration truncated")
+    return report.consistent
+
+
 def equivalence_battery(
     g: OrientedHypergraph, limits: OracleLimits = OracleLimits()
 ) -> FiveWayReport:
-    """Evaluate the five equivalent balance statements independently.
+    """Evaluate the five equivalent balance statements.
 
     Routes: (1) the certified bipartition re-checked by
     verify_bipartition; (2) every cycle has positive incidence sign;
     (3) all same-component element pairs have sign-consistent paths;
     (4) an exhaustive labeling search; (5) switching equivalence to the
-    all-positive variant.  Budget exhaustion raises rather than guessing.
+    all-positive variant, read off statement 1's witness: its switching
+    certificate must yield that variant, or its cycle must be a closed
+    walk of g of incidence sign -1, a sign switching preserves.  Route 5
+    thus checks what route 1 leaves unchecked.  Budget exhaustion raises
+    rather than guessing.
     """
     if g.n + g.m > limits.max_nodes:
         raise OracleBudgetExceededError(
@@ -222,30 +235,21 @@ def equivalence_battery(
         raise OracleBudgetExceededError("cycle enumeration truncated")
     statement_2 = all(sign == 1 for _, sign in enumeration.cycles)
 
-    statement_3 = True
-    for comp in connected_components(g):
-        elements = [
-            (VERTEX, u + 1) if u < g.n else (EDGE, u - g.n) for u in comp
-        ]
-        for i in range(len(elements)):
-            for j in range(i + 1, len(elements)):
-                report = paths_sign_consistent(
-                    g, elements[i], elements[j], limits.max_paths
-                )
-                if report.truncated:
-                    raise OracleBudgetExceededError("path enumeration truncated")
-                if not report.consistent:
-                    statement_3 = False
-                    break
-            if not statement_3:
-                break
-        if not statement_3:
-            break
+    statement_3 = all(
+        _paths_consistent(g, a, b, limits.max_paths)
+        for comp in connected_components(g)
+        for a, b in combinations([node_element(g.n, u) for u in comp], 2)
+    )
 
     statement_4 = _labeling_exists(g, limits.max_nodes)
-    statement_5 = isinstance(
-        oriented_switch_equivalent(g, all_positive_variant(g)), SwitchCertificate
-    )
+    if isinstance(verdict, Balanced):
+        statement_5 = apply_switches(g, verdict.cert) == all_positive_variant(g)
+    else:
+        try:
+            negative = incidence_sign_of(verdict.cycle, g) == -1
+        except InvalidWalkError:
+            negative = False
+        statement_5 = not (negative and verdict.cycle.is_closed)
     return FiveWayReport(
         balanced_bipartition=statement_1,
         cycles_all_positive=statement_2,

@@ -6,13 +6,18 @@ incidence.  Edges keep insertion order so certificates are reproducible.
 Parallel edges (repeated vertex sets) are allowed; a vertex appears at
 most once within an edge.  All values are immutable after construction
 and safe to share across threads.
+
+``edges`` is the stored form; every structural question reads the
+incidence core instead, built once per instance on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator
+from itertools import chain
+
+import numpy as np
 
 from .errors import (
     DuplicateVertexInEdgeError,
@@ -24,7 +29,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Incidence",
+    "IncidenceCore",
     "OrientedHypergraph",
     "SignedHypergraph",
     "structures_match",
@@ -36,15 +41,6 @@ __all__ = [
     "all_positive_variant",
     "uniform_edge_size",
 ]
-
-
-@dataclass(frozen=True)
-class Incidence:
-    """One (edge, vertex) pair together with its orientation."""
-
-    edge: int
-    vertex: int
-    sign: int
 
 
 def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
@@ -63,9 +59,69 @@ def _default_names(m: int) -> tuple[str, ...]:
     return tuple(f"e{j + 1}" for j in range(m))
 
 
+@dataclass(frozen=True, eq=False)
+class IncidenceCore:
+    """The incidence structure as read-only CSR arrays over its n + m nodes.
+
+    Vertex v is node v - 1 and edge j is node n + j.  Row x,
+    ``indices[indptr[x]:indptr[x + 1]]``, lists the neighbours of node x:
+    a vertex's edges in ascending order, an edge's members in stored
+    order.  ``slot[k]`` is the position of the incidence behind entry k
+    in edge-major order (edge by edge, members in stored order), so a
+    per-incidence array in that order, such as ``signs``, is one gather
+    away from every row.  ``signs`` holds the orientations of an oriented
+    hypergraph and is None for a signed one; ``edge_ids`` holds the edge
+    of each incidence, in edge-major order.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+    signs: np.ndarray | None
+    edge_ids: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Number of incidences; entries below it form the vertex rows."""
+        return self.slot.size // 2
+
+    def edge_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge index and vertex node of each incidence, in edge-major order."""
+        return self.edge_ids, self.indices[self.size :]
+
+
+def _build_core(h: OrientedHypergraph | SignedHypergraph) -> IncidenceCore:
+    """The incidence core of h, from its stored edges."""
+    n, m = h.n, h.m
+    sizes = np.fromiter(map(len, h.edges), dtype=np.intp, count=m)
+    total = int(sizes.sum())
+    if isinstance(h, OrientedHypergraph):
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(h.edges)),
+            dtype=np.intp,
+            count=2 * total,
+        ).reshape(total, 2)
+        members, signs = pairs[:, 0] - 1, pairs[:, 1].copy()
+    else:
+        flat = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=total)
+        members = flat - 1
+        signs = None
+    by_vertex = np.argsort(members, kind="stable")
+    degrees = np.bincount(members, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate((degrees, sizes)))))
+    edge_ids = np.repeat(np.arange(m), sizes)
+    indices = np.concatenate((edge_ids[by_vertex] + n, members))
+    slot = np.concatenate((by_vertex, np.arange(total)))
+    for arr in (indptr, indices, slot, signs, edge_ids):
+        if arr is not None:
+            arr.setflags(write=False)
+    return IncidenceCore(n, indptr, indices, slot, signs, edge_ids)
+
+
 class _IncidenceStructure:
     """What both hypergraph kinds share: vertex ids 1..n, edge indices
-    0..m-1 with optional names, and the edges at each vertex."""
+    0..m-1 with optional names, and the incidence core."""
 
     def _check_names(self) -> None:
         if self.n < 0:
@@ -79,6 +135,11 @@ class _IncidenceStructure:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def incidence_core(self) -> IncidenceCore:
+        """Built on first use and kept for the lifetime of the instance."""
+        return _build_core(self)
+
     def check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
             raise UnknownVertexError(v, self.n)
@@ -88,19 +149,16 @@ class _IncidenceStructure:
             raise UnknownEdgeError(e, self.m)
 
     def edges_of(self, v: int) -> tuple[int, ...]:
+        """Edges at vertex v, in ascending order."""
         self.check_vertex(v)
-        return self._edges_of[v - 1]
+        core = self.incidence_core
+        row = core.indices[core.indptr[v - 1] : core.indptr[v]]
+        return tuple((row - self.n).tolist())
 
     def degree(self, v: int) -> int:
-        return len(self.edges_of(v))
-
-    @cached_property
-    def _edges_of(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for e in range(self.m):
-            for v in self.members(e):
-                buckets[v - 1].append(e)
-        return tuple(tuple(b) for b in buckets)
+        self.check_vertex(v)
+        indptr = self.incidence_core.indptr
+        return int(indptr[v] - indptr[v - 1])
 
 
 @dataclass(frozen=True)
@@ -128,23 +186,16 @@ class OrientedHypergraph(_IncidenceStructure):
 
     def orientation(self, e: int, v: int) -> int:
         self.check_edge(e)
-        s = self._orientations.get((e, v))
-        if s is None:
+        core = self.incidence_core
+        start, stop = core.indptr[self.n + e : self.n + e + 2]
+        hit = np.flatnonzero(core.indices[start:stop] == v - 1)
+        if hit.size == 0:
             raise NotAdjacentError(f"vertex {v} is not incident to edge {e}")
-        return s
-
-    def incidences(self) -> Iterator[Incidence]:
-        for e, edge in enumerate(self.edges):
-            for v, s in edge:
-                yield Incidence(e, v, s)
+        return int(core.signs[core.slot[start + hit[0]]])
 
     @property
     def incidence_count(self) -> int:
         return sum(len(edge) for edge in self.edges)
-
-    @cached_property
-    def _orientations(self) -> dict[tuple[int, int], int]:
-        return {(e, v): s for e, edge in enumerate(self.edges) for v, s in edge}
 
     def with_orientations(
         self, edges: tuple[tuple[tuple[int, int], ...], ...]
@@ -186,10 +237,17 @@ def structures_match(
     a: OrientedHypergraph | SignedHypergraph,
     b: OrientedHypergraph | SignedHypergraph,
 ) -> bool:
-    """Same vertex count and the same vertex set at every edge index."""
+    """Same vertex count and the same vertex set at every edge index.
+
+    Compares the vertex rows of the two incidence cores, which list each
+    vertex's edges in ascending order whatever the member order.
+    """
     if a.n != b.n or a.m != b.m:
         return False
-    return all(sorted(a.members(j)) == sorted(b.members(j)) for j in range(a.m))
+    ca, cb = a.incidence_core, b.incidence_core
+    return np.array_equal(ca.indptr[: a.n + 1], cb.indptr[: b.n + 1]) and (
+        np.array_equal(ca.indices[: ca.size], cb.indices[: cb.size])
+    )
 
 
 def build(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrientedHypergraph, SignedHypergraph
+from .core import OrientedHypergraph, SignedHypergraph, uniform_edge_size
 from .errors import DenseLimitExceededError, NotConnectedError, NotUniformError
 from .linalg import (
     MEMBERSHIP_ABS_TOL,
@@ -68,11 +68,8 @@ def _incidence_array(g: OrientedHypergraph) -> np.ndarray:
     _check_dense_size(g.m, g.n)
     _check_dense_size(g.n, g.n)
     arr = np.zeros((g.m, g.n), dtype=np.int64)
-    entries = np.array(
-        [(j, v - 1, s) for j, edge in enumerate(g.edges) for v, s in edge],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    arr[entries[:, 0], entries[:, 1]] = entries[:, 2]
+    edges, vertices = g.incidence_core.edge_major()
+    arr[edges, vertices] = g.incidence_core.signs
     return arr
 
 
@@ -110,13 +107,11 @@ def laplacian_matrix(g: OrientedHypergraph) -> DenseSymMatrix:
 def signed_adjacency_matrix(h: SignedHypergraph) -> DenseSymMatrix:
     """Adjacency matrix of a 2-uniform signed hypergraph (entries = signs)."""
     _check_dense_size(h.n, h.n)
+    if h.m and uniform_edge_size(h) != 2:
+        raise NotUniformError("signed adjacency matrix needs 2-uniform input")
+    u, v = h.incidence_core.edge_major()[1].reshape(h.m, 2).T
     arr = np.zeros((h.n, h.n), dtype=np.int64)
-    for j, edge in enumerate(h.edges):
-        if len(edge) != 2:
-            raise NotUniformError("signed adjacency matrix needs 2-uniform input")
-        u, v = edge
-        arr[u - 1, v - 1] += h.gamma[j]
-        arr[v - 1, u - 1] += h.gamma[j]
+    np.add.at(arr, (np.concatenate((u, v)), np.concatenate((v, u))), np.tile(h.gamma, 2))
     return DenseSymMatrix(arr)
 
 

@@ -71,24 +71,12 @@ class NotEquivalent:
 
 def vertex_switch(g: OrientedHypergraph, v: int) -> OrientedHypergraph:
     """Negate the orientation of every incidence at vertex v."""
-    g.check_vertex(v)
-    return g.with_orientations(
-        tuple(
-            tuple((u, -s if u == v else s) for u, s in edge)
-            for edge in g.edges
-        )
-    )
+    return apply_switches(g, SwitchCertificate(vertices=(v,)))
 
 
 def edge_switch(g: OrientedHypergraph, e: int) -> OrientedHypergraph:
     """Negate the orientation of every incidence of edge e."""
-    g.check_edge(e)
-    return g.with_orientations(
-        tuple(
-            tuple((u, -s) for u, s in edge) if j == e else edge
-            for j, edge in enumerate(g.edges)
-        )
-    )
+    return apply_switches(g, SwitchCertificate(edges=(e,)))
 
 
 def apply_switches(g: OrientedHypergraph, cert: SwitchCertificate) -> OrientedHypergraph:
@@ -113,13 +101,7 @@ def apply_switches(g: OrientedHypergraph, cert: SwitchCertificate) -> OrientedHy
 
 def signed_vertex_switch(h: SignedHypergraph, v: int) -> SignedHypergraph:
     """Negate the sign of every edge containing vertex v."""
-    h.check_vertex(v)
-    return h.with_gamma(
-        tuple(
-            -s if v in h.edges[j] else s
-            for j, s in enumerate(h.gamma)
-        )
-    )
+    return apply_signed_switches(h, SignedSwitchCertificate(vertices=(v,)))
 
 
 def apply_signed_switches(
@@ -152,13 +134,15 @@ def oriented_switch_equivalent(
             "switching equivalence needs identical underlying structures"
         )
     n, m = source.n, source.m
-    label = propagate_labels(n, m, (
-        (j, v, s * target.orientation(j, v))
-        for j, edge in enumerate(source.edges)
-        for v, s in edge
-    ))
-    if isinstance(label, Walk):
-        return NotEquivalent(cycle=label)
+    ours, theirs = source.incidence_core, target.incidence_core
+    # Matching structures list the same incidences in their vertex rows,
+    # so those rows align target's orientations with source's.
+    values = ours.signs.copy()
+    values[ours.slot[: ours.size]] *= theirs.signs[theirs.slot[: theirs.size]]
+    found = propagate_labels(ours, values)
+    if isinstance(found, Walk):
+        return NotEquivalent(cycle=found)
+    label, _ = found
     return SwitchCertificate(
         vertices=tuple(v + 1 for v in range(n) if label[v] == -1),
         edges=tuple(j for j in range(m) if label[n + j] == -1),

@@ -114,12 +114,8 @@ def _as_vector(h, x) -> np.ndarray:
 
 
 def _edge_index(h: OrientedHypergraph | SignedHypergraph) -> np.ndarray:
-    """(m, k) array of 0-based members in stored order; checks uniformity."""
-    _uniform_k(h)
-    members = np.array(h.edges, dtype=np.intp)
-    if isinstance(h, OrientedHypergraph):
-        members = members[:, :, 0]
-    return members - 1
+    """(m, k) read-only array of 0-based members in stored order; checks uniformity."""
+    return h.incidence_core.edge_major()[1].reshape(h.m, _uniform_k(h))
 
 
 def _gamma(h: SignedHypergraph) -> np.ndarray:

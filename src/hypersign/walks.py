@@ -5,18 +5,21 @@ incidence.  The incidence sign of a walk is the product of the
 orientations along it; the adjacency sign additionally carries a factor
 (-1)^floor(t/2) for a walk of t incidences.
 
-Cycle and path enumeration here are deliberate brute-force oracles for
-small instances (the incidence structure of a few dozen nodes); the
-balance module has the linear-time decision procedure.
+Every search here reads the instance's incidence core: one breadth-first
+label-propagation kernel serves balance, oriented switching and
+connectivity, and one depth-first simple-path search serves the cycle and
+path oracles, which are meant for small instances (a few dozen nodes).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
 
-from .core import OrientedHypergraph, SignedHypergraph
+import numpy as np
+
+from .core import IncidenceCore, OrientedHypergraph, SignedHypergraph
 from .errors import (
     DisconnectedPairError,
     InvalidWalkError,
@@ -31,14 +34,15 @@ __all__ = [
     "Element",
     "vertex_node",
     "edge_node",
+    "node_element",
     "Walk",
     "walk_incidences",
     "incidence_sign_of",
     "adjacency_sign_of",
     "canonical_cycle",
     "fundamental_cycle",
+    "propagate_labels",
     "is_connected",
-    "incidence_adjacency",
     "connected_components",
     "CycleEnumeration",
     "enumerate_cycles",
@@ -158,7 +162,7 @@ def canonical_cycle(walk: Walk) -> Walk:
     return Walk(best + (best[0],))
 
 
-def fundamental_cycle(n: int, parent: dict[int, int], x: int, y: int) -> Walk:
+def fundamental_cycle(n: int, parent: list[int], x: int, y: int) -> Walk:
     """Closed walk through the tree paths to nodes x and y plus the step x-y.
 
     ``parent`` maps incidence-structure node ids to their search-tree
@@ -181,47 +185,51 @@ def fundamental_cycle(n: int, parent: dict[int, int], x: int, y: int) -> Walk:
         iy += 1
     ix = pos_in_x[path_y[iy]]
     nodes = path_x[ix::-1] + path_y[:iy]
-    elements = tuple(
-        (VERTEX, u + 1) if u < n else (EDGE, u - n) for u in nodes
-    )
+    elements = tuple(node_element(n, u) for u in nodes)
     return canonical_cycle(Walk(elements + (elements[0],)))
 
 
-def propagate_labels(
-    n: int, m: int, incidences: Iterable[tuple[int, int, int]]
-) -> list[int] | Walk:
-    """+-1 node labels (vertices first, then edges) whose product across
-    every incidence (edge j, vertex v, value) equals value, or a closed
-    walk on which no such labels exist.
+def _rows(core: IncidenceCore, values) -> tuple[list[int], list[int], list[int]]:
+    """The core's rows as lists, with ``values`` (one per incidence, in
+    edge-major order) gathered into row order."""
+    gathered = np.asarray(values)[core.slot]
+    return core.indptr.tolist(), core.indices.tolist(), gathered.tolist()
 
-    Breadth-first; each component is rooted at its smallest node with
-    label +1, which makes the result deterministic.
+
+def propagate_labels(
+    core: IncidenceCore, values: np.ndarray
+) -> tuple[list[int], list[int]] | Walk:
+    """+-1 node labels (vertices first, then edges) whose product across
+    every incidence equals that incidence's entry of ``values`` (one per
+    incidence, in edge-major order), together with the root of each
+    node's component; or a closed walk on which no such labels exist.
+
+    Breadth-first over the core's rows; each component is rooted at its
+    smallest node with label +1, which makes the result deterministic.
     """
-    adj: list[list[int]] = [[] for _ in range(n + m)]
-    value: dict[tuple[int, int], int] = {}
-    for j, v, s in incidences:
-        adj[v - 1].append(n + j)
-        adj[n + j].append(v - 1)
-        value[(v - 1, n + j)] = s
-    label = [0] * (n + m)
-    parent: dict[int, int] = {}
-    for root in range(n + m):
-        if label[root]:
+    n, nodes = core.n, core.indptr.size - 1
+    indptr, indices, wanted = _rows(core, values)
+    label = [0] * nodes
+    parent = list(range(nodes))
+    root = list(range(nodes))
+    for r in range(nodes):
+        if label[r]:
             continue
-        label[root] = 1
-        parent[root] = root
-        queue = deque([root])
+        label[r] = 1
+        queue = deque([r])
         while queue:
             x = queue.popleft()
-            for y in adj[x]:
-                want = label[x] * value[(x, y) if x < n else (y, x)]
+            start, stop = indptr[x], indptr[x + 1]
+            for y, value in zip(indices[start:stop], wanted[start:stop]):
+                want = label[x] * value
                 if label[y] == 0:
                     label[y] = want
                     parent[y] = x
+                    root[y] = r
                     queue.append(y)
                 elif label[y] != want:
                     return fundamental_cycle(n, parent, x, y)
-    return label
+    return label, root
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +237,9 @@ def propagate_labels(
 # Node ids: vertex v -> v - 1, edge j -> n + j.
 
 
-def incidence_adjacency(h: OrientedHypergraph | SignedHypergraph) -> list[list[int]]:
-    n = h.n
-    adj: list[list[int]] = [[] for _ in range(n + h.m)]
-    for j in range(h.m):
-        for v in h.members(j):
-            adj[v - 1].append(n + j)
-            adj[n + j].append(v - 1)
-    return adj
-
-
-def _node_element(h, node: int) -> Element:
-    return (VERTEX, node + 1) if node < h.n else (EDGE, node - h.n)
+def node_element(n: int, node: int) -> Element:
+    """The vertex or edge behind an incidence-structure node id."""
+    return (VERTEX, node + 1) if node < n else (EDGE, node - n)
 
 
 def _element_node(h, el: Element) -> int:
@@ -253,25 +252,18 @@ def _element_node(h, el: Element) -> int:
 
 
 def connected_components(h: OrientedHypergraph | SignedHypergraph) -> list[list[int]]:
-    """Components of the incidence structure, as lists of node ids."""
-    adj = incidence_adjacency(h)
-    seen = [False] * len(adj)
-    comps = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        comp = []
-        while queue:
-            x = queue.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
+    """Components of the incidence structure, as sorted lists of node ids,
+    ordered by their smallest node.
+
+    Runs the label-propagation search with every value +1, which never
+    conflicts.
+    """
+    core = h.incidence_core
+    _, root = propagate_labels(core, np.ones(core.size, dtype=np.intp))
+    comps: dict[int, list[int]] = {}
+    for node, r in enumerate(root):
+        comps.setdefault(r, []).append(node)
+    return list(comps.values())
 
 
 def is_connected(h: OrientedHypergraph | SignedHypergraph) -> bool:
@@ -284,7 +276,45 @@ def is_connected(h: OrientedHypergraph | SignedHypergraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force cycle oracle.
+# Brute-force oracles: one simple-path search for cycles and for paths.
+
+
+def _simple_paths(
+    indptr: list[int],
+    indices: list[int],
+    steps: list[int],
+    source: int,
+    target: int,
+    floor: int = 0,
+) -> Iterator[tuple[list[int], int]]:
+    """Depth-first, every simple path from source whose next step enters
+    target, with the product of ``steps`` (one per row entry) along it,
+    that last step included.  Nodes below floor are never entered.  The
+    yielded path is the live search path, valid until the search resumes.
+    """
+    path = [source]
+    on_path = {source}
+    signs = [1]
+    pos = [indptr[source]]
+    while pos:
+        k = pos[-1]
+        if k == indptr[path[-1] + 1]:
+            pos.pop()
+            on_path.discard(path.pop())
+            signs.pop()
+            continue
+        pos[-1] = k + 1
+        nxt = indices[k]
+        if nxt < floor:
+            continue
+        sign = signs[-1] * steps[k]
+        if nxt == target:
+            yield path, sign
+        elif nxt not in on_path:
+            path.append(nxt)
+            on_path.add(nxt)
+            signs.append(sign)
+            pos.append(indptr[nxt])
 
 
 @dataclass(frozen=True)
@@ -293,61 +323,27 @@ class CycleEnumeration:
     truncated: bool
 
 
-def _simple_node_cycles(adj: list[list[int]], max_count: int):
-    """All simple cycles of an undirected graph, as node lists (no closing
-    repeat).  Each cycle found once: minimal node first, smaller second node.
-    """
-    cycles: list[list[int]] = []
-    for s in range(len(adj)):
-        stack: list[tuple[int, int]] = [(s, 0)]
-        path = [s]
-        on_path = {s}
-        while stack:
-            node, ptr = stack[-1]
-            advanced = False
-            neighbors = adj[node]
-            while ptr < len(neighbors):
-                nxt = neighbors[ptr]
-                ptr += 1
-                if nxt < s:
-                    continue
-                if nxt == s:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        cycles.append(list(path))
-                        if len(cycles) >= max_count:
-                            return cycles, True
-                elif nxt not in on_path:
-                    stack[-1] = (node, ptr)
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                on_path.discard(path.pop())
-    return cycles, False
-
-
 def enumerate_cycles(
     g: OrientedHypergraph, max_count: int = 10_000
 ) -> CycleEnumeration:
     """Every simple cycle of the incidence structure with its incidence sign.
 
-    Exponential in the worst case; intended as a test oracle for small
-    instances.  Truncation at max_count is flagged, not raised.
+    Each cycle is found once, from its smallest node and in the direction
+    of its smaller second node.  Exponential in the worst case; intended
+    as a test oracle for small instances.  Truncation at max_count is
+    flagged, not raised.
     """
-    node_cycles, truncated = _simple_node_cycles(incidence_adjacency(g), max_count)
+    core = g.incidence_core
+    indptr, indices, steps = _rows(core, core.signs)
     out = []
-    for nodes in node_cycles:
-        elements = tuple(_node_element(g, u) for u in nodes)
-        walk = canonical_cycle(Walk(elements + (elements[0],)))
-        out.append((walk, incidence_sign_of(walk, g)))
-    return CycleEnumeration(tuple(out), truncated)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force path-sign oracle.
+    for s in range(g.n + g.m):
+        for path, sign in _simple_paths(indptr, indices, steps, s, s, floor=s):
+            if len(path) >= 3 and path[1] < path[-1]:
+                elements = tuple(node_element(g.n, u) for u in path)
+                out.append((canonical_cycle(Walk(elements + (elements[0],))), sign))
+                if len(out) >= max_count:
+                    return CycleEnumeration(tuple(out), True)
+    return CycleEnumeration(tuple(out), False)
 
 
 @dataclass(frozen=True)
@@ -377,51 +373,17 @@ def paths_sign_consistent(
     target = _element_node(g, b)
     if source == target:
         return PathSignReport(consistent=True, truncated=False, paths_seen=1)
-    adj = incidence_adjacency(g)
-    orientations = {}
-    for j in range(g.m):
-        for v, s in g.edges[j]:
-            orientations[(v - 1, g.n + j)] = s
-
-    def step_sign(x: int, y: int) -> int:
-        return orientations.get((x, y)) or orientations[(y, x)]
-
+    core = g.incidence_core
     first_sign = 0
     count = 0
-    stack: list[tuple[int, int]] = [(source, 0)]
-    path = [source]
-    on_path = {source}
-    signs = [1]
-    while stack:
-        node, ptr = stack[-1]
-        advanced = False
-        neighbors = adj[node]
-        while ptr < len(neighbors):
-            nxt = neighbors[ptr]
-            ptr += 1
-            if nxt in on_path:
-                continue
-            sign_here = signs[-1] * step_sign(node, nxt)
-            if nxt == target:
-                count += 1
-                if first_sign == 0:
-                    first_sign = sign_here
-                elif sign_here != first_sign:
-                    return PathSignReport(False, False, count)
-                if count >= max_paths:
-                    return PathSignReport(True, True, count)
-                continue
-            stack[-1] = (node, ptr)
-            stack.append((nxt, 0))
-            path.append(nxt)
-            on_path.add(nxt)
-            signs.append(sign_here)
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            on_path.discard(path.pop())
-            signs.pop()
+    for _, sign in _simple_paths(*_rows(core, core.signs), source, target):
+        count += 1
+        if first_sign == 0:
+            first_sign = sign
+        elif sign != first_sign:
+            return PathSignReport(False, False, count)
+        if count >= max_paths:
+            return PathSignReport(True, True, count)
     if count == 0:
         raise DisconnectedPairError(f"no path joins {a} to {b}")
     return PathSignReport(True, False, count)

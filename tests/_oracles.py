@@ -3,16 +3,19 @@
 These deliberately take the slowest, most literal route (explicit dense
 tensors, exhaustive enumeration, pair loops, per-edge contraction loops,
 all rotations of a cycle, cyclic Jacobi rotations, a rebuilt sampling
-pool) so they share no code with the package internals they check.
+pool, adjacency lists and dicts rebuilt from the stored edges) so they
+share no code with the package internals they check.
 """
 
 import math
+from collections import deque
 from itertools import permutations
 from math import factorial
 
 import numpy as np
 
 import hypersign as hs
+from hypersign.walks import fundamental_cycle
 
 
 def dense_adjacency_tensor(h: hs.SignedHypergraph) -> np.ndarray:
@@ -318,3 +321,93 @@ def draw_rest_by_pool_rebuild(rng, covered, position, anchors, count):
     for every edge, then sampled."""
     pool = [v for v in covered if v not in anchors]
     return rng.sample(pool, count)
+
+
+def propagate_labels_by_dict(n: int, m: int, incidences):
+    """Breadth-first +-1 labeling over adjacency lists and a value dict
+    rebuilt from (edge j, vertex v, value) triples; a list of labels
+    (vertices first, then edges) or the fundamental cycle of the first
+    conflict.  Each component is rooted at its smallest node.  The cycle
+    is closed by the package's fundamental_cycle: what this referees is
+    the search, which decides the parents and the conflicting step."""
+    adj = [[] for _ in range(n + m)]
+    value = {}
+    for j, v, s in incidences:
+        adj[v - 1].append(n + j)
+        adj[n + j].append(v - 1)
+        value[(v - 1, n + j)] = s
+    label = [0] * (n + m)
+    parent = {}
+    for root in range(n + m):
+        if label[root]:
+            continue
+        label[root] = 1
+        parent[root] = root
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                want = label[x] * value[(x, y) if x < n else (y, x)]
+                if label[y] == 0:
+                    label[y] = want
+                    parent[y] = x
+                    queue.append(y)
+                elif label[y] != want:
+                    return fundamental_cycle(n, parent, x, y)
+    return label
+
+
+def incidence_adjacency(h):
+    """Adjacency lists of the incidence structure (vertex v is node v-1,
+    edge j is node n+j), rebuilt from members()."""
+    n = h.n
+    adj = [[] for _ in range(n + h.m)]
+    for j in range(h.m):
+        for v in h.members(j):
+            adj[v - 1].append(n + j)
+            adj[n + j].append(v - 1)
+    return adj
+
+
+def connected_components_by_dfs(h):
+    """Components as sorted node lists, by depth-first search from each
+    unseen node in turn."""
+    adj = incidence_adjacency(h)
+    seen = [False] * len(adj)
+    comps = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        comp = []
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def orientation_table(g: hs.OrientedHypergraph) -> dict:
+    """(edge, vertex) -> orientation, read off the stored edges."""
+    return {(j, v): s for j, edge in enumerate(g.edges) for v, s in edge}
+
+
+def edges_at_vertices(h) -> list:
+    """Per vertex, the indices of the edges holding it, in ascending order."""
+    buckets = [[] for _ in range(h.n)]
+    for j in range(h.m):
+        for v in h.members(j):
+            buckets[v - 1].append(j)
+    return [tuple(b) for b in buckets]
+
+
+def structures_match_by_sorting(a, b) -> bool:
+    """Same vertex count, edge count and sorted member list at every edge."""
+    if a.n != b.n or a.m != b.m:
+        return False
+    return all(sorted(a.members(j)) == sorted(b.members(j)) for j in range(a.m))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -96,6 +97,21 @@ def test_five_way_battery_on_balanced_and_unbalanced(ex, e1):
     assert rep.agree
     assert not any(rep.values())
     assert rep.verdict is not None
+
+
+def test_five_way_battery_replays_the_witness(monkeypatch, e1, ex):
+    # statement 5 must catch a wrong certificate next to correct parts,
+    # and a positive cycle offered as the witness of imbalance
+    limits = hs.OracleLimits(max_nodes=16)
+    right = hs.incidence_balance(e1)
+    wrong_cert = dataclasses.replace(right, cert=hs.SwitchCertificate(vertices=(1,)))
+    positive = next(walk for walk, sign in hs.enumerate_cycles(ex).cycles if sign == 1)
+    for g, verdict in ((e1, wrong_cert), (ex, hs.Unbalanced(cycle=positive))):
+        monkeypatch.setattr(balance, "incidence_balance", lambda _, v=verdict: v)
+        rep = hs.equivalence_battery(g, limits)
+        assert rep.values()[:4] == (bool(verdict),) * 4
+        assert rep.switch_equivalent_all_positive != bool(verdict)
+        assert not rep.agree
 
 
 def test_five_way_battery_budget_guard():

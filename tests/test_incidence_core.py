@@ -1,0 +1,248 @@
+"""The incidence core against referees rebuilt from the stored edges, and
+how often the core is built."""
+
+import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+import hypersign as hs
+from hypersign import balance, core
+from hypersign.cli import main
+from hypersign.errors import NotAdjacentError, UnknownEdgeError, UnknownVertexError
+
+from _oracles import (
+    connected_components_by_dfs,
+    edges_at_vertices,
+    orientation_table,
+    propagate_labels_by_dict,
+    structures_match_by_sorting,
+)
+
+
+def _random_instance(rng: random.Random) -> hs.OrientedHypergraph:
+    """Up to 8 vertices and 8 edges of sizes 1..4; about a fifth of the
+    edges repeat an earlier vertex set in shuffled order."""
+    n = rng.randint(0, 8)
+    m = rng.randint(0, 8) if n else 0
+    specs = []
+    for _ in range(m):
+        if specs and rng.random() < 0.2:
+            members = [v for v, _ in rng.choice(specs)]
+            rng.shuffle(members)
+        else:
+            members = rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))
+        specs.append([(v, rng.choice((1, -1))) for v in members])
+    return hs.build(n, specs)
+
+
+def _shuffled(g: hs.OrientedHypergraph, rng: random.Random) -> hs.OrientedHypergraph:
+    """Same incidences, members of every edge in a random order."""
+    return g.with_orientations(tuple(tuple(rng.sample(edge, len(edge))) for edge in g.edges))
+
+
+@pytest.fixture(scope="module")
+def instances():
+    bundled = [hs.load_bundled(name) for name in hs.bundled_names()]
+    rng = random.Random(2013)
+    return bundled + [_random_instance(rng) for _ in range(1200)]
+
+
+def _stored_incidences(g, table=None):
+    """(edge, vertex, value) triples in edge-major order; the value is the
+    orientation, times table's entry when a table is given."""
+    return [
+        (j, v, s * (table[(j, v)] if table else 1))
+        for j, edge in enumerate(g.edges)
+        for v, s in edge
+    ]
+
+
+def test_ensemble_covers_the_edge_cases(instances):
+    features = Counter()
+    for g in instances:
+        sizes = [len(edge) for edge in g.edges]
+        sets = [frozenset(g.members(j)) for j in range(g.m)]
+        features["n=0"] += g.n == 0
+        features["m=0"] += g.m == 0 and g.n > 0
+        features["disconnected"] += len(connected_components_by_dfs(g)) > 1
+        features["isolated vertex"] += any(not b for b in edges_at_vertices(g))
+        features["unit edge"] += 1 in sizes
+        features["parallel edges"] += len(set(sets)) < len(sets)
+    assert len(instances) >= 1000
+    assert min(features.values()) >= 20, features
+
+
+def test_balance_matches_dict_propagation(instances):
+    balanced = 0
+    for g in instances:
+        expected = propagate_labels_by_dict(g.n, g.m, _stored_incidences(g))
+        verdict = hs.incidence_balance(g)
+        if isinstance(expected, hs.Walk):
+            assert not verdict and verdict.cycle == expected
+        else:
+            balanced += 1
+            assert verdict.vertex_labels == tuple(expected[: g.n])
+            assert verdict.edge_labels == tuple(expected[g.n :])
+    assert 100 < balanced < len(instances) - 100
+
+
+def test_oriented_switching_matches_dict_propagation(instances):
+    rng = random.Random(2014)
+    outcomes = Counter()
+    for g in instances:
+        cert = hs.SwitchCertificate(
+            tuple(v for v in range(1, g.n + 1) if rng.random() < 0.5),
+            tuple(j for j in range(g.m) if rng.random() < 0.5),
+        )
+        targets = [hs.apply_switches(g, cert)]
+        if g.m:
+            j = rng.randrange(g.m)
+            flip = rng.randrange(len(g.edges[j]))
+            twin = [list(edge) for edge in g.edges]
+            v, s = twin[j][flip]
+            twin[j][flip] = (v, -s)
+            targets.append(g.with_orientations(tuple(map(tuple, twin))))
+        for target in targets:
+            target = _shuffled(target, rng)
+            expected = propagate_labels_by_dict(
+                g.n, g.m, _stored_incidences(g, orientation_table(target))
+            )
+            found = hs.oriented_switch_equivalent(g, target)
+            if isinstance(expected, hs.Walk):
+                assert found == hs.NotEquivalent(cycle=expected)
+            else:
+                assert found == hs.SwitchCertificate(
+                    vertices=tuple(v + 1 for v in range(g.n) if expected[v] == -1),
+                    edges=tuple(j for j in range(g.m) if expected[g.n + j] == -1),
+                )
+            outcomes[type(found).__name__] += 1
+    assert outcomes["NotEquivalent"] > 100 and outcomes["SwitchCertificate"] > 1000
+
+
+def test_components_match_depth_first_search(instances):
+    for g in instances:
+        expected = connected_components_by_dfs(g)
+        for h in (g, hs.induced_signed(g)):
+            assert hs.connected_components(h) == expected
+            assert hs.is_connected(h) == (len(expected) <= 1)
+
+
+def test_lookups_match_the_stored_edges(instances):
+    for g in instances:
+        table = orientation_table(g)
+        buckets = edges_at_vertices(g)
+        for h in (g, hs.induced_signed(g)):
+            for v in range(1, g.n + 1):
+                assert h.edges_of(v) == buckets[v - 1]
+                assert h.degree(v) == len(buckets[v - 1])
+            for v in (0, g.n + 1):
+                with pytest.raises(UnknownVertexError):
+                    h.edges_of(v)
+                with pytest.raises(UnknownVertexError):
+                    h.degree(v)
+        for j in range(g.m):
+            for v in range(0, g.n + 2):
+                if (j, v) in table:
+                    assert g.orientation(j, v) == table[(j, v)]
+                else:
+                    with pytest.raises(NotAdjacentError):
+                        g.orientation(j, v)
+        with pytest.raises(UnknownEdgeError):
+            g.orientation(g.m, 1)
+
+
+def test_structures_match_agrees_with_sorted_members(instances):
+    rng = random.Random(2015)
+    matches = mismatches = 0
+    for g, other in zip(instances, instances[1:] + instances[:1]):
+        moved = [list(g.members(j)) for j in range(g.m)]
+        if g.m and g.n > 1:
+            j = rng.randrange(g.m)
+            outside = [v for v in range(1, g.n + 1) if v not in moved[j]]
+            if outside:
+                moved[j][rng.randrange(len(moved[j]))] = rng.choice(outside)
+        moved = hs.build_signed(g.n, moved, [1] * g.m)
+        # two edges trade one member each: every degree stays the same
+        traded = [list(g.members(j)) for j in range(g.m)]
+        for j, k in combinations(range(g.m), 2):
+            only_j = [u for u in traded[j] if u not in traded[k]]
+            only_k = [u for u in traded[k] if u not in traded[j]]
+            if only_j and only_k:
+                u, w = rng.choice(only_j), rng.choice(only_k)
+                traded[j][traded[j].index(u)] = w
+                traded[k][traded[k].index(w)] = u
+                break
+        traded = hs.build_signed(g.n, traded, [1] * g.m)
+        for a, b in (
+            (g, _shuffled(g, rng)),
+            (g, hs.induced_signed(_shuffled(g, rng))),
+            (g, moved),
+            (g, traded),
+            (g, other),
+            (other, g),
+        ):
+            expected = structures_match_by_sorting(a, b)
+            assert hs.structures_match(a, b) == expected
+            matches += expected
+            mismatches += not expected and a.n == b.n and a.m == b.m
+    assert matches > 2 * len(instances) and mismatches > len(instances) // 2
+
+
+def _count_builds(monkeypatch) -> list:
+    built = []
+    build = core._build_core
+
+    def counting(h):
+        built.append(h)
+        return build(h)
+
+    monkeypatch.setattr(core, "_build_core", counting)
+    return built
+
+
+def test_one_battery_builds_one_core(monkeypatch, e1, ex):
+    built = _count_builds(monkeypatch)
+    paths = Counter()
+    search = balance.paths_sign_consistent
+
+    def counting_paths(*args):
+        paths["calls"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(balance, "paths_sign_consistent", counting_paths)
+    for spec in (e1, hs.all_positive_variant(ex), ex):
+        g = hs.build(spec.n, spec.edges)
+        built.clear()
+        paths.clear()
+        rep = hs.equivalence_battery(g)
+        assert rep.agree
+        assert built == [g]
+        # a balanced instance checks every pair of its n + m nodes
+        nodes = g.n + g.m
+        assert paths["calls"] == (nodes * (nodes - 1) // 2 if rep.verdict else 1)
+
+
+def test_tensor_command_builds_each_core_at_most_once(monkeypatch, tmp_path, capsys):
+    built = _count_builds(monkeypatch)
+    for p_neg in (0.0, 0.5):
+        g = hs.generate(24, 40, k=4, p_neg=p_neg, connected=True, seed=7)
+        path = tmp_path / "case.ohg"
+        hs.save(g, path)
+        built.clear()
+        assert main(["tensor", str(path), "--json"]) == 0
+        capsys.readouterr()
+        per_object = Counter(id(h) for h in built)
+        assert len(per_object) >= 2
+        assert max(per_object.values()) == 1
+
+
+def test_first_degree_call_reads_only_the_stored_edges(monkeypatch, ex):
+    def refuse(self, e):
+        raise AssertionError("members() called")
+
+    for cls in (hs.OrientedHypergraph, hs.SignedHypergraph):
+        monkeypatch.setattr(cls, "members", refuse)
+    for h in (hs.build(ex.n, ex.edges), hs.SignedHypergraph(ex.n, ((1, 2), (2, 3)), (1, -1))):
+        assert h.degree(2) == 2
