@@ -53,6 +53,7 @@ from .errors import (
     StructureMismatchError,
     UnknownEdgeError,
     UnknownVertexError,
+    VertexLimitExceededError,
     VertexOutOfRangeError,
     ZeroVectorError,
 )

@@ -7,8 +7,11 @@ Parallel edges (repeated vertex sets) are allowed; a vertex appears at
 most once within an edge.  All values are immutable after construction
 and safe to share across threads.
 
-``edges`` is the stored form; every structural question reads the
-incidence core instead, built once per instance on first use.
+An instance is validated once, when it is constructed from outside
+data.  Copies derived from it (induced signing, all-positive variant,
+switched copies) are trusted and share their parent's core arrays, all
+but the signs.  ``edges`` is the stored form; every structural question
+reads the incidence core instead, built on first use.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from .errors import (
     NotAdjacentError,
     UnknownEdgeError,
     UnknownVertexError,
+    VertexLimitExceededError,
     VertexOutOfRangeError,
 )
 
 __all__ = [
+    "MAX_VERTICES",
     "IncidenceCore",
     "OrientedHypergraph",
     "SignedHypergraph",
@@ -41,6 +46,30 @@ __all__ = [
     "all_positive_variant",
     "uniform_edge_size",
 ]
+
+
+# Largest vertex count accepted, checked before anything is allocated per
+# vertex.  The core's arrays and the search's lists take about 300 bytes
+# per node (`hypersign check` on 10^6 isolated vertices peaked at 307 MB),
+# so 2^21 vertices keep one instance within a budget of 1 GiB.
+MAX_VERTICES = 1 << 21
+
+
+def _plain_edges(n: int, edges) -> bool:
+    """One pass that accepts only valid edges: non-empty, int vertices in
+    1..n without repeats, orientations +1 or -1.  What it rejects goes
+    through the per-edge checks, which name the error."""
+    try:
+        maps = list(map(dict, edges))
+        vs = list(chain.from_iterable(maps))
+        signs = set(chain.from_iterable(map(dict.values, maps)))
+        no_repeats = len(vs) == sum(map(len, edges))
+    except (TypeError, ValueError):
+        return False
+    return (
+        no_repeats and all(maps) and set(map(type, vs)) <= {int}
+        and 1 <= min(vs, default=1) and max(vs, default=0) <= n and signs <= {1, -1}
+    )
 
 
 def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
@@ -126,10 +155,24 @@ class _IncidenceStructure:
     def _check_names(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if self.n > MAX_VERTICES:
+            raise VertexLimitExceededError(self.n, MAX_VERTICES)
         if not self.names:
             object.__setattr__(self, "names", _default_names(len(self.edges)))
         if len(self.names) != len(self.edges):
             raise ValueError("names must match edge count")
+
+    @classmethod
+    def _derived(cls, parent, signs: np.ndarray | None, **fields):
+        """A cls over parent's members with new, already valid labels in
+        ``fields``, built without validation; its core is parent's with
+        ``signs`` (read-only, edge-major; None for a signed copy)."""
+        copy = object.__new__(cls)
+        c = parent.incidence_core
+        core = IncidenceCore(c.n, c.indptr, c.indices, c.slot, signs, c.edge_ids)
+        copy.__dict__.update(n=parent.n, names=parent.names, **fields)
+        copy.__dict__["incidence_core"] = core
+        return copy
 
     @property
     def m(self) -> int:
@@ -137,7 +180,7 @@ class _IncidenceStructure:
 
     @cached_property
     def incidence_core(self) -> IncidenceCore:
-        """Built on first use and kept for the lifetime of the instance."""
+        """Built on first use, kept for life and shared with derived copies."""
         return _build_core(self)
 
     def check_vertex(self, v: int) -> None:
@@ -171,6 +214,8 @@ class OrientedHypergraph(_IncidenceStructure):
 
     def __post_init__(self) -> None:
         self._check_names()
+        if _plain_edges(self.n, self.edges):
+            return
         for j, edge in enumerate(self.edges):
             _check_edge_vertices(self.n, j, tuple(v for v, _ in edge))
             for v, s in edge:
@@ -293,19 +338,20 @@ def adjacency_sign(g: OrientedHypergraph, u: int, v: int, e: int) -> int:
 
 def induced_signed(g: OrientedHypergraph) -> SignedHypergraph:
     """Forget orientations, keeping each edge's sign."""
-    return SignedHypergraph(
-        g.n,
-        tuple(g.members(e) for e in range(g.m)),
-        tuple(edge_sign(g, e) for e in range(g.m)),
-        g.names,
-    )
+    edges, gamma = [], []
+    for edge in g.edges:
+        members, orientations = zip(*edge)
+        edges.append(members)
+        gamma.append(-1 if (len(edge) - 1 + orientations.count(-1)) % 2 else 1)
+    return SignedHypergraph._derived(g, None, edges=tuple(edges), gamma=tuple(gamma))
 
 
 def all_positive_variant(g: OrientedHypergraph) -> OrientedHypergraph:
     """Same structure with every orientation set to +1."""
-    return g.with_orientations(
-        tuple(tuple((v, 1) for v, _ in edge) for edge in g.edges)
-    )
+    signs = np.ones(g.incidence_core.size, dtype=np.intp)
+    signs.setflags(write=False)
+    edges = tuple([tuple([(v, 1) for v, _ in edge]) for edge in g.edges])
+    return OrientedHypergraph._derived(g, signs, edges=edges)
 
 
 def uniform_edge_size(h: OrientedHypergraph | SignedHypergraph) -> int | None:

@@ -16,6 +16,7 @@ __all__ = [
     "NotAPartitionError",
     "OracleBudgetExceededError",
     "DenseLimitExceededError",
+    "VertexLimitExceededError",
     "NoConvergenceError",
     "InternalCheckError",
     "EmptySpectrumError",
@@ -94,6 +95,12 @@ class OracleBudgetExceededError(HypersignError):
 
 class DenseLimitExceededError(HypersignError):
     """A dense matrix would exceed the fixed cell limit of the matrix layer."""
+
+
+class VertexLimitExceededError(HypersignError):
+    def __init__(self, n: int, limit: int):
+        self.n = n
+        super().__init__(f"{n} vertices exceed the limit of {limit}")
 
 
 class NoConvergenceError(HypersignError):

@@ -20,7 +20,7 @@ import json
 import os
 from importlib import resources
 
-from .core import OrientedHypergraph, build
+from .core import OrientedHypergraph
 from .errors import ParseError
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 def parse_text(text: str) -> OrientedHypergraph:
     """Parse the text format; syntax problems carry a 1-based line number."""
     n: int | None = None
-    edge_specs: list[list[tuple[int, int]]] = []
+    edges: list[tuple[tuple[int, int], ...]] = []
     names: list[str] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -70,29 +70,29 @@ def parse_text(text: str) -> OrientedHypergraph:
                 incidences.append(
                     (int(token[1:]), 1 if token[0] == "+" else -1)
                 )
-            edge_specs.append(incidences)
+            edges.append(tuple(incidences))
             names.append(name)
             seen.add(name)
         else:
             raise ParseError(lineno, f"unknown directive {tokens[0]!r}")
     if n is None:
         raise ParseError(1, "missing 'vertices' line")
-    return build(n, edge_specs, names)
+    return OrientedHypergraph(n, tuple(edges), tuple(names))
 
 
 def from_json_dict(data: dict) -> OrientedHypergraph:
     try:
         n = int(data["n"])
-        edge_specs = []
+        edges = []
         names = []
         for entry in data["edges"]:
             names.append(str(entry["name"]))
-            edge_specs.append(
-                [(int(inc["v"]), int(inc["sign"])) for inc in entry["incidences"]]
+            edges.append(
+                tuple((int(inc["v"]), int(inc["sign"])) for inc in entry["incidences"])
             )
     except (KeyError, TypeError) as exc:
         raise ParseError(0, f"malformed instance JSON: {exc}") from exc
-    return build(n, edge_specs, names)
+    return OrientedHypergraph(n, tuple(edges), tuple(names))
 
 
 def to_json_dict(g: OrientedHypergraph) -> dict:

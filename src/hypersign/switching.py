@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import OrientedHypergraph, SignedHypergraph, structures_match
 from .errors import StructureMismatchError
 from .linalg import GF2Infeasible, GF2System, gf2_solve
@@ -85,18 +87,15 @@ def apply_switches(g: OrientedHypergraph, cert: SwitchCertificate) -> OrientedHy
         g.check_vertex(v)
     for e in cert.edges:
         g.check_edge(e)
-    flip_v = set(cert.vertices)
-    flip_e = set(cert.edges)
-    new_edges = []
-    for j, edge in enumerate(g.edges):
-        edge_factor = -1 if j in flip_e else 1
-        new_edges.append(
-            tuple(
-                (u, s * edge_factor * (-1 if u in flip_v else 1))
-                for u, s in edge
-            )
-        )
-    return g.with_orientations(tuple(new_edges))
+    core, n = g.incidence_core, g.n
+    flip = np.ones(n + g.m, dtype=np.intp)
+    flip[[v - 1 for v in cert.vertices] + [n + e for e in cert.edges]] = -1
+    edge_ids, members = core.edge_major()
+    signs = core.signs * flip[members] * flip[n + edge_ids]
+    signs.setflags(write=False)
+    flat = iter(signs.tolist())
+    edges = tuple([tuple([(u, next(flat)) for u, _ in edge]) for edge in g.edges])
+    return OrientedHypergraph._derived(g, signs, edges=edges)
 
 
 def signed_vertex_switch(h: SignedHypergraph, v: int) -> SignedHypergraph:
@@ -111,12 +110,9 @@ def apply_signed_switches(
     for v in cert.vertices:
         h.check_vertex(v)
     switched = set(cert.vertices)
-    return h.with_gamma(
-        tuple(
-            s * (-1 if len(switched.intersection(h.edges[j])) % 2 else 1)
-            for j, s in enumerate(h.gamma)
-        )
-    )
+    flips = (len(switched.intersection(edge)) for edge in h.edges)
+    gamma = tuple(s * (-1) ** k for s, k in zip(h.gamma, flips))
+    return SignedHypergraph._derived(h, None, edges=h.edges, gamma=gamma)
 
 
 def oriented_switch_equivalent(
@@ -162,13 +158,8 @@ def signed_switch_equivalent(
         raise StructureMismatchError(
             "switching equivalence needs identical underlying structures"
         )
-    system = GF2System.from_sets(
-        first.n,
-        (
-            (first.members(j), 0 if first.gamma[j] == second.gamma[j] else 1)
-            for j in range(first.m)
-        ),
-    )
+    rows = zip(first.edges, first.gamma, second.gamma)
+    system = GF2System.from_sets(first.n, ((e, int(a != b)) for e, a, b in rows))
     outcome = gf2_solve(system)
     if isinstance(outcome, GF2Infeasible):
         return NotEquivalent(witness_edges=outcome.witness_rows)

@@ -3,12 +3,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import hypersign as hs
+from hypersign import core
 from hypersign.cli import main, run_battery
 
 
@@ -103,6 +105,28 @@ def test_spectra_refuses_oversized_dense_input(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "exceeds the limit" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_commands_refuse_too_many_vertices_before_allocating(monkeypatch, tmp_path, capsys):
+    def refuse(h):
+        raise AssertionError("incidence core built")
+
+    monkeypatch.setattr(core, "_build_core", refuse)
+    p = tmp_path / "huge.ohg"
+    p.write_text("vertices 200000000\nedge e1 +1 -2\n", encoding="utf-8")
+    for command in ("check", "spectra", "tensor"):
+        tracemalloc.start()
+        try:
+            assert main([command, str(p), "--json"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: 200000000 vertices exceed the limit of {core.MAX_VERTICES}\n"
+        )
 
 
 def test_tensor_on_bundled_example(ex_path, capsys):

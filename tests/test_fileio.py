@@ -3,7 +3,12 @@ import json
 import pytest
 
 import hypersign as hs
-from hypersign.errors import EmptyEdgeError, ParseError, VertexOutOfRangeError
+from hypersign.errors import (
+    DuplicateVertexInEdgeError,
+    EmptyEdgeError,
+    ParseError,
+    VertexOutOfRangeError,
+)
 
 
 GOOD = """\
@@ -54,6 +59,32 @@ def test_parse_text_propagates_structural_errors():
         hs.parse_text("vertices 2\nedge e1 +5\n")
     with pytest.raises(EmptyEdgeError):
         hs.parse_text("vertices 2\nedge e1\n")
+
+
+BAD_SECOND_EDGES = [
+    ([], "", EmptyEdgeError(1)),
+    ([(4, 1)], "+4", VertexOutOfRangeError(1, 4, 3)),
+    ([(2, 1), (2, -1)], "+2 -2", DuplicateVertexInEdgeError(1, 2)),
+    ([(3, 2)], None, ValueError("edge 1: orientation at vertex 3 must be +1 or -1")),
+]
+
+
+@pytest.mark.parametrize("edge, tokens, expected", BAD_SECOND_EDGES)
+def test_every_reader_raises_the_same_construction_error(edge, tokens, expected):
+    first = [(1, 1), (2, -1)]
+    readers = [
+        lambda: hs.build(3, [first, edge]),
+        lambda: hs.from_json_dict({"n": 3, "edges": [
+            {"name": name, "incidences": [{"v": v, "sign": s} for v, s in spec]}
+            for name, spec in (("a", first), ("b", edge))
+        ]}),
+    ]
+    if tokens is not None:
+        readers.append(lambda: hs.parse_text(f"vertices 3\nedge a +1 -2\nedge b {tokens}\n"))
+    for read in readers:
+        with pytest.raises(type(expected)) as err:
+            read()
+        assert type(err.value) is type(expected) and err.value.args == expected.args
 
 
 def test_serialize_is_canonical(ex):

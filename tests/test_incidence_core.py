@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import hypersign as hs
@@ -190,6 +191,95 @@ def test_structures_match_agrees_with_sorted_members(instances):
     assert matches > 2 * len(instances) and mismatches > len(instances) // 2
 
 
+def _signed_by_edge_sign(g: hs.OrientedHypergraph) -> hs.SignedHypergraph:
+    """The induced signing, validated, from the per-edge sign rule."""
+    return hs.SignedHypergraph(
+        g.n,
+        tuple(g.members(j) for j in range(g.m)),
+        tuple(hs.edge_sign(g, j) for j in range(g.m)),
+        g.names,
+    )
+
+
+def _assert_shares_core(copy, parent) -> None:
+    """copy's core equals one built from its own edges, is read-only, and
+    holds parent's structural arrays themselves."""
+    own, rebuilt, theirs = copy.incidence_core, core._build_core(copy), parent.incidence_core
+    for name in ("indptr", "indices", "slot", "signs", "edge_ids"):
+        arr, expected = getattr(own, name), getattr(rebuilt, name)
+        if expected is None:
+            assert arr is None
+            continue
+        assert np.array_equal(arr, expected) and arr.dtype == expected.dtype
+        assert not arr.flags.writeable
+        if name != "signs":
+            assert arr is getattr(theirs, name)
+    assert hs.structures_match(copy, parent)
+
+
+def test_derived_copies_equal_their_validated_construction(instances):
+    rng = random.Random(2016)
+    for g in instances:
+        cert = hs.SwitchCertificate(
+            tuple(v for v in range(1, g.n + 1) if rng.random() < 0.5),
+            tuple(j for j in range(g.m) if rng.random() < 0.5),
+        )
+        table = orientation_table(g)
+        factor = {v: -1 for v in cert.vertices}
+        flips = {j: -1 for j in cert.edges}
+        pairs = [
+            (hs.all_positive_variant(g),
+             hs.build(g.n, [[(v, 1) for v, _ in edge] for edge in g.edges], g.names)),
+            (hs.apply_switches(g, cert),
+             hs.build(g.n, [[(v, table[(j, v)] * factor.get(v, 1) * flips.get(j, 1))
+                             for v, _ in edge] for j, edge in enumerate(g.edges)], g.names)),
+            (hs.induced_signed(g), _signed_by_edge_sign(g)),
+        ]
+        if g.n:
+            v = rng.randint(1, g.n)
+            pairs.append((hs.vertex_switch(g, v), hs.build(
+                g.n, [[(u, s * (-1 if u == v else 1)) for u, s in edge] for edge in g.edges],
+                g.names)))
+        if g.m:
+            e = rng.randrange(g.m)
+            pairs.append((hs.edge_switch(g, e), hs.build(
+                g.n, [[(u, s * (-1 if j == e else 1)) for u, s in edge]
+                      for j, edge in enumerate(g.edges)], g.names)))
+        signed = hs.induced_signed(g)
+        switched = set(cert.vertices)
+        pairs.append((
+            hs.apply_signed_switches(signed, hs.SignedSwitchCertificate(cert.vertices)),
+            hs.build_signed(g.n, signed.edges,
+                            [s * (-1) ** len(switched.intersection(edge))
+                             for edge, s in zip(signed.edges, signed.gamma)], g.names),
+        ))
+        if g.n:
+            pairs.append((hs.signed_vertex_switch(signed, 1), hs.build_signed(
+                g.n, signed.edges,
+                [s * (-1 if 1 in edge else 1) for edge, s in zip(signed.edges, signed.gamma)],
+                g.names)))
+        for copy, validated in pairs:
+            assert type(copy) is type(validated)
+            assert copy == validated and repr(copy) == repr(validated)
+            _assert_shares_core(copy, g)
+
+
+def test_apply_switches_checks_certificates_first(instances):
+    for g in instances[:200]:
+        h = hs.induced_signed(g)
+        for bad in (0, g.n + 1):
+            for switch in (lambda: hs.apply_switches(g, hs.SwitchCertificate((bad,), (g.m,))),
+                           lambda: hs.vertex_switch(g, bad),
+                           lambda: hs.signed_vertex_switch(h, bad)):
+                with pytest.raises(UnknownVertexError) as err:
+                    switch()
+                assert err.value.args == (f"vertex {bad} outside 1..{g.n}",)
+        for bad in (-1, g.m):
+            with pytest.raises(UnknownEdgeError) as err:
+                hs.apply_switches(g, hs.SwitchCertificate((), (bad,)))
+            assert err.value.args == (f"edge index {bad} outside 0..{g.m - 1}",)
+
+
 def _count_builds(monkeypatch) -> list:
     built = []
     build = core._build_core
@@ -224,6 +314,17 @@ def test_one_battery_builds_one_core(monkeypatch, e1, ex):
         assert paths["calls"] == (nodes * (nodes - 1) // 2 if rep.verdict else 1)
 
 
+def test_switching_a_parent_and_its_copies_builds_one_core(monkeypatch, instances):
+    built = _count_builds(monkeypatch)
+    for spec in instances[:100]:
+        g = hs.build(spec.n, spec.edges)
+        built.clear()
+        plus = hs.all_positive_variant(g)
+        hs.oriented_switch_equivalent(g, plus)
+        hs.signed_switch_equivalent(hs.induced_signed(g), hs.induced_signed(plus))
+        assert built == [g]
+
+
 def test_tensor_command_builds_each_core_at_most_once(monkeypatch, tmp_path, capsys):
     built = _count_builds(monkeypatch)
     for p_neg in (0.0, 0.5):
@@ -233,9 +334,8 @@ def test_tensor_command_builds_each_core_at_most_once(monkeypatch, tmp_path, cap
         built.clear()
         assert main(["tensor", str(path), "--json"]) == 0
         capsys.readouterr()
-        per_object = Counter(id(h) for h in built)
-        assert len(per_object) >= 2
-        assert max(per_object.values()) == 1
+        # the induced signed copy shares the loaded instance's core
+        assert len(built) == 1 and isinstance(built[0], hs.OrientedHypergraph)
 
 
 def test_first_degree_call_reads_only_the_stored_edges(monkeypatch, ex):
