@@ -55,23 +55,6 @@ __all__ = [
 MAX_VERTICES = 1 << 21
 
 
-def _plain_edges(n: int, edges) -> bool:
-    """One pass that accepts only valid edges: non-empty, int vertices in
-    1..n without repeats, orientations +1 or -1.  What it rejects goes
-    through the per-edge checks, which name the error."""
-    try:
-        maps = list(map(dict, edges))
-        vs = list(chain.from_iterable(maps))
-        signs = set(chain.from_iterable(map(dict.values, maps)))
-        no_repeats = len(vs) == sum(map(len, edges))
-    except (TypeError, ValueError):
-        return False
-    return (
-        no_repeats and all(maps) and set(map(type, vs)) <= {int}
-        and 1 <= min(vs, default=1) and max(vs, default=0) <= n and signs <= {1, -1}
-    )
-
-
 def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
     if len(vertices) == 0:
         raise EmptyEdgeError(index)
@@ -164,14 +147,11 @@ class _IncidenceStructure:
 
     @classmethod
     def _derived(cls, parent, signs: np.ndarray | None, **fields):
-        """A cls over parent's members with new, already valid labels in
-        ``fields``, built without validation; its core is parent's with
-        ``signs`` (read-only, edge-major; None for a signed copy)."""
-        copy = object.__new__(cls)
-        c = parent.incidence_core
+        """A cls over parent's members with new valid labels ``fields``, unchecked;
+        its core is parent's with ``signs`` (read-only; None for a signed copy)."""
+        copy, c = object.__new__(cls), parent.incidence_core
         core = IncidenceCore(c.n, c.indptr, c.indices, c.slot, signs, c.edge_ids)
-        copy.__dict__.update(n=parent.n, names=parent.names, **fields)
-        copy.__dict__["incidence_core"] = core
+        vars(copy).update(n=parent.n, names=parent.names, incidence_core=core, **fields)
         return copy
 
     @property
@@ -214,8 +194,6 @@ class OrientedHypergraph(_IncidenceStructure):
 
     def __post_init__(self) -> None:
         self._check_names()
-        if _plain_edges(self.n, self.edges):
-            return
         for j, edge in enumerate(self.edges):
             _check_edge_vertices(self.n, j, tuple(v for v, _ in edge))
             for v, s in edge:
@@ -320,13 +298,15 @@ def build_signed(
                             tuple(names) if names else ())
 
 
+def _gamma(orientations: tuple[int, ...] | list[int]) -> int:
+    """Sign of an edge with these +-1 orientations; see edge_sign."""
+    return -1 if (len(orientations) - 1 + orientations.count(-1)) % 2 else 1
+
+
 def edge_sign(g: OrientedHypergraph, e: int) -> int:
     """Sign of edge e: (-1)^(|e|-1) times the product of its orientations."""
     g.check_edge(e)
-    prod = 1
-    for _, s in g.edges[e]:
-        prod *= s
-    return (-1) ** (len(g.edges[e]) - 1) * prod
+    return _gamma([s for _, s in g.edges[e]])
 
 
 def adjacency_sign(g: OrientedHypergraph, u: int, v: int, e: int) -> int:
@@ -342,7 +322,7 @@ def induced_signed(g: OrientedHypergraph) -> SignedHypergraph:
     for edge in g.edges:
         members, orientations = zip(*edge)
         edges.append(members)
-        gamma.append(-1 if (len(edge) - 1 + orientations.count(-1)) % 2 else 1)
+        gamma.append(_gamma(orientations))
     return SignedHypergraph._derived(g, None, edges=tuple(edges), gamma=tuple(gamma))
 
 
@@ -357,6 +337,4 @@ def all_positive_variant(g: OrientedHypergraph) -> OrientedHypergraph:
 def uniform_edge_size(h: OrientedHypergraph | SignedHypergraph) -> int | None:
     """Common edge size k, or None when edges have mixed sizes or are absent."""
     sizes = {len(edge) for edge in h.edges}
-    if len(sizes) != 1:
-        return None
-    return sizes.pop()
+    return sizes.pop() if len(sizes) == 1 else None

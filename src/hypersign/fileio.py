@@ -40,8 +40,7 @@ def parse_text(text: str) -> OrientedHypergraph:
     """Parse the text format; syntax problems carry a 1-based line number."""
     n: int | None = None
     edges: list[tuple[tuple[int, int], ...]] = []
-    names: list[str] = []
-    seen: set[str] = set()
+    names: dict[str, None] = {}  # insertion-ordered, O(1) repeat check
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -59,7 +58,7 @@ def parse_text(text: str) -> OrientedHypergraph:
             if len(tokens) < 2:
                 raise ParseError(lineno, "expected: edge <name> <+v|-v> ...")
             name = tokens[1]
-            if name in seen:
+            if name in names:
                 raise ParseError(lineno, f"duplicate edge name {name!r}")
             incidences = []
             for token in tokens[2:]:
@@ -67,12 +66,9 @@ def parse_text(text: str) -> OrientedHypergraph:
                     raise ParseError(
                         lineno, f"incidence token {token!r} must look like +3 or -3"
                     )
-                incidences.append(
-                    (int(token[1:]), 1 if token[0] == "+" else -1)
-                )
+                incidences.append((int(token[1:]), 1 if token[0] == "+" else -1))
             edges.append(tuple(incidences))
-            names.append(name)
-            seen.add(name)
+            names[name] = None
         else:
             raise ParseError(lineno, f"unknown directive {tokens[0]!r}")
     if n is None:
@@ -83,8 +79,7 @@ def parse_text(text: str) -> OrientedHypergraph:
 def from_json_dict(data: dict) -> OrientedHypergraph:
     try:
         n = int(data["n"])
-        edges = []
-        names = []
+        edges, names = [], []
         for entry in data["edges"]:
             names.append(str(entry["name"]))
             edges.append(
