@@ -49,7 +49,9 @@ def parse_text(text: str) -> OrientedHypergraph:
         if tokens[0] == "vertices":
             if n is not None:
                 raise ParseError(lineno, "duplicate 'vertices' line")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            # ASCII digits only: str.isdigit also accepts superscripts and
+            # other scripts' digits, which int() rejects or reads as numbers.
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise ParseError(lineno, "expected: vertices <count>")
             n = int(tokens[1])
         elif tokens[0] == "edge":
@@ -62,7 +64,11 @@ def parse_text(text: str) -> OrientedHypergraph:
                 raise ParseError(lineno, f"duplicate edge name {name!r}")
             incidences = []
             for token in tokens[2:]:
-                if len(token) < 2 or token[0] not in "+-" or not token[1:].isdigit():
+                if (
+                    len(token) < 2
+                    or token[0] not in "+-"
+                    or not (token.isascii() and token[1:].isdigit())
+                ):
                     raise ParseError(
                         lineno, f"incidence token {token!r} must look like +3 or -3"
                     )

@@ -3,6 +3,17 @@
 Dense symmetric eigenvalues and singular values through LAPACK
 (``numpy.linalg``), bitset Gaussian elimination over GF(2) with
 infeasibility witnesses, and tolerance-based spectrum membership.
+
+The GF(2) elimination stops reducing rows once the rank reaches n - 1.
+From then on one vector z spans the null space of the rows seen so far
+(z = 0 at full rank), and a row a lies in their row space exactly when
+a . z = 0; such a row would reduce to 0 = b + a . x for any solution x
+of those rows.  So a row with a . z = 0 and a . x = b is skipped, which
+is what its reduction would have concluded; every other row is reduced
+as before, so the basis, the canonical solution and the witnesses are
+the same as without the shortcut.  Connected parity systems of even
+uniform hypergraphs reach rank n - 1 early, since the all-ones vector
+lies in the kernel of their rows, and most of their rows come after.
 """
 
 from __future__ import annotations
@@ -139,13 +150,15 @@ class GF2System:
     ) -> "GF2System":
         """Each equation is (variable ids summing on the left, rhs bit)."""
         rows = []
-        for variables, rhs in equations:
-            mask = 0
-            for var in variables:
-                if not 1 <= var <= nvars:
-                    raise ValueError(f"variable {var} outside 1..{nvars}")
-                mask |= 1 << (var - 1)
-            rows.append((mask, rhs))
+        try:
+            for variables, rhs in equations:
+                mask = 0
+                for var in variables:
+                    mask |= 1 << (var - 1)
+                rows.append((mask, rhs))
+        except ValueError as exc:  # a variable below 1 shifts by a negative count
+            raise ValueError(f"variables must lie in 1..{nvars}") from exc
+        # __post_init__ rejects the variables above nvars: their masks are too wide.
         return cls(nvars, tuple(rows))
 
     def evaluate(self, assignment: Sequence[int]) -> list[int]:
@@ -172,6 +185,17 @@ class GF2Infeasible:
     witness_rows: tuple[int, ...]
 
 
+def _back_substitute(basis: dict[int, tuple[int, int, int]], vec: int, rhs: int) -> int:
+    """Set the pivot bits of vec, highest pivot first, so that every basis
+    row's parity with vec equals its right-hand side (rhs=1) or 0 (rhs=0);
+    the other bits of vec stay as given."""
+    for pivot in sorted(basis, reverse=True):
+        mask, bit, _ = basis[pivot]
+        if ((mask & vec).bit_count() ^ (bit & rhs)) & 1:
+            vec |= 1 << pivot
+    return vec
+
+
 def gf2_solve(system: GF2System) -> GF2Solution | GF2Infeasible:
     """Gaussian elimination over GF(2) with row-combination tracking.
 
@@ -179,9 +203,26 @@ def gf2_solve(system: GF2System) -> GF2Solution | GF2Infeasible:
     all zero (so a single equation x1+x2+x3+x4 = 1 yields x = 1000...).
     Infeasible systems get the original rows whose XOR has empty
     left-hand side but right-hand side 1.
+
+    Once the rank reaches n - 1, a row that the basis already decides
+    consistently is skipped without reduction: with z spanning the null
+    space of the basis and x solving it, that is a row a with a . z = 0
+    (a is in the row space) and a . x = b (it would reduce to 0 = 0).
+    Skipping it changes nothing, since such a row is never inserted.
     """
+    nvars = system.nvars
     basis: dict[int, tuple[int, int, int]] = {}
+    saturated: tuple[int, int] | None = None  # (z, x) while the rank is >= n - 1
     for idx, (mask, rhs) in enumerate(system.rows):
+        if saturated is None and len(basis) >= nvars - 1:
+            free = (1 << nvars) - 1 - sum(1 << pivot for pivot in basis)
+            saturated = (_back_substitute(basis, free, 0), _back_substitute(basis, 0, 1))
+        if (
+            saturated is not None
+            and not (mask & saturated[0]).bit_count() & 1
+            and (mask & saturated[1]).bit_count() & 1 == rhs
+        ):
+            continue
         m, r, combo = mask, rhs, 1 << idx
         while m:
             pivot = (m & -m).bit_length() - 1
@@ -193,20 +234,12 @@ def gf2_solve(system: GF2System) -> GF2Solution | GF2Infeasible:
             combo ^= entry[2]
         if m:
             basis[(m & -m).bit_length() - 1] = (m, r, combo)
+            saturated = None
         elif r:
             witness = tuple(i for i in range(idx + 1) if (combo >> i) & 1)
             return GF2Infeasible(witness)
-    assignment = [0] * system.nvars
-    for pivot in sorted(basis, reverse=True):
-        m, r, _ = basis[pivot]
-        val = r
-        rest = m & ~((1 << (pivot + 1)) - 1)
-        while rest:
-            bit = (rest & -rest).bit_length() - 1
-            val ^= assignment[bit]
-            rest &= rest - 1
-        assignment[pivot] = val
-    return GF2Solution(system.nvars, tuple(assignment))
+    solution = _back_substitute(basis, 0, 1)
+    return GF2Solution(nvars, tuple((solution >> j) & 1 for j in range(nvars)))
 
 
 def spectrum_contains(

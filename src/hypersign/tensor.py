@@ -6,12 +6,19 @@ edge and vertex, which is how everything here is computed — the tensor
 is never materialized.  The Laplacian adds the degrees on the diagonal.
 
 All contractions run through one kernel over the (m, k) array of
-0-based member indices: gather x at every incidence, take exclusive
-prefix and suffix products along each row, multiply them with the edge
-sign, and scatter-add the (m, k) terms onto the vertices.  It works
-unchanged for float64, complex128 and int64 vectors, so the Laplacian
-zero-eigenvalue check stays in exact integer arithmetic.  A form T x^k
-is x . (T x^{k-1}).
+0-based member indices: gather x at every incidence, build the exclusive
+prefix and suffix products along each row one column at a time, multiply
+them, and scatter-add the (m, k) terms onto the vertices.  The prefix
+chain starts from the edge sign gamma instead of 1.  That is exact:
+multiplying by gamma = +-1 only sets a sign bit, and IEEE gives the sign
+of a product as the XOR of its factors' signs, so every float64 term
+equals (gamma * prefix) * suffix bit for bit, signed zeros included
+(int64 arithmetic is exact anyway).  numpy multiplies complex128 arrays
+with a fused or an unfused loop depending on their memory layout, so
+complex terms agree with other evaluation orders to rounding only.  The
+kernel works unchanged for float64, complex128 and int64 vectors, so
+the Laplacian zero-eigenvalue check stays in exact integer arithmetic.
+A form T x^k is x . (T x^{k-1}).
 
 For even k and a connected instance, the negated structural spectral
 radius is an H-eigenvalue exactly when a parity system over the vertices
@@ -127,16 +134,20 @@ def _edge_products(idx: np.ndarray, gamma: np.ndarray, x: np.ndarray) -> np.ndar
     of gamma_e times the product of x over the other members of e.
 
     The products are taken in the same order as a per-edge loop would:
-    left-to-right prefix, right-to-left suffix, then (gamma * prefix) *
-    suffix; the scatter adds terms in edge order.
+    left-to-right prefix (starting from gamma_e), right-to-left suffix,
+    then prefix * suffix; the scatter adds terms in edge order.
     """
     vals = x[idx]
-    prefix = np.ones_like(vals)
-    suffix = np.ones_like(vals)
-    prefix[:, 1:] = np.cumprod(vals[:, :-1], axis=1)
-    suffix[:, :-1] = np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1]
+    terms = np.empty_like(vals)  # the prefix products, then the terms
+    suffix = np.empty_like(vals)
+    terms[:, 0] = gamma
+    suffix[:, -1] = 1
+    for j in range(1, idx.shape[1]):
+        np.multiply(terms[:, j - 1], vals[:, j - 1], out=terms[:, j])
+        np.multiply(suffix[:, -j], vals[:, -j], out=suffix[:, -j - 1])
+    np.multiply(terms, suffix, out=terms)
     out = np.zeros_like(x)
-    np.add.at(out, idx.ravel(), ((gamma[:, None] * prefix) * suffix).ravel())
+    np.add.at(out, idx.ravel(), terms.ravel())
     return out
 
 

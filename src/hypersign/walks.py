@@ -270,9 +270,12 @@ def is_connected(h: OrientedHypergraph | SignedHypergraph) -> bool:
     """True iff any two elements of the vertex/edge node set are joined.
 
     Isolated vertices disconnect the structure; a single element (or the
-    empty structure) counts as connected.
+    empty structure) counts as connected.  Connected means every node's
+    search root is node 0.
     """
-    return len(connected_components(h)) <= 1
+    core = h.incidence_core
+    _, root = propagate_labels(core, np.ones(core.size, dtype=np.intp))
+    return not any(root)
 
 
 # ---------------------------------------------------------------------------

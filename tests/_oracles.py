@@ -3,8 +3,9 @@
 These deliberately take the slowest, most literal route (explicit dense
 tensors, exhaustive enumeration, pair loops, per-edge contraction loops,
 all rotations of a cycle, cyclic Jacobi rotations, a rebuilt sampling
-pool, adjacency lists and dicts rebuilt from the stored edges) so they
-share no code with the package internals they check.
+pool, adjacency lists and dicts rebuilt from the stored edges, GF(2)
+elimination that reduces every row) so they share no code with the
+package internals they check.
 """
 
 import math
@@ -411,3 +412,37 @@ def structures_match_by_sorting(a, b) -> bool:
     if a.n != b.n or a.m != b.m:
         return False
     return all(sorted(a.members(j)) == sorted(b.members(j)) for j in range(a.m))
+
+
+def gf2_solve_by_reduction(system: hs.GF2System):
+    """Gaussian elimination over GF(2) that reduces every row against the
+    basis, with row-combination tracking: the canonical solution (free
+    variables zero, pivots set by back-substitution one bit at a time) or
+    the original rows of the first inconsistent combination."""
+    basis = {}
+    for idx, (mask, rhs) in enumerate(system.rows):
+        m, r, combo = mask, rhs, 1 << idx
+        while m:
+            pivot = (m & -m).bit_length() - 1
+            entry = basis.get(pivot)
+            if entry is None:
+                break
+            m ^= entry[0]
+            r ^= entry[1]
+            combo ^= entry[2]
+        if m:
+            basis[(m & -m).bit_length() - 1] = (m, r, combo)
+        elif r:
+            witness = tuple(i for i in range(idx + 1) if (combo >> i) & 1)
+            return hs.GF2Infeasible(witness)
+    assignment = [0] * system.nvars
+    for pivot in sorted(basis, reverse=True):
+        m, r, _ = basis[pivot]
+        val = r
+        rest = m & ~((1 << (pivot + 1)) - 1)
+        while rest:
+            bit = (rest & -rest).bit_length() - 1
+            val ^= assignment[bit]
+            rest &= rest - 1
+        assignment[pivot] = val
+    return hs.GF2Solution(system.nvars, tuple(assignment))

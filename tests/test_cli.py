@@ -82,6 +82,17 @@ def test_check_balanced_json_certificate_replays(e1_path, e1, capsys):
     )
 
 
+def test_non_ascii_digits_are_an_input_error(tmp_path, capsys):
+    for i, text in enumerate(("vertices \u00b3\n", "vertices 3\nedge e1 +1 -\u00b2\n",
+                              "vertices 3\nedge e1 +1 -\u0663\n")):
+        p = tmp_path / f"digits{i}.ohg"
+        p.write_text(text, encoding="utf-8")
+        assert main(["check", str(p), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "line" in captured.err
+
+
 def test_spectra_reports_three_criteria(ex_path, capsys):
     assert main(["spectra", ex_path, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

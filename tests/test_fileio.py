@@ -54,6 +54,21 @@ def test_parse_error_line_numbers():
         hs.parse_text("# nothing but comments\n")
 
 
+def test_parse_text_accepts_ascii_digits_only():
+    # str.isdigit also accepts superscripts (which int() rejects) and other
+    # scripts' digits (which int() would read as numbers).
+    for text, line in (
+        ("vertices \u00b3\n", 1),
+        ("vertices \uff13\n", 1),
+        ("vertices 3\nedge e1 +1 -\u00b2\n", 2),
+        ("vertices 3\nedge e1 +1 -\u0663\n", 2),
+        ("vertices 3\n# note\nedge e1 +\u0967 -2\n", 3),
+    ):
+        with pytest.raises(ParseError) as err:
+            hs.parse_text(text)
+        assert err.value.line == line
+
+
 def test_parse_text_propagates_structural_errors():
     with pytest.raises(VertexOutOfRangeError):
         hs.parse_text("vertices 2\nedge e1 +5\n")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from hypersign.linalg import (
     sym_eigenvalues,
 )
 
-from _oracles import jacobi_eigenvalues, jacobi_singular_values
+from hypersign.tensor import _parity_system
+
+from _oracles import gf2_solve_by_reduction, jacobi_eigenvalues, jacobi_singular_values
 
 # ---------------------------------------------------------------------------
 # Matrix wrappers.
@@ -212,3 +215,97 @@ def test_gf2_random_systems_reverify(data):
             mask ^= rows[r][0]
             rhs ^= rows[r][1]
         assert (mask, rhs) == (0, 1)
+
+
+def test_gf2_from_sets_rejects_out_of_range_variables():
+    for bad in (0, -1, 5):
+        with pytest.raises(ValueError):
+            GF2System.from_sets(4, [((1, bad), 0)])
+    with pytest.raises(ValueError):
+        GF2System.from_sets(0, [((1,), 1)])
+    with pytest.raises(ValueError):
+        GF2System.from_sets(2, [((1,), 2)])
+    assert GF2System.from_sets(3, [((1, 3, 3), 1)]).rows == ((0b101, 1),)
+
+
+def _saturating_system(rng: random.Random, nvars: int, full: bool, late_conflict: bool):
+    """Rows that reach rank n - 1 (or n) early, then dependent rows.
+
+    With full=False every row is orthogonal to a hidden nonzero vector z, so
+    the rank stops at n - 1 and later rows are all dependent.  Right-hand
+    sides come from a hidden solution; with late_conflict one dependent row
+    after the rank is reached gets its right-hand side flipped.
+    """
+    limit = (1 << nvars) - 1
+    z = 0 if full else rng.randint(1, limit)
+    hidden = rng.randint(0, limit)
+
+    def draw() -> int:
+        while True:
+            mask = rng.randint(0, limit)
+            if not (mask & z).bit_count() & 1:
+                return mask
+
+    target = nvars if full else nvars - 1
+    rows, span = [], {}
+    while len(span) < target:
+        mask = draw()
+        rows.append((mask, (mask & hidden).bit_count() & 1))
+        m = mask
+        while m and (m & -m).bit_length() - 1 in span:
+            m ^= span[(m & -m).bit_length() - 1]
+        if m:
+            span[(m & -m).bit_length() - 1] = m
+    tail = [draw() for _ in range(rng.randint(0, 3 * nvars))]
+    rows += [(mask, (mask & hidden).bit_count() & 1) for mask in tail]
+    if late_conflict:
+        at = rng.randint(len(rows) - len(tail), len(rows))
+        mask = draw()
+        rows.insert(at, (mask, 1 - ((mask & hidden).bit_count() & 1)))
+    return GF2System(nvars, tuple(rows))
+
+
+def _referee_systems() -> list[GF2System]:
+    """1,200 seeded systems: rank-saturating ones with and without a late
+    conflict, the parity and all-ones systems of generated uniform
+    hypergraphs, and n in {0, 1}."""
+    rng = random.Random(9)
+    out = []
+    for i in range(600):
+        nvars = rng.randint(2, 24)
+        out.append(_saturating_system(rng, nvars, full=i % 3 == 0, late_conflict=i % 2 == 1))
+    for i in range(240):
+        k = (2, 4, 6)[i % 3]
+        n = rng.randint(k, 40)
+        g = hs.generate(n, 2 * n, k=k, p_neg=0.5, connected=i % 2 == 0 and n > k,
+                        seed=rng.randrange(2**32))
+        h = hs.induced_signed(g)
+        out.append(_parity_system(h))
+        out.append(GF2System.from_sets(n, ((h.members(j), 1) for j in range(h.m))))
+    for i in range(120):
+        nvars = i % 2
+        rows = tuple((rng.randint(0, nvars), rng.randint(0, 1)) for _ in range(rng.randint(0, 4)))
+        out.append(GF2System(nvars, rows))
+    return out
+
+
+def test_gf2_solve_matches_reduction_referee():
+    systems = _referee_systems()
+    assert len(systems) >= 1000
+    kinds = set()
+    for system in systems:
+        got = gf2_solve(system)
+        assert got == gf2_solve_by_reduction(system)
+        kinds.add((system.nvars <= 1, type(got).__name__))
+    assert kinds == {(a, b) for a in (False, True) for b in ("GF2Solution", "GF2Infeasible")}
+
+
+def test_gf2_late_conflict_witness_comes_from_the_reduction():
+    # Rank n - 1 after three rows (all masks are orthogonal to 1111), two
+    # rows the basis already decides, then a dependent row with the wrong
+    # right-hand side: its witness combines rows from before the rank was
+    # reached.
+    rows = ((0b0011, 1), (0b0110, 0), (0b1100, 1), (0b0101, 1), (0b1111, 0), (0b1001, 1))
+    res = gf2_solve(GF2System(4, rows))
+    assert res == gf2_solve_by_reduction(GF2System(4, rows))
+    assert res == GF2Infeasible((0, 1, 2, 5))

@@ -14,7 +14,7 @@ from hypersign.errors import (
     OddUniformityError,
     ZeroVectorError,
 )
-from hypersign.tensor import NQZ_TOL
+from hypersign.tensor import NQZ_TOL, _edge_products
 
 from _oracles import (
     dense_adjacency_tensor,
@@ -132,6 +132,40 @@ def test_kernel_matches_edge_loop_bit_for_bit():
             got, want = ours(h, x), loop(h, x)
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes()
+
+
+def _exact_adjacency(h: hs.SignedHypergraph, x: list[int]) -> list[int]:
+    """Adjacency contraction in Python integers, one edge at a time."""
+    out = [0] * h.n
+    for j, edge in enumerate(h.edges):
+        for v in edge:
+            term = h.gamma[j]
+            for u in edge:
+                if u != v:
+                    term *= x[u - 1]
+            out[v - 1] += term
+    return out
+
+
+def test_kernel_bit_for_bit_with_negative_edges_and_zeros():
+    # The prefix chain starts from gamma: with gamma = -1 edges and zero
+    # (also negative-zero) coordinates, float64 contractions still match
+    # the per-edge loop bit for bit, and int64 ones the exact sums.
+    rng = np.random.default_rng(11)
+    for i, h in enumerate(_kernel_instances()):
+        if i % 2:
+            h = h.with_gamma((-1,) * h.m)
+        idx = np.array(h.edges, dtype=np.intp) - 1
+        gamma = np.array(h.gamma, dtype=np.int64)
+        x = rng.standard_normal(h.n)
+        x[rng.random(h.n) < 0.25] = 0.0
+        x[rng.random(h.n) < 0.1] = -0.0
+        for ours, loop in ((hs.adj_apply, loop_adj_apply), (hs.lap_apply, loop_lap_apply)):
+            assert ours(h, x).tobytes() == loop(h, x).tobytes()
+        ints = rng.integers(-3, 4, h.n)
+        got = _edge_products(idx, gamma, ints)
+        assert got.dtype == np.int64
+        assert got.tolist() == _exact_adjacency(h, ints.tolist())
 
 
 def test_kernel_complex_and_forms_within_rounding():

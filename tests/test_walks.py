@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -79,6 +80,44 @@ def test_connected_components(e1):
     # empty and single-vertex structures count as connected
     assert hs.is_connected(hs.build(0, []))
     assert hs.is_connected(hs.build(1, []))
+
+
+def test_is_connected_matches_component_count():
+    graphs = [hs.load_bundled(name) for name in hs.bundled_names()]
+    rng = random.Random(17)
+    for i in range(150):
+        n = rng.randint(0, 12)
+        m = rng.randint(0, 10) if n else 0
+        graphs.append(hs.generate(n, m, size_range=(1, min(n, 4)) if m else None,
+                                  p_neg=0.5, seed=rng.randrange(2**32)))
+        graphs.append(hs.random_connected(random.Random(rng.randrange(2**32)),
+                                          n_max=8, m_max=6))
+    seen = set()
+    for g in graphs:
+        for h in (g, hs.induced_signed(g)):
+            expected = len(hs.connected_components(h)) <= 1
+            assert hs.is_connected(h) == expected
+            seen.add(expected)
+    assert seen == {False, True}
+
+
+def _traced_peak(call, h) -> int:
+    tracemalloc.start()
+    try:
+        call(h)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_is_connected_builds_no_component_lists():
+    # 2 * 10^5 isolated vertices plus one edge: one component list per
+    # vertex would dominate the peak; the search itself costs no more than
+    # the balance search over the same core.
+    g = hs.build(200_002, [[(1, 1), (2, -1)]])
+    g.incidence_core  # built once, outside both measurements
+    assert not hs.is_connected(g)
+    assert _traced_peak(hs.is_connected, g) <= _traced_peak(hs.incidence_balance, g)
 
 
 def test_enumerate_cycles_triangle(triangle):
