@@ -41,6 +41,7 @@ from .errors import (
     HypersignError,
     InfeasibleParametersError,
     InternalCheckError,
+    InvalidValueError,
     InvalidWalkError,
     NoConvergenceError,
     NotAdjacentError,

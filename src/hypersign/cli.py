@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -374,6 +375,16 @@ def _id_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad id list {text!r}") from exc
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
+
+
 def _size_pair(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
@@ -392,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, tol_default: float) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--tol", type=float, default=tol_default)
+        p.add_argument("--tol", type=_tolerance, default=tol_default)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("check", help="structural balance verdict with certificate")

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DuplicateVertexInEdgeError,
     EmptyEdgeError,
+    InvalidValueError,
     NotAdjacentError,
     UnknownEdgeError,
     UnknownVertexError,
@@ -137,7 +138,7 @@ class _IncidenceStructure:
 
     def _check_names(self) -> None:
         if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+            raise InvalidValueError("vertex count must be nonnegative")
         if self.n > MAX_VERTICES:
             raise VertexLimitExceededError(self.n, MAX_VERTICES)
         if not self.names:
@@ -198,7 +199,7 @@ class OrientedHypergraph(_IncidenceStructure):
             _check_edge_vertices(self.n, j, tuple(v for v, _ in edge))
             for v, s in edge:
                 if s not in (-1, 1):
-                    raise ValueError(
+                    raise InvalidValueError(
                         f"edge {j}: orientation at vertex {v} must be +1 or -1"
                     )
 
@@ -242,7 +243,7 @@ class SignedHypergraph(_IncidenceStructure):
         for j, edge in enumerate(self.edges):
             _check_edge_vertices(self.n, j, edge)
             if self.gamma[j] not in (-1, 1):
-                raise ValueError(f"edge {j}: sign must be +1 or -1")
+                raise InvalidValueError(f"edge {j}: sign must be +1 or -1")
 
     def members(self, e: int) -> tuple[int, ...]:
         self.check_edge(e)

@@ -17,6 +17,7 @@ __all__ = [
     "OracleBudgetExceededError",
     "DenseLimitExceededError",
     "VertexLimitExceededError",
+    "InvalidValueError",
     "NoConvergenceError",
     "InternalCheckError",
     "EmptySpectrumError",
@@ -101,6 +102,10 @@ class VertexLimitExceededError(HypersignError):
     def __init__(self, n: int, limit: int):
         self.n = n
         super().__init__(f"{n} vertices exceed the limit of {limit}")
+
+
+class InvalidValueError(HypersignError, ValueError):
+    """A vertex count below 0, or an orientation or edge sign other than +-1."""
 
 
 class NoConvergenceError(HypersignError):

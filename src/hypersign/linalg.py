@@ -254,8 +254,8 @@ def spectrum_contains(
     quoted to exactly abs_tol decimal digits still passes after the
     decimal-to-binary round trip.
     """
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0 < abs_tol < np.inf and 0 < rel_tol < np.inf):  # NaN fails too
+        raise ValueError("tolerances must be finite and positive")
     values = [float(x) for x in spectrum]
     if not values:
         raise EmptySpectrumError("membership test against an empty spectrum")

@@ -8,8 +8,12 @@ pattern into the other; the test below finds such signatures by label
 propagation, or exhibits a cycle on which they cannot exist.
 
 For signed hypergraphs only vertex switchings act (an edge sign flips
-when the switched set meets the edge an odd number of times), so
-equivalence reduces to a GF(2) linear system over the vertices.
+when the switched set meets the edge an odd number of times).  Every
+signed question is then one GF(2) system, posed and solved only in
+``_parity_route``: which vertex sets meet the +1 edges of a signing
+oddly and its -1 edges evenly?  signed_switch_equivalent asks it about
+the signing -gamma1*gamma2; the tensor module about the all-+1 signing
+(odd_bipartite) and about h's own (the even-k parity criteria).
 """
 
 from __future__ import annotations
@@ -150,17 +154,25 @@ def signed_switch_equivalent(
 ) -> SignedSwitchCertificate | NotEquivalent:
     """Vertex switchings mapping first's signs to second's, if any.
 
-    One parity equation per edge: the switched vertices inside the edge
-    must sum to 1 mod 2 exactly when the two signs disagree.  On
-    infeasibility the returned edges' equations XOR to 0 = 1.
+    The parity route on the signing -gamma1*gamma2: an edge whose two
+    signs disagree must meet the switched set an odd number of times.
     """
     if not structures_match(first, second):
         raise StructureMismatchError(
             "switching equivalence needs identical underlying structures"
         )
-    rows = zip(first.edges, first.gamma, second.gamma)
-    system = GF2System.from_sets(first.n, ((e, int(a != b)) for e, a, b in rows))
-    outcome = gf2_solve(system)
+    signing = (-a * b for a, b in zip(first.gamma, second.gamma))
+    return _parity_route(first.n, first.edges, signing)
+
+
+def _parity_route(n: int, edges, signing) -> SignedSwitchCertificate | NotEquivalent:
+    """Vertices meeting every +1 edge (members in 1..n) oddly, -1 evenly.
+
+    One equation per edge, in edge order, solved once: the canonical
+    solution (free variables zero), or edges whose equations XOR to 0 = 1.
+    """
+    rows = ((members, (1 + s) // 2) for members, s in zip(edges, signing))
+    outcome = gf2_solve(GF2System.from_sets(n, rows))
     if isinstance(outcome, GF2Infeasible):
         return NotEquivalent(witness_edges=outcome.witness_rows)
     return SignedSwitchCertificate(vertices=outcome.support)

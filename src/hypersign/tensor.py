@@ -23,16 +23,17 @@ A form T x^k is x . (T x^{k-1}).
 For even k and a connected instance, the negated structural spectral
 radius is an H-eigenvalue exactly when a parity system over the vertices
 is solvable: positive edges must meet the switched set an odd number of
-times, negative edges an even number.  theorem_battery_even solves it
-once: statements 1, 3, 5 and 6 restate that solve (3 adds an NQZ
-eigenpair residual check, 5 exact Laplacian cancellation), and 2 and 4
-probe its solution on a random vector.
+times, negative edges an even number.  The switching module's parity
+route poses and solves it: the criteria and theorem_battery_even ask it
+about h's own signing, odd_bipartite about the all-+1 signing.  The
+battery asks once: statements 1, 3, 5 and 6 restate that answer (3 adds
+an NQZ eigenpair residual check, 5 exact Laplacian cancellation), and 2
+and 4 probe its solution on a random vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -53,10 +54,10 @@ from .errors import (
     StructureMismatchError,
     ZeroVectorError,
 )
-from .linalg import GF2Infeasible, GF2System, gf2_solve
 from .switching import (
     NotEquivalent,
     SignedSwitchCertificate,
+    _parity_route,
     signed_switch_equivalent,
 )
 from .walks import is_connected
@@ -240,8 +241,10 @@ def nqz_spectral_radius(
 
 def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
     """The iteration itself, for callers that checked connectivity."""
-    if tol <= 0 or shift <= 0:
-        raise ValueError("tol and shift must be positive")
+    if not (0 < tol < np.inf and 0 < shift < np.inf):  # NaN fails too
+        raise ValueError("tol and shift must be finite and positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     m, k = idx.shape
     structure = np.ones(m, dtype=np.int64)  # every edge sign +1
     x = np.ones(n, dtype=np.float64)
@@ -292,9 +295,6 @@ class OddBipartition:
     part_one: tuple[int, ...]
     part_two: tuple[int, ...]
 
-    def __bool__(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class NotOddBipartite:
@@ -309,18 +309,18 @@ def odd_bipartite(
 ) -> OddBipartition | NotOddBipartite:
     """Bipartition meeting every edge oddly on each side, if one exists.
 
-    One parity equation per edge; infeasibility is witnessed by edges
-    whose equations sum to an odd constant with empty left-hand side.
+    The parity route on the all-+1 signing: part one meets every edge
+    oddly, and so does part two, since k is even.  Infeasibility is
+    witnessed by edges whose equations sum to 0 = 1.
     """
     idx = _edge_index(h)
     _require_even(idx.shape[1])
-    system = GF2System.from_sets(h.n, zip((idx + 1).tolist(), repeat(1)))
-    outcome = gf2_solve(system)
-    if isinstance(outcome, GF2Infeasible):
-        return NotOddBipartite(witness_edges=outcome.witness_rows)
-    inside = set(outcome.support)
+    outcome = _parity_route(h.n, (idx + 1).tolist(), (1,) * h.m)
+    if isinstance(outcome, NotEquivalent):
+        return NotOddBipartite(witness_edges=outcome.witness_edges)
+    inside = set(outcome.vertices)
     return OddBipartition(
-        part_one=outcome.support,
+        part_one=outcome.vertices,
         part_two=tuple(v for v in range(1, h.n + 1) if v not in inside),
     )
 
@@ -341,9 +341,6 @@ class ParityCertificate:
     eigenvector: tuple[float, ...]
     residual: float
 
-    def __bool__(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class NotHEigenvalue:
@@ -361,29 +358,25 @@ class NoZeroHEigenvalue:
         return False
 
 
-def _parity_system(h: SignedHypergraph) -> GF2System:
-    """Positive edges need an odd switched intersection, negative even."""
-    return GF2System.from_sets(h.n, zip(h.edges, ((_gamma(h) + 1) // 2).tolist()))
-
-
 def _signs_from_support(n: int, support: Sequence[int]) -> tuple[int, ...]:
     inside = set(support)
     return tuple(-1 if v in inside else 1 for v in range(1, n + 1))
 
 
 def _solve_parity(h: SignedHypergraph, message: str):
-    """Edge index and parity-system outcome of an even, connected instance."""
+    """Edge index and the parity route's answer for h's own signing
+    (even k, connected)."""
     idx = _edge_index(h)
     _require_even(idx.shape[1])
     if not is_connected(h):
         raise NotConnectedError(message)
-    return idx, gf2_solve(_parity_system(h))
+    return idx, _parity_route(h.n, h.edges, h.gamma)
 
 
 def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotHEigenvalue:
-    if isinstance(outcome, GF2Infeasible):
-        return NotHEigenvalue(witness_edges=outcome.witness_rows)
-    signs = _signs_from_support(h.n, outcome.support)
+    if isinstance(outcome, NotEquivalent):
+        return NotHEigenvalue(witness_edges=outcome.witness_edges)
+    signs = _signs_from_support(h.n, outcome.vertices)
     radius = _nqz(idx, h.n, tol, NQZ_MAX_ITERS, NQZ_SHIFT)
     vector = np.array(signs, dtype=np.float64) * np.array(radius.vector)
     residual = eigenpair_residual(h, -radius.rho, vector)
@@ -392,7 +385,7 @@ def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotHEige
             f"internal check failed: certified eigenpair has residual {residual:.3e}"
         )
     return ParityCertificate(
-        vertices=outcome.support,
+        vertices=outcome.vertices,
         signs=signs,
         eigenvalue=-radius.rho,
         eigenvector=tuple(float(t) for t in vector),
@@ -401,9 +394,9 @@ def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotHEige
 
 
 def _zero_certificate(h, idx, outcome) -> ParityCertificate | NoZeroHEigenvalue:
-    if isinstance(outcome, GF2Infeasible):
-        return NoZeroHEigenvalue(witness_edges=outcome.witness_rows)
-    signs = _signs_from_support(h.n, outcome.support)
+    if isinstance(outcome, NotEquivalent):
+        return NoZeroHEigenvalue(witness_edges=outcome.witness_edges)
+    signs = _signs_from_support(h.n, outcome.vertices)
     contraction = _lap_products(idx, _gamma(h), np.array(signs, dtype=np.int64))
     nonzero = np.flatnonzero(contraction)
     if nonzero.size:
@@ -413,7 +406,7 @@ def _zero_certificate(h, idx, outcome) -> ParityCertificate | NoZeroHEigenvalue:
             f"at vertex {v + 1}"
         )
     return ParityCertificate(
-        vertices=outcome.support,
+        vertices=outcome.vertices,
         signs=signs,
         eigenvalue=0.0,
         eigenvector=tuple(float(s) for s in signs),
@@ -454,9 +447,6 @@ class TensorSimilarity:
     signs: tuple[int, ...]
     vertices: tuple[int, ...]
     max_deviation: float
-
-    def __bool__(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -547,19 +537,15 @@ def theorem_battery_even(
     seed: int = 0,
     similarity_tol: float = 1e-10,
 ) -> SixWayReport:
-    """Evaluate the six equivalent statements for even k from one solve of
-    the parity system: its feasibility is statement 6, and statement 1
-    restates it, since switching to the signing induced by the
-    all-positive orientation (every edge -1) poses the same system row
-    for row.  Statements 3 and 5 build their certificates from its
-    solution, 2 and 4 probe both similarity identities with it.
+    """Evaluate the six equivalent statements for even k from one parity
+    route answer for h's own signing: its feasibility is statement 6, and
+    it is statement 1's certificate, since switching to the all-positive
+    orientation's signing (every edge -1) asks about -gamma*(-1) = gamma.
+    Statements 3 and 5 build their certificates from its solution, 2 and
+    4 probe both similarity identities with it.
     """
     idx, outcome = _solve_parity(h, "the equivalence battery assumes connectivity")
-    statement_6 = not isinstance(outcome, GF2Infeasible)
-    if statement_6:
-        switch_outcome = SignedSwitchCertificate(vertices=outcome.support)
-    else:
-        switch_outcome = NotEquivalent(witness_edges=outcome.witness_rows)
+    statement_6 = isinstance(outcome, SignedSwitchCertificate)
     eigen_outcome = _minus_rho_certificate(h, idx, outcome, tol)
     laplacian_outcome = _zero_certificate(h, idx, outcome)
 
@@ -586,7 +572,7 @@ def theorem_battery_even(
         laplacian_similarity=statement_4,
         zero_h_eigen=isinstance(laplacian_outcome, ParityCertificate),
         parity_bipartition=statement_6,
-        switch_certificate=switch_outcome,
+        switch_certificate=outcome,
         eigen_certificate=eigen_outcome,
         laplacian_certificate=laplacian_outcome,
     )

@@ -231,6 +231,43 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+# Files the JSON reader refuses; every command must exit 2 on them.
+MALFORMED_JSON = {
+    "n-string": '{"n": "abc", "edges": []}',
+    "n-overflows": '{"n": 1e400, "edges": []}',
+    "n-negative": '{"n": -1, "edges": []}',
+    "n-fraction": '{"n": 3.7, "edges": []}',
+    "n-boolean": '{"n": true, "edges": []}',
+    "sign-two": '{"n": 2, "edges": [{"name": "a", "incidences": [{"v": 1, "sign": 2}]}]}',
+    "name-empty": '{"n": 2, "edges": [{"name": "", "incidences": [{"v": 1, "sign": 1}]}]}',
+    "name-object": '{"n": 2, "edges": [{"name": {"a": 1}, "incidences": [{"v": 1, "sign": 1}]}]}',
+    "name-repeated": '{"n": 2, "edges": [{"name": "a", "incidences": [{"v": 1, "sign": 1}]}, '
+    '{"name": "a", "incidences": [{"v": 2, "sign": 1}]}]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_files_are_input_errors(case, tmp_path, capsys):
+    p = tmp_path / f"{case}.json"
+    p.write_text(MALFORMED_JSON[case], encoding="utf-8")
+    for command in ("check", "switch"):
+        assert main([command, str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-9", "inf", "-inf", "tiny"])
+def test_tolerance_must_be_finite_and_positive(tol, ex_path, capsys):
+    for command in (["check", ex_path], ["spectra", ex_path], ["tensor", ex_path],
+                    ["battery", "--instances", "1"]):
+        assert main([*command, "--json", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --tol: " in captured.err
+        assert "finite positive number" in captured.err and "Traceback" not in captured.err
+
+
 def _run_cli(command, cwd):
     """Run ``command`` as a separate process that imports the ``hypersign``
     package under test, whichever directory the suite runs from."""
@@ -269,3 +306,26 @@ def test_console_script_is_declared():
 )
 def test_installed_console_script(ex_path, tmp_path):
     _check_entry_point([shutil.which("hypersign")], ex_path, tmp_path)
+
+
+def test_commands_import_numpy_only(ex_path, tmp_path):
+    # numpy is the one runtime dependency; these are installed in some
+    # environments, so a stray import would pass there unnoticed.
+    script = """
+import json, sys
+from hypersign.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+banned = {"scipy", "networkx", "pytest_benchmark"}
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] in banned)]))
+"""
+    runs = [
+        ["check", ex_path], ["spectra", ex_path], ["tensor", ex_path],
+        ["switch", ex_path, "--vertices", "1", "-o", str(tmp_path / "switched.ohg")],
+        ["gen", "6", "4", "--k", "2", "-o", str(tmp_path / "gen.ohg")],
+        ["battery", "--instances", "2"],
+    ]
+    proc = _run_cli([sys.executable, "-c", script, json.dumps(runs)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    codes, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert imported == []

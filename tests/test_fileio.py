@@ -6,6 +6,8 @@ import hypersign as hs
 from hypersign.errors import (
     DuplicateVertexInEdgeError,
     EmptyEdgeError,
+    HypersignError,
+    InvalidValueError,
     ParseError,
     VertexOutOfRangeError,
 )
@@ -80,7 +82,7 @@ BAD_SECOND_EDGES = [
     ([], "", EmptyEdgeError(1)),
     ([(4, 1)], "+4", VertexOutOfRangeError(1, 4, 3)),
     ([(2, 1), (2, -1)], "+2 -2", DuplicateVertexInEdgeError(1, 2)),
-    ([(3, 2)], None, ValueError("edge 1: orientation at vertex 3 must be +1 or -1")),
+    ([(3, 2)], None, InvalidValueError("edge 1: orientation at vertex 3 must be +1 or -1")),
 ]
 
 
@@ -197,3 +199,60 @@ def test_parse_one_line_content(tmp_path, monkeypatch):
     assert hs.parse('{"n": 2, "edges": []}') == hs.build(2, [])
     with pytest.raises(ParseError):
         hs.parse("{not json")
+
+
+def json_instance(n="3", name='"a"', v="1", sign="1", second='"b"') -> str:
+    """A two-edge instance in the JSON mirror, with raw JSON text spliced in."""
+    return (
+        f'{{"n": {n}, "edges": ['
+        f'{{"name": {name}, "incidences": [{{"v": {v}, "sign": {sign}}}, '
+        f'{{"v": 2, "sign": -1}}]}}, '
+        f'{{"name": {second}, "incidences": [{{"v": 3, "sign": 1}}]}}]}}'
+    )
+
+
+# Each is refused by the JSON reader with a ParseError.
+BAD_JSON = [
+    *(dict(n=n) for n in ('"abc"', '"3"', "1e400", "3.7", "3.0", "true", "null")),
+    *(dict(v=v) for v in ('"1"', "1.0", "true", "null")),
+    *(dict(sign=s) for s in ('"+"', "1.0", "-1.0", "true", "false")),
+    *(dict(name=name) for name in ('""', '{"a": 1}', '"a b"', '"a\\tb"', "7", "null")),
+    dict(second='"a"'),
+    dict(n="1" * 5000),
+]
+
+
+@pytest.mark.parametrize("fields", BAD_JSON)
+def test_json_reader_takes_integers_and_text_format_names_only(fields):
+    with pytest.raises(ParseError):
+        hs.parse(json_instance(**fields))
+
+
+def test_json_reader_refuses_nesting_too_deep_to_decode():
+    with pytest.raises(ParseError):
+        hs.parse('{"n": ' + "[" * 100_000)
+
+
+def test_json_reader_accepts_the_names_the_text_format_holds():
+    g = hs.parse(json_instance(name='"+1"', second='"e#2"'))
+    assert g.names == ("+1", "e#2")
+    assert hs.parse(hs.serialize(g)) == g
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(n="-1"), "vertex count must be nonnegative"),
+    (dict(sign="2"), "edge 0: orientation at vertex 1 must be +1 or -1"),
+    (dict(sign="0"), "edge 0: orientation at vertex 1 must be +1 or -1"),
+])
+def test_json_values_out_of_range_are_typed_value_errors(fields, message):
+    with pytest.raises(InvalidValueError) as err:
+        hs.parse(json_instance(**fields))
+    assert isinstance(err.value, HypersignError) and isinstance(err.value, ValueError)
+    assert err.value.args == (message,)
+
+
+def test_text_reader_refuses_numbers_int_cannot_read():
+    for text in ("vertices " + "1" * 5000 + "\n", "vertices 3\nedge a +" + "0" * 5000 + "1\n"):
+        with pytest.raises(ParseError) as err:
+            hs.parse_text(text)
+        assert "number too long" in str(err.value)

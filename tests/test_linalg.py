@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypersign as hs
+from hypersign import switching
 from hypersign.errors import EmptySpectrumError
 from hypersign.linalg import (
     DenseSymMatrix,
@@ -19,8 +21,6 @@ from hypersign.linalg import (
     spectrum_contains,
     sym_eigenvalues,
 )
-
-from hypersign.tensor import _parity_system
 
 from _oracles import gf2_solve_by_reduction, jacobi_eigenvalues, jacobi_singular_values
 
@@ -156,6 +156,10 @@ def test_spectrum_contains_basic():
         spectrum_contains([], 1.0)
     with pytest.raises(ValueError):
         spectrum_contains([1.0], 1.0, abs_tol=0.0)
+    for value in (math.nan, math.inf, -1.0):
+        for name in ("abs_tol", "rel_tol"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                spectrum_contains([1.0], 1.0, **{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +269,14 @@ def _saturating_system(rng: random.Random, nvars: int, full: bool, late_conflict
     return GF2System(nvars, tuple(rows))
 
 
+def _route_system(n, edges, signing) -> GF2System:
+    """The system the parity route poses for this signing, as it solves it."""
+    with mock.patch.object(switching, "gf2_solve", wraps=gf2_solve) as solve:
+        switching._parity_route(n, edges, signing)
+    (system,), _ = solve.call_args
+    return system
+
+
 def _referee_systems() -> list[GF2System]:
     """1,200 seeded systems: rank-saturating ones with and without a late
     conflict, the parity and all-ones systems of generated uniform
@@ -280,8 +292,8 @@ def _referee_systems() -> list[GF2System]:
         g = hs.generate(n, 2 * n, k=k, p_neg=0.5, connected=i % 2 == 0 and n > k,
                         seed=rng.randrange(2**32))
         h = hs.induced_signed(g)
-        out.append(_parity_system(h))
-        out.append(GF2System.from_sets(n, ((h.members(j), 1) for j in range(h.m))))
+        out.append(_route_system(n, h.edges, h.gamma))
+        out.append(_route_system(n, h.edges, (1,) * h.m))
     for i in range(120):
         nvars = i % 2
         rows = tuple((rng.randint(0, nvars), rng.randint(0, 1)) for _ in range(rng.randint(0, 4)))

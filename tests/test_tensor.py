@@ -9,6 +9,7 @@ import hypersign as hs
 from hypersign.errors import (
     DimensionMismatchError,
     InternalCheckError,
+    NoConvergenceError,
     NotConnectedError,
     NotUniformError,
     OddUniformityError,
@@ -291,6 +292,28 @@ def test_nqz_requires_connected_uniform():
         hs.nqz_spectral_radius(hs.build(3, [[(1, 1), (2, 1)], [(1, 1), (2, 1), (3, 1)]]))
 
 
+def test_nqz_budget_exhausted_names_the_bracket_width():
+    path = hs.build(3, [[(1, 1), (2, 1)], [(2, 1), (3, 1)]])
+    # From x = 1 the growth ratios are 1, 2, 1 (shift removed): width 1.
+    message = r"still 1\.000e\+00 wide after 1 iterations"
+    with pytest.raises(NoConvergenceError, match=message):
+        hs.nqz_spectral_radius(path, max_iters=1)
+    assert hs.nqz_spectral_radius(path).rho == pytest.approx(math.sqrt(2), abs=1e-8)
+
+
+def test_nqz_refuses_nan_and_inf_like_zero_and_an_empty_budget(ex):
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for tol, shift in ((bad, 1.0), (1e-8, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                hs.nqz_spectral_radius(ex, tol=tol, shift=shift)
+    sex = hs.induced_signed(ex).with_gamma((-1,) * ex.m)
+    with pytest.raises(ValueError, match="finite and positive"):
+        # inf would pass the first bracket and its residual check alike
+        hs.h_eigen_minus_rho(sex, tol=math.inf)
+    with pytest.raises(ValueError, match="at least 1"):
+        hs.nqz_spectral_radius(ex, max_iters=0)
+
+
 def test_nqz_vector_is_an_eigenvector(ex):
     res = hs.nqz_spectral_radius(ex)
     structure = hs.induced_signed(hs.all_positive_variant(ex)).with_gamma((1, 1, 1))
@@ -533,8 +556,8 @@ def test_parity_answers_match_sign_vector_enumeration():
 def test_one_parity_solve_and_one_connectivity_check_per_call(monkeypatch, sex):
     calls = Counter()
 
-    def counting(name):
-        inner = getattr(hs.tensor, name)
+    def counting(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -542,8 +565,8 @@ def test_one_parity_solve_and_one_connectivity_check_per_call(monkeypatch, sex):
 
         return wrapper
 
-    for name in ("gf2_solve", "is_connected"):
-        monkeypatch.setattr(hs.tensor, name, counting(name))
+    for module, name in ((hs.switching, "gf2_solve"), (hs.tensor, "is_connected")):
+        monkeypatch.setattr(module, name, counting(module, name))
     feasible = hs.build_signed(6, [(1, 2, 3, 4), (3, 4, 5, 6)], [-1, -1])
     assert hs.theorem_battery_even(feasible).all_true
     assert not hs.theorem_battery_even(sex).parity_bipartition
@@ -557,6 +580,11 @@ def test_one_parity_solve_and_one_connectivity_check_per_call(monkeypatch, sex):
             calls.clear()
             call(h)
             assert (calls["is_connected"], calls["gf2_solve"]) == (1, solves)
+        twin = h.with_gamma((-1,) * h.m)
+        for call, args in ((hs.odd_bipartite, (h,)), (hs.signed_switch_equivalent, (h, twin))):
+            calls.clear()
+            call(*args)
+            assert calls["gf2_solve"] == 1
 
 
 def test_battery_certificates_equal_the_public_calls():
