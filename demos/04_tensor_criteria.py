@@ -30,7 +30,10 @@ print("odd-bipartite structure?", bool(hs.odd_bipartite(ex)))
 
 # The six-statement battery: for even k, switching equivalence to the
 # all-positive structure, two diagonal-similarity identities, the two
-# H-eigenvalue criteria and the raw parity system all agree.
+# H-eigenvalue criteria and the raw parity system all agree.  The two
+# similarities are one exact check of the parity solution: a +-1
+# diagonal similarity leaves the diagonal alone, and the diagonal
+# (the degrees) is all that the Laplacian adds to the adjacency tensor.
 report = hs.theorem_battery_even(sex)
 print("\nbattery on the bundled example:", report.values(),
       "-> agree:", report.agree)

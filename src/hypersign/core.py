@@ -143,8 +143,19 @@ class _IncidenceStructure:
             raise VertexLimitExceededError(self.n, MAX_VERTICES)
         if not self.names:
             object.__setattr__(self, "names", _default_names(len(self.edges)))
+            return
         if len(self.names) != len(self.edges):
-            raise ValueError("names must match edge count")
+            raise InvalidValueError("names must match edge count")
+        # Joined by spaces and split again, the names come back unchanged
+        # exactly when each is a non-empty string free of whitespace.
+        if not all(isinstance(name, str) for name in self.names) or (
+            " ".join(self.names).split() != list(self.names)
+        ):
+            raise InvalidValueError(
+                "edge names must be non-empty strings without whitespace"
+            )
+        if len(set(self.names)) != len(self.names):
+            raise InvalidValueError("edge names must be distinct")
 
     @classmethod
     def _derived(cls, parent, signs: np.ndarray | None, **fields):
@@ -239,7 +250,7 @@ class SignedHypergraph(_IncidenceStructure):
     def __post_init__(self) -> None:
         self._check_names()
         if len(self.gamma) != len(self.edges):
-            raise ValueError("gamma must assign a sign to every edge")
+            raise InvalidValueError("gamma must assign a sign to every edge")
         for j, edge in enumerate(self.edges):
             _check_edge_vertices(self.n, j, edge)
             if self.gamma[j] not in (-1, 1):

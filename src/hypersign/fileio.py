@@ -140,13 +140,10 @@ def serialize(g: OrientedHypergraph, fmt: str = "ohg") -> str:
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"vertices {g.n}"]
     for j in range(g.m):
-        name = g.names[j]
-        if any(ch.isspace() for ch in name):
-            raise ValueError(f"edge name {name!r} cannot contain whitespace")
         tokens = " ".join(
             f"{'+' if s > 0 else '-'}{v}" for v, s in sorted(g.edges[j])
         )
-        lines.append(f"edge {name} {tokens}".rstrip())
+        lines.append(f"edge {g.names[j]} {tokens}".rstrip())
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrientedHypergraph, SignedHypergraph, structures_match
-from .errors import StructureMismatchError
+from .errors import InternalCheckError, StructureMismatchError
 from .linalg import GF2Infeasible, GF2System, gf2_solve
 from .walks import Walk, propagate_labels
 
@@ -161,18 +161,30 @@ def signed_switch_equivalent(
         raise StructureMismatchError(
             "switching equivalence needs identical underlying structures"
         )
-    signing = (-a * b for a, b in zip(first.gamma, second.gamma))
+    signing = tuple(-a * b for a, b in zip(first.gamma, second.gamma))
     return _parity_route(first.n, first.edges, signing)
 
 
 def _parity_route(n: int, edges, signing) -> SignedSwitchCertificate | NotEquivalent:
-    """Vertices meeting every +1 edge (members in 1..n) oddly, -1 evenly.
+    """Vertices meeting every +1 edge (members in 1..n) oddly, -1 evenly;
+    edges and signing are sequences of equal length.
 
     One equation per edge, in edge order, solved once: the canonical
     solution (free variables zero), or edges whose equations XOR to 0 = 1.
+    Such a witness is checked before it is returned: every vertex lies in
+    an even number of its edges, and an odd number of them are +1.
     """
     rows = ((members, (1 + s) // 2) for members, s in zip(edges, signing))
     outcome = gf2_solve(GF2System.from_sets(n, rows))
     if isinstance(outcome, GF2Infeasible):
-        return NotEquivalent(witness_edges=outcome.witness_rows)
+        witness = outcome.witness_rows
+        unpaired: set[int] = set()
+        for j in witness:
+            unpaired.symmetric_difference_update(edges[j])
+        if unpaired or sum(signing[j] == 1 for j in witness) % 2 == 0:
+            raise InternalCheckError(
+                f"internal check failed: the {len(witness)} witness edges "
+                "do not sum to 0 = 1"
+            )
+        return NotEquivalent(witness_edges=witness)
     return SignedSwitchCertificate(vertices=outcome.support)

@@ -27,8 +27,15 @@ times, negative edges an even number.  The switching module's parity
 route poses and solves it: the criteria and theorem_battery_even ask it
 about h's own signing, odd_bipartite about the all-+1 signing.  The
 battery asks once: statements 1, 3, 5 and 6 restate that answer (3 adds
-an NQZ eigenpair residual check, 5 exact Laplacian cancellation), and 2
-and 4 probe its solution on a random vector.
+an NQZ eigenpair residual check, 5 exact Laplacian cancellation).
+
+Statements 2 and 4 (diagonal similarity of the adjacency and of the
+Laplacian tensor) are one exact integer check of that solution, not two
+routes.  For even k, conjugating by diag(s) with s = +-1 multiplies the
+entry of each member set S by the product of s over S and fixes every
+diagonal entry (s_v^-(k-1) * s_v^(k-1) = 1), the only place where the
+Laplacian differs, so the Laplacian adds nothing.  Parallel edges share
+their entry, so each member set's summed sign must match (Shao 2013).
 """
 
 from __future__ import annotations
@@ -54,12 +61,7 @@ from .errors import (
     StructureMismatchError,
     ZeroVectorError,
 )
-from .switching import (
-    NotEquivalent,
-    SignedSwitchCertificate,
-    _parity_route,
-    signed_switch_equivalent,
-)
+from .switching import NotEquivalent, SignedSwitchCertificate, _parity_route
 from .walks import is_connected
 
 __all__ = [
@@ -442,11 +444,22 @@ def lap_zero_h_eigen(h: SignedHypergraph) -> ParityCertificate | NoZeroHEigenval
 # Diagonal similarity and the six-way battery (even k).
 
 
+def _similar_under(idx, gamma, target, signs) -> bool:
+    """Does diag(signs) conjugate the tensors of edge signs gamma into
+    those of target, over the members idx?  In O(incidences): only edges
+    that differ one by one are grouped by their sorted member tuple."""
+    diff = gamma * np.prod(np.array(signs)[idx], axis=1) - target
+    off = np.flatnonzero(diff)
+    sums: dict[tuple[int, ...], int] = {}
+    for key, d in zip(map(tuple, np.sort(idx[off]).tolist()), diff[off].tolist()):
+        sums[key] = sums.get(key, 0) + d
+    return not any(sums.values())
+
+
 @dataclass(frozen=True)
 class TensorSimilarity:
     signs: tuple[int, ...]
     vertices: tuple[int, ...]
-    max_deviation: float
 
 
 @dataclass(frozen=True)
@@ -458,49 +471,50 @@ class NotSimilar:
 
 
 def signed_tensor_similarity(
-    first: SignedHypergraph,
-    second: SignedHypergraph,
-    tol: float = 1e-10,
-    seed: int = 0,
+    first: SignedHypergraph, second: SignedHypergraph
 ) -> TensorSimilarity | NotSimilar:
     """Signature vector conjugating one adjacency tensor into the other.
 
-    Delegates to vertex-switching equivalence, then spot-checks the
-    similarity identity on a random complex vector (even k makes the
-    inverse signature equal the signature itself).
+    Edges are grouped by member set, with sign sums a and b in first and
+    second.  A group with |a| != |b| is a witness by itself; otherwise
+    each group with a != 0 gives the parity route one equation on its
+    first edge, odd exactly when a and b differ in sign.  Without
+    parallel edges these are signed_switch_equivalent's equations.
     """
     if not structures_match(first, second):
         raise StructureMismatchError(
             "tensor similarity needs identical underlying structures"
         )
-    k = _uniform_k(first)
-    _require_even(k)
-    outcome = signed_switch_equivalent(first, second)
+    idx = _edge_index(first)
+    _require_even(idx.shape[1])
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, key in enumerate(map(tuple, np.sort(idx).tolist())):
+        groups.setdefault(key, []).append(j)
+    leaders, signing = [], []
+    for group in groups.values():
+        a = sum(first.gamma[j] for j in group)
+        b = sum(second.gamma[j] for j in group)
+        if abs(a) != abs(b):
+            return NotSimilar(tuple(group))
+        if a:
+            leaders.append(group[0])
+            signing.append(-1 if a * b > 0 else 1)
+    outcome = _parity_route(first.n, [first.edges[j] for j in leaders], signing)
     if isinstance(outcome, NotEquivalent):
-        return NotSimilar(witness_edges=outcome.witness_edges)
+        return NotSimilar(tuple(leaders[r] for r in outcome.witness_edges))
     signs = _signs_from_support(first.n, outcome.vertices)
-    rng = np.random.default_rng(seed)
-    probe = rng.standard_normal(first.n) + 1j * rng.standard_normal(first.n)
-    sign_arr = np.array(signs, dtype=np.float64)
-    deviation = float(
-        np.abs(
-            adj_apply(second, probe) - sign_arr * adj_apply(first, sign_arr * probe)
-        ).max()
-    )
-    if deviation > tol:
-        raise InternalCheckError(
-            f"internal check failed: similarity identity off by {deviation:.3e}"
-        )
-    return TensorSimilarity(
-        signs=signs, vertices=outcome.vertices, max_deviation=deviation
-    )
+    if not _similar_under(idx, _gamma(first), _gamma(second), signs):
+        raise InternalCheckError("internal check failed: no similarity under the signs")
+    return TensorSimilarity(signs=signs, vertices=outcome.vertices)
 
 
 @dataclass(frozen=True)
 class SixWayReport:
     """One boolean per statement of the even-k equivalence, with the
     certificates for reporting and replay.  Statements 1, 3, 5 and 6
-    restate one parity solve; 2 and 4 probe its solution numerically."""
+    restate one parity solve; 2 and 4 are one exact check of its solution
+    (a +-1 similarity fixes the diagonal, where alone the Laplacian
+    differs), not two routes."""
 
     switch_equivalent_all_positive: bool
     adjacency_similarity: bool
@@ -532,44 +546,27 @@ class SixWayReport:
 
 
 def theorem_battery_even(
-    h: SignedHypergraph,
-    tol: float = NQZ_TOL,
-    seed: int = 0,
-    similarity_tol: float = 1e-10,
+    h: SignedHypergraph, tol: float = NQZ_TOL, seed: int = 0
 ) -> SixWayReport:
     """Evaluate the six equivalent statements for even k from one parity
     route answer for h's own signing: its feasibility is statement 6, and
     it is statement 1's certificate, since switching to the all-positive
     orientation's signing (every edge -1) asks about -gamma*(-1) = gamma.
-    Statements 3 and 5 build their certificates from its solution, 2 and
-    4 probe both similarity identities with it.
+    Statements 3 and 5 build their certificates from its solution, and
+    2 and 4 are one exact check that its signature conjugates h's tensors
+    into those of the all -1 signing.  seed is accepted and unused (the
+    check draws nothing); it stays for callers that still pass it.
     """
     idx, outcome = _solve_parity(h, "the equivalence battery assumes connectivity")
     statement_6 = isinstance(outcome, SignedSwitchCertificate)
     eigen_outcome = _minus_rho_certificate(h, idx, outcome, tol)
     laplacian_outcome = _zero_certificate(h, idx, outcome)
-
-    statement_2 = statement_4 = False
-    if statement_6:
-        sign_arr = np.array(laplacian_outcome.signs, dtype=np.float64)
-        rng = np.random.default_rng(seed)
-        probe = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
-        gamma, target = _gamma(h), np.full(h.m, -1, dtype=np.int64)
-        statement_2, statement_4 = (
-            bool(
-                np.abs(
-                    sign_arr * contract(idx, gamma, sign_arr * probe)
-                    - contract(idx, target, probe)
-                ).max()
-                <= similarity_tol
-            )
-            for contract in (_edge_products, _lap_products)
-        )
+    similar = statement_6 and _similar_under(idx, _gamma(h), -1, laplacian_outcome.signs)
     return SixWayReport(
         switch_equivalent_all_positive=statement_6,
-        adjacency_similarity=statement_2,
+        adjacency_similarity=similar,
         minus_rho_h_eigen=isinstance(eigen_outcome, ParityCertificate),
-        laplacian_similarity=statement_4,
+        laplacian_similarity=similar,
         zero_h_eigen=isinstance(laplacian_outcome, ParityCertificate),
         parity_bipartition=statement_6,
         switch_certificate=outcome,

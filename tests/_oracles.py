@@ -42,6 +42,27 @@ def dense_laplacian_tensor(h: hs.SignedHypergraph) -> np.ndarray:
     return tensor
 
 
+def diagonal_similarities_bruteforce(first, second, dense, max_n: int = 8) -> set:
+    """Every +-1 vector s with D^-(k-1) T1 D = T2 for D = diag(s), where
+    T = dense(h) is an order-k dense tensor: entry (i1, ..., ik) of T1 is
+    scaled by s_i1^-(k-1) s_i2 ... s_ik.  Enumerates all 2^n vectors and
+    compares whole tensors, scaled by (k-1)! and rounded to integers."""
+    if first.n > max_n:
+        raise ValueError(f"signature enumeration is limited to {max_n} vertices")
+    k = hs.uniform_edge_size(first)
+    scale = factorial(k - 1)
+    t1, t2 = dense(first), np.rint(dense(second) * scale)
+    found = set()
+    for code in range(2 ** first.n):
+        s = np.array([-1.0 if (code >> v) & 1 else 1.0 for v in range(first.n)])
+        factor = (s ** (1 - k)).reshape((-1,) + (1,) * (k - 1))
+        for axis in range(1, k):
+            factor = factor * s.reshape((1,) * axis + (-1,) + (1,) * (k - 1 - axis))
+        if np.array_equal(np.rint(t1 * factor * scale), t2):
+            found.add(tuple(int(x) for x in s))
+    return found
+
+
 def dense_contract(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(T x^{k-1})_v: contract all but the first index with x."""
     out = tensor.astype(complex if np.iscomplexobj(x) else float)

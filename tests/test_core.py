@@ -7,6 +7,7 @@ from hypersign import core
 from hypersign.errors import (
     DuplicateVertexInEdgeError,
     EmptyEdgeError,
+    InvalidValueError,
     NotAdjacentError,
     UnknownEdgeError,
     UnknownVertexError,
@@ -129,7 +130,7 @@ def test_with_orientations(e1):
 def test_signed_constructor_validation():
     with pytest.raises(ValueError):
         hs.SignedHypergraph(2, ((1, 2),), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         hs.SignedHypergraph(2, ((1, 2),), (1, 1))
     s = hs.build_signed(2, [(1, 2)], [-1])
     assert s.sign(0) == -1
@@ -139,8 +140,19 @@ def test_signed_constructor_validation():
 def test_names_round_trip():
     g = hs.build(2, [[(1, 1), (2, 1)]], names=("left",))
     assert g.names == ("left",)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         hs.build(2, [[(1, 1)]], names=("a", "b"))
+
+
+@pytest.mark.parametrize("names", [("",), ("a", "a"), ("a b", "c"), ("a\tb", "c"), ("x", 3)])
+def test_constructors_refuse_names_the_file_formats_cannot_hold(names):
+    # The text format cannot hold these: an empty name serializes to a
+    # line that reads back as a different edge.
+    edges = [[(1, 1), (2, 1)], [(1, -1), (2, 1)]][: len(names)]
+    with pytest.raises(InvalidValueError):
+        hs.build(2, edges, names=names)
+    with pytest.raises(InvalidValueError):
+        hs.build_signed(2, [(1, 2)] * len(names), [1] * len(names), names=names)
 
 
 HUGE = "vertices 200000000\nedge e1 +1 -2\n"

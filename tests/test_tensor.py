@@ -21,6 +21,7 @@ from _oracles import (
     dense_adjacency_tensor,
     dense_contract,
     dense_laplacian_tensor,
+    diagonal_similarities_bruteforce,
     loop_adj_apply,
     loop_adj_form,
     loop_lap_apply,
@@ -421,7 +422,82 @@ def test_signed_tensor_similarity_positive():
     assert sim
     # any switching set flipping the edge an odd number of times is valid
     assert len(set(sim.vertices) & {1, 2, 3, 4}) % 2 == 1
-    assert sim.max_deviation <= 1e-10
+    for dense in (dense_adjacency_tensor, dense_laplacian_tensor):
+        assert sim.signs in diagonal_similarities_bruteforce(h, flipped, dense)
+
+
+def test_parallel_edges_with_equal_sums_are_similar():
+    # Equal tensors: the three parallel edges sum to +1 in both.  Edge by
+    # edge no switching maps one signing to the other.
+    a = hs.build_signed(4, [(1, 2, 3, 4)] * 3, (1, 1, -1))
+    b = hs.build_signed(4, [(1, 2, 3, 4)] * 3, (1, -1, 1))
+    assert not hs.signed_switch_equivalent(a, b)
+    assert hs.signed_tensor_similarity(a, b) == hs.TensorSimilarity((1,) * 4, ())
+    c = hs.build_signed(4, [(1, 2, 3, 4)] * 3, (1, -1, -1))
+    assert hs.signed_tensor_similarity(a, c) == hs.TensorSimilarity((-1, 1, 1, 1), (1,))
+    d = hs.build_signed(4, [(1, 2, 3, 4)] * 3, (-1, -1, -1))
+    assert hs.signed_tensor_similarity(a, d) == hs.NotSimilar((0, 1, 2))
+
+
+def test_similarity_check_refuses_wrong_signs(monkeypatch):
+    h = hs.build_signed(4, [(1, 2, 3, 4)] * 2, [1, 1])
+    monkeypatch.setattr(hs.tensor, "_signs_from_support", lambda n, support: (1,) * n)
+    with pytest.raises(InternalCheckError, match="no similarity"):
+        hs.signed_tensor_similarity(h, h.with_gamma((-1, -1)))
+
+
+def _similarity_pairs(count: int):
+    """Seeded pairs on the same k-uniform structure, k in {2, 4}, n <= 8,
+    most with parallel edges.  The second signing is the first switched
+    and then shuffled within each parallel group (similar), or drawn at
+    random (mostly not)."""
+    rng = random.Random(1113)
+    for i in range(count):
+        k = (2, 4)[i % 2]
+        n = rng.randint(k, 8)
+        sets = [tuple(rng.sample(range(1, n + 1), k)) for _ in range(rng.randint(1, 4))]
+        edges = [e for e in sets for _ in range(rng.choice((1, 1, 2, 3)))]
+        rng.shuffle(edges)
+        first = hs.build_signed(n, edges, [rng.choice((-1, 1)) for _ in edges])
+        if i % 3:
+            switched = [v for v in range(1, n + 1) if rng.random() < 0.5]
+            gamma = list(hs.apply_signed_switches(
+                first, hs.SignedSwitchCertificate(switched)).gamma)
+            for key in set(map(frozenset, edges)):
+                group = [j for j, e in enumerate(edges) if frozenset(e) == key]
+                signs = [gamma[j] for j in group]
+                rng.shuffle(signs)
+                for j, sign in zip(group, signs):
+                    gamma[j] = sign
+        else:
+            gamma = [rng.choice((-1, 1)) for _ in edges]
+        yield first, first.with_gamma(tuple(gamma))
+
+
+def test_similarity_matches_signature_enumeration():
+    kinds = Counter()
+    for first, second in _similarity_pairs(240):
+        adjacency = diagonal_similarities_bruteforce(first, second, dense_adjacency_tensor)
+        laplacian = diagonal_similarities_bruteforce(first, second, dense_laplacian_tensor)
+        assert adjacency == laplacian  # the diagonal is never scaled
+        verdict = hs.signed_tensor_similarity(first, second)
+        assert bool(verdict) == bool(adjacency)
+        if verdict:
+            assert verdict.signs in adjacency
+            assert verdict.vertices == tuple(
+                v for v in range(1, first.n + 1) if verdict.signs[v - 1] == -1
+            )
+        else:
+            assert verdict.witness_edges
+        switch = hs.signed_switch_equivalent(first, second)
+        kinds[bool(verdict), bool(switch)] += 1
+        if first.m == len(set(map(frozenset, first.edges))):  # no parallel edges
+            if verdict:
+                assert verdict.vertices == switch.vertices
+            else:
+                assert verdict.witness_edges == switch.witness_edges
+    # similar pairs that no edge-by-edge switching relates occur
+    assert min(kinds[True, True], kinds[True, False], kinds[False, False]) >= 20
 
 
 def test_signed_tensor_similarity_negative(sex):
