@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import OrientedHypergraph, SignedHypergraph, structures_match
 from .errors import InternalCheckError, StructureMismatchError
-from .linalg import GF2Infeasible, GF2System, gf2_solve
+from .linalg import GF2Infeasible, _gf2_eliminate
 from .walks import Walk, propagate_labels
 
 __all__ = [
@@ -171,20 +171,28 @@ def _parity_route(n: int, edges, signing) -> SignedSwitchCertificate | NotEquiva
 
     One equation per edge, in edge order, solved once: the canonical
     solution (free variables zero), or edges whose equations XOR to 0 = 1.
-    Such a witness is checked before it is returned: every vertex lies in
-    an even number of its edges, and an odd number of them are +1.
+    Either answer is checked before it is returned: a witness's vertices
+    each lie in an even number of its edges, and an odd number of them
+    are +1; a solution meets every edge with the parity its sign asks.
     """
-    rows = ((members, (1 + s) // 2) for members, s in zip(edges, signing))
-    outcome = gf2_solve(GF2System.from_sets(n, rows))
+    rhs = [(1 + s) // 2 for s in signing]
+    outcome = _gf2_eliminate(n, edges, rhs)
     if isinstance(outcome, GF2Infeasible):
         witness = outcome.witness_rows
         unpaired: set[int] = set()
         for j in witness:
             unpaired.symmetric_difference_update(edges[j])
-        if unpaired or sum(signing[j] == 1 for j in witness) % 2 == 0:
+        if unpaired or sum(rhs[j] for j in witness) % 2 == 0:
             raise InternalCheckError(
                 f"internal check failed: the {len(witness)} witness edges "
                 "do not sum to 0 = 1"
             )
         return NotEquivalent(witness_edges=witness)
+    inside = (0, *outcome.assignment)  # inside[v] for v in 1..n
+    for j, (members, bit) in enumerate(zip(edges, rhs)):
+        if (sum(map(inside.__getitem__, members)) ^ bit) & 1:
+            raise InternalCheckError(
+                f"internal check failed: the solution meets edge {j} "
+                "with the wrong parity"
+            )
     return SignedSwitchCertificate(vertices=outcome.support)

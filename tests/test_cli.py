@@ -234,15 +234,15 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
 def test_corrupted_parity_witness_exits_three(monkeypatch, ex_path, capsys):
     # The bundled example's parity systems are infeasible; a witness with
     # one row dropped no longer sums to 0 = 1, and the route must notice.
-    solve = hs.switching.gf2_solve
+    solve = hs.switching._gf2_eliminate
 
-    def drop_first_witness_row(system):
-        outcome = solve(system)
+    def drop_first_witness_row(*args):
+        outcome = solve(*args)
         if isinstance(outcome, hs.GF2Infeasible):
             return hs.GF2Infeasible(outcome.witness_rows[1:])
         return outcome
 
-    monkeypatch.setattr(hs.switching, "gf2_solve", drop_first_witness_row)
+    monkeypatch.setattr(hs.switching, "_gf2_eliminate", drop_first_witness_row)
     assert main(["tensor", ex_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: internal check failed")

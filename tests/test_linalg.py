@@ -16,6 +16,7 @@ from hypersign.linalg import (
     GF2Solution,
     GF2System,
     RectMatrix,
+    _gf2_eliminate,
     gf2_solve,
     singular_values,
     spectrum_contains,
@@ -271,10 +272,10 @@ def _saturating_system(rng: random.Random, nvars: int, full: bool, late_conflict
 
 def _route_system(n, edges, signing) -> GF2System:
     """The system the parity route poses for this signing, as it solves it."""
-    with mock.patch.object(switching, "gf2_solve", wraps=gf2_solve) as solve:
+    with mock.patch.object(switching, "_gf2_eliminate", wraps=_gf2_eliminate) as solve:
         switching._parity_route(n, edges, signing)
-    (system,), _ = solve.call_args
-    return system
+    (nvars, rows, rhs), _ = solve.call_args
+    return GF2System.from_sets(nvars, zip(rows, rhs))
 
 
 def _referee_systems() -> list[GF2System]:
@@ -310,6 +311,93 @@ def test_gf2_solve_matches_reduction_referee():
         assert got == gf2_solve_by_reduction(system)
         kinds.add((system.nvars <= 1, type(got).__name__))
     assert kinds == {(a, b) for a in (False, True) for b in ("GF2Solution", "GF2Infeasible")}
+
+
+def _gf2_rank(system: GF2System) -> int:
+    basis: dict[int, int] = {}
+    for mask, _ in system.rows:
+        while mask and (mask & -mask) in basis:
+            mask ^= basis[mask & -mask]
+        if mask:
+            basis[mask & -mask] = mask
+    return len(basis)
+
+
+def _scale_systems() -> list[tuple[str, int, list, list]]:
+    """(kind, n, member lists, signing): the parity route's systems at a
+    scale where the fill-reducing column order is far from the identity."""
+    rng = random.Random(12)
+    out = []
+
+    def solved_by(hidden, rows):
+        """The signing whose parity system the vertex set hidden solves."""
+        return [1 if len(hidden.intersection(e)) % 2 else -1 for e in rows]
+
+    for n in (200, 500, 1000):
+        # As in the structural benchmark: a planted switching class of a
+        # connected instance against its all-positive variant, and the
+        # twin with one incidence flipped.
+        g = hs.generate(n, 2 * n, size_range=(2, 6), connected=True, seed=rng.randrange(2**32))
+        cert = hs.SwitchCertificate(
+            vertices=[v for v in range(1, n + 1) if rng.random() < 0.5],
+            edges=[j for j in range(2 * n) if rng.random() < 0.5],
+        )
+        planted = hs.apply_switches(g, cert)
+        j = rng.randrange(planted.m)
+        twin_edge = list(planted.edges[j])
+        twin_edge[0] = (twin_edge[0][0], -twin_edge[0][1])
+        twin = hs.build(n, [*planted.edges[:j], twin_edge, *planted.edges[j + 1 :]])
+        for kind, inst in (("planted", planted), ("twin", twin)):
+            first = hs.induced_signed(inst)
+            second = hs.induced_signed(hs.all_positive_variant(inst))
+            signing = [-a * b for a, b in zip(first.gamma, second.gamma)]
+            out.append((kind, n, list(first.edges), signing))
+    # A loose cycle of 400 size-3 edges under a random labelling: rank 400 < n - 1.
+    label = list(range(1, 801))
+    rng.shuffle(label)
+    loose = [(label[2 * i], label[2 * i + 1], label[(2 * i + 2) % 800]) for i in range(400)]
+    out.append(("loose", 800, loose, [1] * 399 + [-1]))
+    # Connected 4-uniform parity systems, feasible through a hidden vertex
+    # set (rank n - 1, since every row is even) and on the all-+1 signing.
+    g = hs.generate(300, 600, k=4, connected=True, seed=rng.randrange(2**32))
+    edges = [tuple(v for v, _ in e) for e in g.edges]
+    hidden = {v for v in range(1, 301) if rng.random() < 0.5}
+    out.append(("even-k", 300, edges, solved_by(hidden, edges)))
+    out.append(("even-k", 300, edges, [1] * len(edges)))
+    # Two such components side by side: 600 rows, but rank at most n - 2.
+    half = hs.generate(150, 300, k=4, connected=True, seed=rng.randrange(2**32))
+    halves = [tuple(v + shift for v, _ in e) for shift in (0, 150) for e in half.edges]
+    out.append(("split", 300, halves, solved_by(hidden, halves)))
+    # Full rank and feasible: sparse rows of sizes 2 to 6 over a hidden solution.
+    rows = [rng.sample(range(1, 301), rng.randint(2, 6)) for _ in range(600)]
+    hidden = {v for v in range(1, 301) if rng.random() < 0.5}
+    out.append(("full", 300, rows, solved_by(hidden, rows)))
+    # An empty row asking for 1, after rows that raise the rank.
+    out.append(("empty", 300, [*rows[:50], ()], [1] * 51))
+    return out
+
+
+def test_kernel_matches_reduction_referee_at_scale():
+    seen = set()
+    for kind, n, edges, signing in _scale_systems():
+        system = GF2System.from_sets(n, zip(edges, ((1 + s) // 2 for s in signing)))
+        want = gf2_solve_by_reduction(system)
+        assert gf2_solve(system) == want
+        routed = switching._parity_route(n, edges, signing)
+        if isinstance(want, GF2Solution):
+            assert routed == hs.SignedSwitchCertificate(vertices=want.support)
+        else:
+            assert routed == hs.NotEquivalent(witness_edges=want.witness_rows)
+        rank = _gf2_rank(system) if isinstance(want, GF2Solution) else None
+        seen.add((kind, type(want).__name__, rank if rank in (None, n - 1, n) else "low"))
+    assert {
+        ("loose", "GF2Solution", "low"),
+        ("even-k", "GF2Solution", 299),
+        ("split", "GF2Solution", "low"),
+        ("full", "GF2Solution", 300),
+        ("empty", "GF2Infeasible", None),
+    } <= seen
+    assert {kind for kind, name, _ in seen if name == "GF2Infeasible"} >= {"twin"}
 
 
 def test_gf2_late_conflict_witness_comes_from_the_reduction():

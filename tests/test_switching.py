@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hypersign as hs
-from hypersign.errors import StructureMismatchError
+from hypersign.errors import InternalCheckError, StructureMismatchError
 
 
 def same_orientations(a, b):
@@ -131,6 +131,29 @@ def test_signed_equivalence_infeasible(ex):
     verdict = hs.signed_switch_equivalent(sex, minus)
     assert not verdict
     assert verdict.witness_edges == (0, 1, 2)
+
+
+def test_corrupted_parity_solution_is_caught(monkeypatch):
+    # With one bit of every solution flipped, the route's own check of the
+    # solution must refuse it, on both sides of the package.
+    solve = hs.switching._gf2_eliminate
+
+    def flip_first_bit(*args):
+        outcome = solve(*args)
+        if isinstance(outcome, hs.GF2Solution):
+            bits = outcome.assignment
+            return hs.GF2Solution(outcome.nvars, (1 - bits[0], *bits[1:]))
+        return outcome
+
+    h = hs.build_signed(5, [(1, 2), (2, 3), (3, 4, 5)], [1, -1, 1])
+    target = hs.apply_signed_switches(h, hs.SignedSwitchCertificate(vertices=(2, 4)))
+    bipartite = hs.build_signed(6, [(1, 2, 3, 4), (3, 4, 5, 6)], [1, 1])
+    assert hs.signed_switch_equivalent(h, target) and hs.odd_bipartite(bipartite)
+    monkeypatch.setattr(hs.switching, "_gf2_eliminate", flip_first_bit)
+    with pytest.raises(InternalCheckError, match="wrong parity"):
+        hs.signed_switch_equivalent(h, target)
+    with pytest.raises(InternalCheckError, match="wrong parity"):
+        hs.odd_bipartite(bipartite)
 
 
 def test_signed_equivalence_structure_mismatch():

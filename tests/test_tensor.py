@@ -641,7 +641,7 @@ def test_one_parity_solve_and_one_connectivity_check_per_call(monkeypatch, sex):
 
         return wrapper
 
-    for module, name in ((hs.switching, "gf2_solve"), (hs.tensor, "is_connected")):
+    for module, name in ((hs.switching, "_gf2_eliminate"), (hs.tensor, "is_connected")):
         monkeypatch.setattr(module, name, counting(module, name))
     feasible = hs.build_signed(6, [(1, 2, 3, 4), (3, 4, 5, 6)], [-1, -1])
     assert hs.theorem_battery_even(feasible).all_true
@@ -655,12 +655,12 @@ def test_one_parity_solve_and_one_connectivity_check_per_call(monkeypatch, sex):
         ):
             calls.clear()
             call(h)
-            assert (calls["is_connected"], calls["gf2_solve"]) == (1, solves)
+            assert (calls["is_connected"], calls["_gf2_eliminate"]) == (1, solves)
         twin = h.with_gamma((-1,) * h.m)
         for call, args in ((hs.odd_bipartite, (h,)), (hs.signed_switch_equivalent, (h, twin))):
             calls.clear()
             call(*args)
-            assert calls["gf2_solve"] == 1
+            assert calls["_gf2_eliminate"] == 1
 
 
 def test_battery_certificates_equal_the_public_calls():
