@@ -8,17 +8,21 @@ most once within an edge.  All values are immutable after construction
 and safe to share across threads.
 
 An instance is validated once, when it is constructed from outside
-data.  Copies derived from it (induced signing, all-positive variant,
-switched copies) are trusted and share their parent's core arrays, all
-but the signs.  ``edges`` is the stored form; every structural question
-reads the incidence core instead, built on first use.
+data, and the validation runs on the incidence core's arrays: the core
+is built at construction, from the file readers' arrays or from the
+stored edges, and checked there.  (Constructors check an instance of
+fewer than ``_VALUE_CHECK_LIMIT`` incidences value by value instead,
+and its core is built on first use.)  Copies derived from it (induced
+signing, all-positive variant, switched copies) are trusted and share
+their parent's core arrays, all but the signs.  ``edges`` is the stored
+form; every structural question reads the incidence core instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -55,6 +59,12 @@ __all__ = [
 # so 2^21 vertices keep one instance within a budget of 1 GiB.
 MAX_VERTICES = 1 << 21
 
+# Constructors check instances of fewer incidences one value at a time,
+# and their core waits for its first use: below about this size numpy's
+# fixed cost per call outweighs the loop (measured with numpy 2.4 on 2
+# CPUs of a Xeon guest; the costs meet near 256 incidences).
+_VALUE_CHECK_LIMIT = 256
+
 
 def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
     if len(vertices) == 0:
@@ -66,6 +76,13 @@ def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
         if v in seen:
             raise DuplicateVertexInEdgeError(index, v)
         seen.add(v)
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise InvalidValueError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise VertexLimitExceededError(n, MAX_VERTICES)
 
 
 def _default_names(m: int) -> tuple[str, ...]:
@@ -103,28 +120,89 @@ class IncidenceCore:
         """Edge index and vertex node of each incidence, in edge-major order."""
         return self.edge_ids, self.indices[self.size :]
 
+    def edge_sizes(self) -> np.ndarray:
+        """Number of members of each edge, in edge order."""
+        return np.diff(self.indptr[self.n :])
 
-def _build_core(h: OrientedHypergraph | SignedHypergraph) -> IncidenceCore:
-    """The incidence core of h, from its stored edges."""
-    n, m = h.n, h.m
-    sizes = np.fromiter(map(len, h.edges), dtype=np.intp, count=m)
-    total = int(sizes.sum())
-    if isinstance(h, OrientedHypergraph):
-        pairs = np.fromiter(
-            chain.from_iterable(chain.from_iterable(h.edges)),
-            dtype=np.intp,
-            count=2 * total,
-        ).reshape(total, 2)
-        members, signs = pairs[:, 0] - 1, pairs[:, 1].copy()
-    else:
-        flat = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=total)
-        members = flat - 1
-        signs = None
-    by_vertex = np.argsort(members, kind="stable")
-    degrees = np.bincount(members, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate((degrees, sizes)))))
-    edge_ids = np.repeat(np.arange(m), sizes)
-    indices = np.concatenate((edge_ids[by_vertex] + n, members))
+
+def _edge_arrays(edges, pairs: bool, convert=None):
+    """Edge sizes, members and (for pairs) orientations of stored edges.
+
+    Members and orientations are intp arrays in edge-major order; every
+    value goes through ``convert`` first when one is given.  None when an
+    incidence is not a pair or a value is not a plain int within int64:
+    such edges are checked one value at a time instead.
+    """
+    try:
+        sizes = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
+        values = list(chain.from_iterable(edges))
+        if pairs:
+            if not set(map(len, values)) <= {2}:
+                return None
+            values = list(chain.from_iterable(values))
+        if convert is not None:
+            values = list(map(convert, values))
+        if not set(map(type, values)) <= {int}:
+            return None
+        values = np.array(values, dtype=np.intp)
+    except (TypeError, OverflowError):
+        return None
+    if pairs:
+        return sizes, values[0::2], values[1::2].copy()
+    return sizes, values, None
+
+
+def _by_edge(items: list, sizes: list[int]) -> tuple[tuple, ...]:
+    """items, one per incidence in edge-major order, cut into one tuple per edge."""
+    return tuple(map(tuple, map(islice, repeat(iter(items)), sizes)))
+
+
+def _checked_core(
+    h: OrientedHypergraph | SignedHypergraph,
+    sizes: np.ndarray,
+    members: np.ndarray,
+    signs: np.ndarray | None,
+    label_fault: int | None = None,
+) -> IncidenceCore:
+    """The incidence core of h from its edge sizes, members and orientations
+    (None for a signed hypergraph), after checking them.
+
+    The checks are a few passes over the arrays.  The stable by-vertex sort
+    that the core needs anyway orders the incidences by vertex and, within
+    a vertex, by edge: its ends are the least and greatest member, and the
+    (vertex, edge) keys in that order rise strictly unless an edge repeats
+    a vertex.  On a fault, the first faulty edge in edge order, counting
+    ``label_fault`` (the first edge with a bad sign), is checked again one
+    value at a time, which raises the error that names it.
+    """
+    n, m, total = h.n, sizes.size, members.size
+    edge_ids = np.arange(m).repeat(sizes)
+    by_vertex = members.argsort(kind="stable")
+    ordered, vertex_edges = members[by_vertex], edge_ids[by_vertex]
+    valid = (
+        label_fault is None
+        and np.count_nonzero(sizes) == m
+        and (total == 0 or 1 <= ordered[0] and ordered[-1] <= n)
+    )
+    if valid and total:
+        keys = ordered * m + vertex_edges  # within int64: members are in range
+        valid = np.count_nonzero(keys[1:] - keys[:-1]) == total - 1 and (
+            signs is None or np.count_nonzero(np.abs(signs) - 1) == 0
+        )
+    if not valid:
+        repeats = (ordered[1:] == ordered[:-1]) & (vertex_edges[1:] == vertex_edges[:-1])
+        faulty = [
+            np.flatnonzero(sizes == 0),
+            edge_ids[(members < 1) | (members > n)],
+            vertex_edges[1:][repeats],
+            [] if signs is None else edge_ids[np.abs(signs) != 1],
+            [] if label_fault is None else [label_fault],
+        ]
+        h._check_edge(int(np.concatenate(faulty).min()))
+    # Vertex 0 has no incidences, so the running count of the degrees of
+    # vertices 0..n and then of the edge sizes is the row pointer.
+    indptr = np.add.accumulate(np.concatenate((np.bincount(members, minlength=n + 1), sizes)))
+    indices = np.concatenate((vertex_edges + n, members - 1))
     slot = np.concatenate((by_vertex, np.arange(total)))
     for arr in (indptr, indices, slot, signs, edge_ids):
         if arr is not None:
@@ -132,15 +210,19 @@ def _build_core(h: OrientedHypergraph | SignedHypergraph) -> IncidenceCore:
     return IncidenceCore(n, indptr, indices, slot, signs, edge_ids)
 
 
+def _build_core(h: OrientedHypergraph | SignedHypergraph) -> IncidenceCore:
+    """The incidence core of h: the one its validation built, handed over
+    on first use, else one built from its stored edges."""
+    core = vars(h).pop("_core", None)
+    return h._core_from_edges() if core is None else core
+
+
 class _IncidenceStructure:
     """What both hypergraph kinds share: vertex ids 1..n, edge indices
     0..m-1 with optional names, and the incidence core."""
 
     def _check_names(self) -> None:
-        if self.n < 0:
-            raise InvalidValueError("vertex count must be nonnegative")
-        if self.n > MAX_VERTICES:
-            raise VertexLimitExceededError(self.n, MAX_VERTICES)
+        _check_vertex_count(self.n)
         if not self.names:
             object.__setattr__(self, "names", _default_names(len(self.edges)))
             return
@@ -157,6 +239,23 @@ class _IncidenceStructure:
         if len(set(self.names)) != len(self.names):
             raise InvalidValueError("edge names must be distinct")
 
+    def _validate(self) -> None:
+        """Check the stored edges.  A check on the arrays keeps the core it built."""
+        if sum(map(len, self.edges)) < _VALUE_CHECK_LIMIT:
+            for j in range(self.m):
+                self._check_edge(j)
+        else:
+            vars(self)["_core"] = self._core_from_edges()
+
+    def _core_from_edges(self) -> IncidenceCore:
+        """The core of the stored edges, checked (see _checked_core)."""
+        arrays = _edge_arrays(self.edges, self._pairs)
+        if arrays is None:  # values other than plain ints: check one at a time
+            for j in range(self.m):
+                self._check_edge(j)
+            arrays = _edge_arrays(self.edges, self._pairs, int)
+        return _checked_core(self, *arrays, self._label_fault())
+
     @classmethod
     def _derived(cls, parent, signs: np.ndarray | None, **fields):
         """A cls over parent's members with new valid labels ``fields``, unchecked;
@@ -172,7 +271,7 @@ class _IncidenceStructure:
 
     @cached_property
     def incidence_core(self) -> IncidenceCore:
-        """Built on first use, kept for life and shared with derived copies."""
+        """Built at construction, kept for life and shared with derived copies."""
         return _build_core(self)
 
     def check_vertex(self, v: int) -> None:
@@ -204,15 +303,44 @@ class OrientedHypergraph(_IncidenceStructure):
     edges: tuple[tuple[tuple[int, int], ...], ...]
     names: tuple[str, ...] = field(default=())
 
+    _pairs = True
+
     def __post_init__(self) -> None:
         self._check_names()
-        for j, edge in enumerate(self.edges):
-            _check_edge_vertices(self.n, j, tuple(v for v, _ in edge))
-            for v, s in edge:
-                if s not in (-1, 1):
-                    raise InvalidValueError(
-                        f"edge {j}: orientation at vertex {v} must be +1 or -1"
-                    )
+        self._validate()
+
+    @classmethod
+    def _read(
+        cls,
+        n: int,
+        sizes: list[int],
+        members: np.ndarray,
+        signs: np.ndarray,
+        names: tuple[str, ...],
+    ) -> "OrientedHypergraph":
+        """Validated construction from a file reader: the size of each edge,
+        intp arrays of the vertex and the orientation of each incidence in
+        edge-major order, and one name per edge, which the reader has
+        checked as the constructor would."""
+        _check_vertex_count(n)
+        h = object.__new__(cls)
+        edges = _by_edge(list(zip(members.tolist(), signs.tolist())), sizes)
+        vars(h).update(n=n, edges=edges, names=names)
+        sizes = np.array(sizes, dtype=np.intp)
+        vars(h)["_core"] = _checked_core(h, sizes, members, signs)
+        return h
+
+    def _label_fault(self) -> None:
+        """Orientations are checked on the core's arrays."""
+        return None
+
+    def _check_edge(self, j: int) -> None:
+        """Check edge j one value at a time, in the order errors are reported."""
+        edge = self.edges[j]
+        _check_edge_vertices(self.n, j, tuple(v for v, _ in edge))
+        for v, s in edge:
+            if s not in (-1, 1):
+                raise InvalidValueError(f"edge {j}: orientation at vertex {v} must be +1 or -1")
 
     def members(self, e: int) -> tuple[int, ...]:
         """Vertices of edge e, in stored order."""
@@ -230,7 +358,7 @@ class OrientedHypergraph(_IncidenceStructure):
 
     @property
     def incidence_count(self) -> int:
-        return sum(len(edge) for edge in self.edges)
+        return self.incidence_core.size
 
     def with_orientations(
         self, edges: tuple[tuple[tuple[int, int], ...], ...]
@@ -247,14 +375,28 @@ class SignedHypergraph(_IncidenceStructure):
     gamma: tuple[int, ...]
     names: tuple[str, ...] = field(default=())
 
+    _pairs = False
+
     def __post_init__(self) -> None:
         self._check_names()
         if len(self.gamma) != len(self.edges):
             raise InvalidValueError("gamma must assign a sign to every edge")
-        for j, edge in enumerate(self.edges):
-            _check_edge_vertices(self.n, j, edge)
-            if self.gamma[j] not in (-1, 1):
-                raise InvalidValueError(f"edge {j}: sign must be +1 or -1")
+        self._validate()
+
+    def _label_fault(self) -> int | None:
+        """The first edge whose sign is not +1 or -1, if any."""
+        try:
+            if set(self.gamma) <= {-1, 1}:
+                return None
+        except TypeError:  # an unhashable sign
+            pass
+        return next((j for j, s in enumerate(self.gamma) if s not in (-1, 1)), None)
+
+    def _check_edge(self, j: int) -> None:
+        """Check edge j one value at a time, in the order errors are reported."""
+        _check_edge_vertices(self.n, j, self.edges[j])
+        if self.gamma[j] not in (-1, 1):
+            raise InvalidValueError(f"edge {j}: sign must be +1 or -1")
 
     def members(self, e: int) -> tuple[int, ...]:
         self.check_edge(e)
@@ -329,13 +471,13 @@ def adjacency_sign(g: OrientedHypergraph, u: int, v: int, e: int) -> int:
 
 
 def induced_signed(g: OrientedHypergraph) -> SignedHypergraph:
-    """Forget orientations, keeping each edge's sign."""
-    edges, gamma = [], []
-    for edge in g.edges:
-        members, orientations = zip(*edge)
-        edges.append(members)
-        gamma.append(_gamma(orientations))
-    return SignedHypergraph._derived(g, None, edges=tuple(edges), gamma=tuple(gamma))
+    """Forget orientations, keeping each edge's sign (see edge_sign)."""
+    core = g.incidence_core
+    sizes = core.edge_sizes()
+    negatives = np.bincount(core.edge_ids[core.signs < 0], minlength=g.m)
+    gamma = np.where((sizes - 1 + negatives) % 2, -1, 1).tolist()
+    edges = _by_edge((core.edge_major()[1] + 1).tolist(), sizes.tolist())
+    return SignedHypergraph._derived(g, None, edges=edges, gamma=tuple(gamma))
 
 
 def all_positive_variant(g: OrientedHypergraph) -> OrientedHypergraph:
@@ -348,5 +490,5 @@ def all_positive_variant(g: OrientedHypergraph) -> OrientedHypergraph:
 
 def uniform_edge_size(h: OrientedHypergraph | SignedHypergraph) -> int | None:
     """Common edge size k, or None when edges have mixed sizes or are absent."""
-    sizes = {len(edge) for edge in h.edges}
-    return sizes.pop() if len(sizes) == 1 else None
+    sizes = h.incidence_core.edge_sizes()
+    return int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else None

@@ -20,9 +20,14 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 from importlib import resources
+from itertools import chain
+from operator import itemgetter
 
-from .core import OrientedHypergraph
+import numpy as np
+
+from .core import OrientedHypergraph, _by_edge
 from .errors import ParseError
 
 __all__ = [
@@ -38,26 +43,38 @@ __all__ = [
 ]
 
 
+# An edge line's incidences when every one is a sign and at most 18 ASCII
+# digits, which int64 holds, and they are parted by the blanks that
+# numpy's text reader skips.  Other lines are checked token by token.
+_INCIDENCES = re.compile(r"[+-][0-9]{1,18}(?:[ \t]+[+-][0-9]{1,18})*[ \t]*")
+
+
+def _check_incidence_tokens(lineno: int, tokens: list[str]) -> None:
+    """Raise ParseError at the first token that is not +v or -v; int()
+    raises ValueError at one with more digits than it reads."""
+    for token in tokens:
+        if (
+            len(token) < 2
+            or token[0] not in "+-"
+            or not (token.isascii() and token[1:].isdigit())
+        ):
+            raise ParseError(lineno, f"incidence token {token!r} must look like +3 or -3")
+        int(token[1:])
+
+
 def parse_text(text: str) -> OrientedHypergraph:
     """Parse the text format; syntax problems carry a 1-based line number."""
     n: int | None = None
-    edges: list[tuple[tuple[int, int], ...]] = []
+    chunks: list[str] = []  # each edge's incidence tokens, blank-separated
+    sizes: list[int] = []
     names: dict[str, None] = {}  # insertion-ordered, O(1) repeat check
+    plain = True  # every edge line matched _INCIDENCES
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            tokens = raw.split(None, 2)
+            if not tokens or tokens[0][0] == "#":
                 continue
-            tokens = line.split()
-            if tokens[0] == "vertices":
-                if n is not None:
-                    raise ParseError(lineno, "duplicate 'vertices' line")
-                # ASCII digits only: str.isdigit also accepts superscripts and
-                # other scripts' digits, which int() rejects or reads as numbers.
-                if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
-                    raise ParseError(lineno, "expected: vertices <count>")
-                n = int(tokens[1])
-            elif tokens[0] == "edge":
+            if tokens[0] == "edge":
                 if n is None:
                     raise ParseError(lineno, "'edge' before the 'vertices' line")
                 if len(tokens) < 2:
@@ -65,26 +82,34 @@ def parse_text(text: str) -> OrientedHypergraph:
                 name = tokens[1]
                 if name in names:
                     raise ParseError(lineno, f"duplicate edge name {name!r}")
-                incidences = []
-                for token in tokens[2:]:
-                    if (
-                        len(token) < 2
-                        or token[0] not in "+-"
-                        or not (token.isascii() and token[1:].isdigit())
-                    ):
-                        raise ParseError(
-                            lineno, f"incidence token {token!r} must look like +3 or -3"
-                        )
-                    incidences.append((int(token[1:]), 1 if token[0] == "+" else -1))
-                edges.append(tuple(incidences))
+                incidences = tokens[2] if len(tokens) == 3 else ""
+                if incidences and not _INCIDENCES.fullmatch(incidences):
+                    split = incidences.split()
+                    _check_incidence_tokens(lineno, split)
+                    incidences, plain = " ".join(split), False
+                chunks.append(incidences)
+                sizes.append(incidences.count("+") + incidences.count("-"))
                 names[name] = None
+            elif tokens[0] == "vertices":
+                if n is not None:
+                    raise ParseError(lineno, "duplicate 'vertices' line")
+                # ASCII digits only: str.isdigit also accepts superscripts and
+                # other scripts' digits, which int() rejects or reads as numbers.
+                if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
+                    raise ParseError(lineno, "expected: vertices <count>")
+                n = int(tokens[1])
             else:
                 raise ParseError(lineno, f"unknown directive {tokens[0]!r}")
     except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
         raise ParseError(lineno, "number too long") from None
     if n is None:
         raise ParseError(1, "missing 'vertices' line")
-    return OrientedHypergraph(n, tuple(edges), tuple(names))
+    blob = " ".join(chunks)
+    if not plain:  # numbers int64 may not hold: the constructor checks them whole
+        pairs = [(abs(v), -1 if v < 0 else 1) for v in map(int, blob.split())]
+        return OrientedHypergraph(n, _by_edge(pairs, sizes), tuple(names))
+    values = np.fromstring(blob, dtype=np.intp, sep=" ") if blob else np.empty(0, np.intp)
+    return OrientedHypergraph._read(n, sizes, np.abs(values), np.sign(values), tuple(names))
 
 
 def _json_int(value, field: str) -> int:
@@ -94,10 +119,15 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+_INCIDENCE = itemgetter("v", "sign")
+
+
 def from_json_dict(data: dict) -> OrientedHypergraph:
     try:
         n = _json_int(data["n"], "n")
-        edges, names = [], {}  # names: insertion-ordered, O(1) repeat check
+        names: dict[str, None] = {}  # insertion-ordered, O(1) repeat check
+        flat: list[int] = []  # vertex and sign of every incidence, edge by edge
+        sizes: list[int] = []
         for j, entry in enumerate(data["edges"]):
             name = entry["name"]
             if not isinstance(name, str) or not name or any(map(str.isspace, name)):
@@ -108,13 +138,29 @@ def from_json_dict(data: dict) -> OrientedHypergraph:
             if name in names:
                 raise ParseError(0, f"edge {j}: duplicate edge name {name!r}")
             names[name] = None
-            edges.append(tuple(
-                (_json_int(inc["v"], "v"), _json_int(inc["sign"], "sign"))
-                for inc in entry["incidences"]
-            ))
+            incidences = list(entry["incidences"])
+            try:
+                pairs = list(map(_INCIDENCE, incidences))
+                values = list(chain.from_iterable(pairs))
+                valid = set(map(type, values)) <= {int}
+            except (KeyError, TypeError):
+                valid = False
+            if not valid:  # raises at the first bad value, as read in order
+                pairs = [
+                    (_json_int(inc["v"], "v"), _json_int(inc["sign"], "sign"))
+                    for inc in incidences
+                ]
+                values = list(chain.from_iterable(pairs))
+            flat += values
+            sizes.append(len(pairs))
     except (KeyError, TypeError) as exc:
         raise ParseError(0, f"malformed instance JSON: {exc}") from exc
-    return OrientedHypergraph(n, tuple(edges), tuple(names))
+    try:
+        values = np.array(flat, dtype=np.intp)
+    except OverflowError:  # the constructor reports the value whole
+        edges = _by_edge(list(zip(flat[0::2], flat[1::2])), sizes)
+        return OrientedHypergraph(n, edges, tuple(names))
+    return OrientedHypergraph._read(n, sizes, values[0::2], values[1::2].copy(), tuple(names))
 
 
 def to_json_dict(g: OrientedHypergraph) -> dict:
