@@ -22,8 +22,6 @@ import json
 import os
 import re
 from importlib import resources
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -108,7 +106,9 @@ def parse_text(text: str) -> OrientedHypergraph:
     if not plain:  # numbers int64 may not hold: the constructor checks them whole
         pairs = [(abs(v), -1 if v < 0 else 1) for v in map(int, blob.split())]
         return OrientedHypergraph(n, _by_edge(pairs, sizes), tuple(names))
-    values = np.fromstring(blob, dtype=np.intp, sep=" ") if blob else np.empty(0, np.intp)
+    values = np.empty(0, np.intp)
+    if any(sizes):  # only then: numpy reads a string of blanks as [0]
+        values = np.fromstring(blob, dtype=np.intp, sep=" ")
     return OrientedHypergraph._read(n, sizes, np.abs(values), np.sign(values), tuple(names))
 
 
@@ -117,9 +117,6 @@ def _json_int(value, field: str) -> int:
     if type(value) is not int:
         raise ParseError(0, f"{field!r} must be a JSON integer, got {value!r:.40}")
     return value
-
-
-_INCIDENCE = itemgetter("v", "sign")
 
 
 def from_json_dict(data: dict) -> OrientedHypergraph:
@@ -138,21 +135,10 @@ def from_json_dict(data: dict) -> OrientedHypergraph:
             if name in names:
                 raise ParseError(0, f"edge {j}: duplicate edge name {name!r}")
             names[name] = None
-            incidences = list(entry["incidences"])
-            try:
-                pairs = list(map(_INCIDENCE, incidences))
-                values = list(chain.from_iterable(pairs))
-                valid = set(map(type, values)) <= {int}
-            except (KeyError, TypeError):
-                valid = False
-            if not valid:  # raises at the first bad value, as read in order
-                pairs = [
-                    (_json_int(inc["v"], "v"), _json_int(inc["sign"], "sign"))
-                    for inc in incidences
-                ]
-                values = list(chain.from_iterable(pairs))
-            flat += values
-            sizes.append(len(pairs))
+            start = len(flat)
+            for inc in entry["incidences"]:
+                flat += (_json_int(inc["v"], "v"), _json_int(inc["sign"], "sign"))
+            sizes.append((len(flat) - start) // 2)
     except (KeyError, TypeError) as exc:
         raise ParseError(0, f"malformed instance JSON: {exc}") from exc
     try:

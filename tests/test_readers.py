@@ -11,11 +11,13 @@ import pytest
 
 import hypersign as hs
 from hypersign import core
+from hypersign.cli import main
 from hypersign.errors import (
     DuplicateVertexInEdgeError,
     EmptyEdgeError,
     InvalidValueError,
     ParseError,
+    VertexLimitExceededError,
     VertexOutOfRangeError,
 )
 
@@ -267,6 +269,45 @@ def test_minus_zero_is_vertex_zero():
 ])
 def test_token_faults_carry_their_line(text, line, message):
     _assert_raises(ParseError(line, message), lambda: hs.parse_text(text))
+
+
+@pytest.mark.parametrize("edges", [[[]], [[], []], [[], [], []], [[(1, 1)], [], []],
+                                   [[(1, 1)], [(2, -1), (3, 1)], []]])
+def test_edges_without_incidences_are_empty_edges(edges):
+    expected = first_fault(3, edges)
+    assert type(expected) is EmptyEdgeError
+    for read in (lambda: hs.parse_text(_text(3, edges)),
+                 lambda: hs.parse_text(_text(3, edges).replace("\n", " \t\n")),
+                 lambda: hs.from_json_dict(_json(3, edges))):
+        _assert_raises(expected, read)
+
+
+def test_oversized_vertex_counts_are_refused_before_any_core_is_built(
+    monkeypatch, tmp_path, capsys
+):
+    def refuse(*args):
+        raise AssertionError("incidence core built")
+
+    monkeypatch.setattr(core, "_checked_core", refuse)
+    monkeypatch.setattr(core, "_build_core", refuse)
+    n = 200_000_000
+    text = f"vertices {n}\nedge e1 +1 -2\n"
+    expected = VertexLimitExceededError(n, core.MAX_VERTICES)
+    for read in (
+        lambda: hs.parse(text),
+        lambda: hs.parse_text(text),
+        lambda: hs.from_json_dict(_json(n, [[(1, 1), (2, -1)]])),
+        lambda: hs.build(n, [[(1, 1), (2, -1)]]),
+        lambda: hs.build_signed(n, [[1, 2]], [1]),
+        lambda: hs.OrientedHypergraph(n, (((1, 1), (2, -1)),)),
+        lambda: hs.SignedHypergraph(n, ((1, 2),), (1,)),
+    ):
+        _assert_raises(expected, read)
+    path = tmp_path / "huge.ohg"
+    path.write_text(text, encoding="utf-8")
+    for command in ("check", "spectra", "tensor"):
+        assert main([command, str(path), "--json"]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 # ---------------------------------------------------------------------------
