@@ -8,18 +8,19 @@ most once within an edge.  All values are immutable after construction
 and safe to share across threads.
 
 An instance is validated once, when it is constructed from outside
-data, and the validation runs on the incidence core's arrays: the core
-is built at construction, from the file readers' arrays or from the
-stored edges, and checked there.  (Constructors check an instance of
-fewer than ``_VALUE_CHECK_LIMIT`` incidences value by value instead,
-and its core is built on first use.)  Copies derived from it (induced
-signing, all-positive variant, switched copies) are trusted and share
-their parent's core arrays, all but the signs.  ``edges`` is the stored
-form; every structural question reads the incidence core instead.
+data.  The constructors check the stored edges value by value, and the
+instance's incidence core is built on its first use.  The file readers
+convert a file's incidences to arrays, build the core from them and
+check it there, so a read instance carries its core from the start.
+Copies derived from an instance (induced signing, all-positive variant,
+switched copies) are trusted and share their parent's core arrays, all
+but the signs.  ``edges`` is the stored form; every structural question
+reads the incidence core instead.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -59,12 +60,6 @@ __all__ = [
 # so 2^21 vertices keep one instance within a budget of 1 GiB.
 MAX_VERTICES = 1 << 21
 
-# Constructors check instances of fewer incidences one value at a time,
-# and their core waits for its first use: below about this size numpy's
-# fixed cost per call outweighs the loop (measured with numpy 2.4 on 2
-# CPUs of a Xeon guest; the costs meet near 256 incidences).
-_VALUE_CHECK_LIMIT = 256
-
 
 def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
     if len(vertices) == 0:
@@ -79,14 +74,13 @@ def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
 
 
 def _check_vertex_count(n: int) -> None:
+    # bool is a subclass of int, but True is not a vertex count.
+    if type(n) is not int:
+        raise InvalidValueError(f"vertex count must be an integer, got {n!r:.40}")
     if n < 0:
         raise InvalidValueError("vertex count must be nonnegative")
     if n > MAX_VERTICES:
         raise VertexLimitExceededError(n, MAX_VERTICES)
-
-
-def _default_names(m: int) -> tuple[str, ...]:
-    return tuple(f"e{j + 1}" for j in range(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,33 +119,6 @@ class IncidenceCore:
         return np.diff(self.indptr[self.n :])
 
 
-def _edge_arrays(edges, pairs: bool, convert=None):
-    """Edge sizes, members and (for pairs) orientations of stored edges.
-
-    Members and orientations are intp arrays in edge-major order; every
-    value goes through ``convert`` first when one is given.  None when an
-    incidence is not a pair or a value is not a plain int within int64:
-    such edges are checked one value at a time instead.
-    """
-    try:
-        sizes = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
-        values = list(chain.from_iterable(edges))
-        if pairs:
-            if not set(map(len, values)) <= {2}:
-                return None
-            values = list(chain.from_iterable(values))
-        if convert is not None:
-            values = list(map(convert, values))
-        if not set(map(type, values)) <= {int}:
-            return None
-        values = np.array(values, dtype=np.intp)
-    except (TypeError, OverflowError):
-        return None
-    if pairs:
-        return sizes, values[0::2], values[1::2].copy()
-    return sizes, values, None
-
-
 def _by_edge(items: list, sizes: list[int]) -> tuple[tuple, ...]:
     """items, one per incidence in edge-major order, cut into one tuple per edge."""
     return tuple(map(tuple, map(islice, repeat(iter(items)), sizes)))
@@ -162,7 +129,6 @@ def _checked_core(
     sizes: np.ndarray,
     members: np.ndarray,
     signs: np.ndarray | None,
-    label_fault: int | None = None,
 ) -> IncidenceCore:
     """The incidence core of h from its edge sizes, members and orientations
     (None for a signed hypergraph), after checking them.
@@ -171,18 +137,15 @@ def _checked_core(
     that the core needs anyway orders the incidences by vertex and, within
     a vertex, by edge: its ends are the least and greatest member, and the
     (vertex, edge) keys in that order rise strictly unless an edge repeats
-    a vertex.  On a fault, the first faulty edge in edge order, counting
-    ``label_fault`` (the first edge with a bad sign), is checked again one
-    value at a time, which raises the error that names it.
+    a vertex.  On a fault, the first faulty edge in edge order is checked
+    again one value at a time, which raises the error that names it.
     """
     n, m, total = h.n, sizes.size, members.size
     edge_ids = np.arange(m).repeat(sizes)
     by_vertex = members.argsort(kind="stable")
     ordered, vertex_edges = members[by_vertex], edge_ids[by_vertex]
-    valid = (
-        label_fault is None
-        and np.count_nonzero(sizes) == m
-        and (total == 0 or 1 <= ordered[0] and ordered[-1] <= n)
+    valid = np.count_nonzero(sizes) == m and (
+        total == 0 or 1 <= ordered[0] and ordered[-1] <= n
     )
     if valid and total:
         keys = ordered * m + vertex_edges  # within int64: members are in range
@@ -196,7 +159,6 @@ def _checked_core(
             edge_ids[(members < 1) | (members > n)],
             vertex_edges[1:][repeats],
             [] if signs is None else edge_ids[np.abs(signs) != 1],
-            [] if label_fault is None else [label_fault],
         ]
         h._check_edge(int(np.concatenate(faulty).min()))
     # Vertex 0 has no incidences, so the running count of the degrees of
@@ -211,50 +173,38 @@ def _checked_core(
 
 
 def _build_core(h: OrientedHypergraph | SignedHypergraph) -> IncidenceCore:
-    """The incidence core of h: the one its validation built, handed over
-    on first use, else one built from its stored edges."""
-    core = vars(h).pop("_core", None)
-    return h._core_from_edges() if core is None else core
+    """The incidence core of h's stored edges, which its constructor checked."""
+    sizes = np.fromiter(map(len, h.edges), dtype=np.intp, count=h.m)
+    values = chain.from_iterable(h.edges)
+    if isinstance(h, SignedHypergraph):
+        return _checked_core(h, sizes, np.array(list(values), dtype=np.intp), None)
+    values = np.array(list(chain.from_iterable(values)), dtype=np.intp)
+    return _checked_core(h, sizes, values[0::2], values[1::2].copy())
 
 
 class _IncidenceStructure:
     """What both hypergraph kinds share: vertex ids 1..n, edge indices
     0..m-1 with optional names, and the incidence core."""
 
-    def _check_names(self) -> None:
+    def __post_init__(self) -> None:
+        """Check n, the names and then each edge, one value at a time."""
         _check_vertex_count(self.n)
         if not self.names:
-            object.__setattr__(self, "names", _default_names(len(self.edges)))
-            return
-        if len(self.names) != len(self.edges):
+            object.__setattr__(self, "names", tuple(f"e{j + 1}" for j in range(self.m)))
+        elif len(self.names) != len(self.edges):
             raise InvalidValueError("names must match edge count")
-        # Joined by spaces and split again, the names come back unchanged
-        # exactly when each is a non-empty string free of whitespace.
-        if not all(isinstance(name, str) for name in self.names) or (
+        elif not all(isinstance(name, str) for name in self.names) or (
+            # Joined by spaces and split again, the names come back unchanged
+            # exactly when each is a non-empty string free of whitespace.
             " ".join(self.names).split() != list(self.names)
         ):
             raise InvalidValueError(
                 "edge names must be non-empty strings without whitespace"
             )
-        if len(set(self.names)) != len(self.names):
+        elif len(set(self.names)) != len(self.names):
             raise InvalidValueError("edge names must be distinct")
-
-    def _validate(self) -> None:
-        """Check the stored edges.  A check on the arrays keeps the core it built."""
-        if sum(map(len, self.edges)) < _VALUE_CHECK_LIMIT:
-            for j in range(self.m):
-                self._check_edge(j)
-        else:
-            vars(self)["_core"] = self._core_from_edges()
-
-    def _core_from_edges(self) -> IncidenceCore:
-        """The core of the stored edges, checked (see _checked_core)."""
-        arrays = _edge_arrays(self.edges, self._pairs)
-        if arrays is None:  # values other than plain ints: check one at a time
-            for j in range(self.m):
-                self._check_edge(j)
-            arrays = _edge_arrays(self.edges, self._pairs, int)
-        return _checked_core(self, *arrays, self._label_fault())
+        for j in range(self.m):
+            self._check_edge(j)
 
     @classmethod
     def _derived(cls, parent, signs: np.ndarray | None, **fields):
@@ -271,7 +221,8 @@ class _IncidenceStructure:
 
     @cached_property
     def incidence_core(self) -> IncidenceCore:
-        """Built at construction, kept for life and shared with derived copies."""
+        """Built by the file reader or on first use, kept for life and shared
+        with derived copies."""
         return _build_core(self)
 
     def check_vertex(self, v: int) -> None:
@@ -303,12 +254,6 @@ class OrientedHypergraph(_IncidenceStructure):
     edges: tuple[tuple[tuple[int, int], ...], ...]
     names: tuple[str, ...] = field(default=())
 
-    _pairs = True
-
-    def __post_init__(self) -> None:
-        self._check_names()
-        self._validate()
-
     @classmethod
     def _read(
         cls,
@@ -321,23 +266,26 @@ class OrientedHypergraph(_IncidenceStructure):
         """Validated construction from a file reader: the size of each edge,
         intp arrays of the vertex and the orientation of each incidence in
         edge-major order, and one name per edge, which the reader has
-        checked as the constructor would."""
+        checked as the constructor would.  The edges are checked on the
+        incidence core built from these arrays, which the instance keeps."""
         _check_vertex_count(n)
         h = object.__new__(cls)
         edges = _by_edge(list(zip(members.tolist(), signs.tolist())), sizes)
         vars(h).update(n=n, edges=edges, names=names)
         sizes = np.array(sizes, dtype=np.intp)
-        vars(h)["_core"] = _checked_core(h, sizes, members, signs)
+        vars(h)["incidence_core"] = _checked_core(h, sizes, members, signs)
         return h
-
-    def _label_fault(self) -> None:
-        """Orientations are checked on the core's arrays."""
-        return None
 
     def _check_edge(self, j: int) -> None:
         """Check edge j one value at a time, in the order errors are reported."""
         edge = self.edges[j]
-        _check_edge_vertices(self.n, j, tuple(v for v, _ in edge))
+        try:
+            vertices = tuple(v for v, _ in edge)
+        except (TypeError, ValueError):  # an incidence that does not unpack in two
+            raise InvalidValueError(
+                f"edge {j}: every incidence must be a (vertex, orientation) pair"
+            ) from None
+        _check_edge_vertices(self.n, j, vertices)
         for v, s in edge:
             if s not in (-1, 1):
                 raise InvalidValueError(f"edge {j}: orientation at vertex {v} must be +1 or -1")
@@ -375,22 +323,10 @@ class SignedHypergraph(_IncidenceStructure):
     gamma: tuple[int, ...]
     names: tuple[str, ...] = field(default=())
 
-    _pairs = False
-
     def __post_init__(self) -> None:
-        self._check_names()
         if len(self.gamma) != len(self.edges):
             raise InvalidValueError("gamma must assign a sign to every edge")
-        self._validate()
-
-    def _label_fault(self) -> int | None:
-        """The first edge whose sign is not +1 or -1, if any."""
-        try:
-            if set(self.gamma) <= {-1, 1}:
-                return None
-        except TypeError:  # an unhashable sign
-            pass
-        return next((j for j, s in enumerate(self.gamma) if s not in (-1, 1)), None)
+        super().__post_init__()
 
     def _check_edge(self, j: int) -> None:
         """Check edge j one value at a time, in the order errors are reported."""
@@ -427,6 +363,29 @@ def structures_match(
     )
 
 
+def _integer(value):
+    """value as an int if it is an integer of any type (numpy's too), else
+    unchanged, for the constructor to check."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return value
+
+
+def _pairs(spec) -> tuple:
+    """The incidences of spec as pairs of _integer values, or spec itself
+    when one of them is not a pair, for the constructor to refuse."""
+    spec = tuple(spec)
+    try:  # integer pairs, the common case, without a Python call per value
+        return tuple([(operator.index(v), operator.index(s)) for v, s in spec])
+    except (TypeError, ValueError):
+        pass
+    try:
+        return tuple([(_integer(v), _integer(s)) for v, s in spec])
+    except (TypeError, ValueError):
+        return spec
+
+
 def build(
     n: int,
     edge_specs: list | tuple,
@@ -434,10 +393,12 @@ def build(
 ) -> OrientedHypergraph:
     """Validated construction from (vertex, orientation) pair lists.
 
-    Raises EmptyEdgeError, VertexOutOfRangeError or
-    DuplicateVertexInEdgeError naming the offending edge index.
+    Integers of any type (numpy's too) are stored as ints, and other values
+    reach the constructor as they are.  Raises EmptyEdgeError,
+    VertexOutOfRangeError, DuplicateVertexInEdgeError or InvalidValueError
+    naming the first offending edge index.
     """
-    edges = tuple(tuple((int(v), int(s)) for v, s in spec) for spec in edge_specs)
+    edges = tuple(map(_pairs, edge_specs))
     return OrientedHypergraph(n, edges, tuple(names) if names else ())
 
 
@@ -447,9 +408,8 @@ def build_signed(
     gamma: list[int] | tuple[int, ...],
     names: list[str] | tuple[str, ...] | None = None,
 ) -> SignedHypergraph:
-    edges = tuple(tuple(int(v) for v in edge) for edge in edge_sets)
-    return SignedHypergraph(n, edges, tuple(int(g) for g in gamma),
-                            tuple(names) if names else ())
+    edges = tuple(tuple(map(_integer, edge)) for edge in edge_sets)
+    return SignedHypergraph(n, edges, tuple(map(_integer, gamma)), tuple(names) if names else ())
 
 
 def _gamma(orientations: tuple[int, ...] | list[int]) -> int:

@@ -282,13 +282,13 @@ def test_apply_switches_checks_certificates_first(instances):
 
 def _count_builds(monkeypatch) -> list:
     built = []
-    build = core._build_core
+    build = core._checked_core
 
-    def counting(h):
+    def counting(h, *arrays):
         built.append(h)
-        return build(h)
+        return build(h, *arrays)
 
-    monkeypatch.setattr(core, "_build_core", counting)
+    monkeypatch.setattr(core, "_checked_core", counting)
     return built
 
 
@@ -346,3 +346,38 @@ def test_first_degree_call_reads_only_the_stored_edges(monkeypatch, ex):
         monkeypatch.setattr(cls, "members", refuse)
     for h in (hs.build(ex.n, ex.edges), hs.SignedHypergraph(ex.n, ((1, 2), (2, 3)), (1, -1))):
         assert h.degree(2) == 2
+
+
+@pytest.mark.parametrize("m", [4, 4000])  # 12 and 12,000 incidences
+def test_constructors_build_no_core_until_a_structural_query(monkeypatch, m):
+    built = _count_builds(monkeypatch)
+    g = hs.generate(m, m, k=3, p_neg=0.5, seed=m)
+    sets = [[v for v, _ in edge] for edge in g.edges]
+    made = [
+        g,
+        hs.build(g.n, g.edges, g.names),
+        hs.build_signed(g.n, sets, [(-1) ** j for j in range(m)]),
+        g.with_orientations(tuple(tuple((v, -s) for v, s in edge) for edge in g.edges)),
+    ]
+    for h in made:
+        if isinstance(h, hs.OrientedHypergraph):
+            hs.serialize(h)
+    assert built == []
+    for h in made:
+        assert hs.connected_components(h)
+        assert built == [h]
+        hs.is_connected(h)
+        h.degree(1)
+        assert built == [h]
+        built.clear()
+
+
+@pytest.mark.parametrize("fmt", ["ohg", "json"])
+def test_read_instances_build_their_core_while_read(monkeypatch, fmt):
+    text = hs.serialize(hs.generate(4000, 4000, k=3, p_neg=0.5, seed=1), fmt)
+    built = _count_builds(monkeypatch)
+    h = hs.parse(text)
+    assert built == [h]
+    hs.connected_components(h)
+    hs.incidence_balance(h)
+    assert built == [h]

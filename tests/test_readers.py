@@ -207,6 +207,70 @@ def test_constructors_check_values_that_are_not_plain_ints():
             hs.OrientedHypergraph(5, tuple(map(tuple, edges)))
 
 
+@pytest.mark.parametrize("n", [3.5, 3.0, "3", True, None])
+def test_vertex_counts_that_are_not_plain_ints_are_refused(n):
+    expected = InvalidValueError(f"vertex count must be an integer, got {n!r}")
+    for construct in (
+        lambda: hs.build(n, [[(1, 1)]]),
+        lambda: hs.build_signed(n, [[1]], [1]),
+        lambda: hs.OrientedHypergraph(n, (((1, 1),),)),
+        lambda: hs.SignedHypergraph(n, ((1,),), (1,)),
+    ):
+        _assert_raises(expected, construct)
+
+
+NOT_A_PAIR = "every incidence must be a (vertex, orientation) pair"
+
+
+@pytest.mark.parametrize("edges, expected", [
+    # A value that is not an integer reaches the constructor as it is.
+    ([[(1, 1)], [(1.5, 1), (2.9, -1)]], VertexOutOfRangeError(1, 1.5, 3)),
+    ([[(1, 1)], [(2, 1), ("3", 1)]], VertexOutOfRangeError(1, "3", 3)),
+    ([[(1, 1)], [(2, 1), (3, 1.2)]],
+     InvalidValueError("edge 1: orientation at vertex 3 must be +1 or -1")),
+    ([[(1, 1)], [(2, "1")]], InvalidValueError("edge 1: orientation at vertex 2 must be +1 or -1")),
+    # An incidence that is not a pair is a fault of its edge, found before
+    # any other in that edge, and after every fault of the edges before it.
+    ([[(1, 1)], [(1, 1, 1)]], InvalidValueError(f"edge 1: {NOT_A_PAIR}")),
+    ([[(1, 1)], [(2, 1), 5]], InvalidValueError(f"edge 1: {NOT_A_PAIR}")),
+    ([[(1, 1)], [(9, 1), (2,)]], InvalidValueError(f"edge 1: {NOT_A_PAIR}")),
+    ([[(1, 1)], [(2, 1.2)], [(1, 1, 1)]],
+     InvalidValueError("edge 1: orientation at vertex 2 must be +1 or -1")),
+    ([[(1, 1)], [(1.5, 1)], [()]], VertexOutOfRangeError(1, 1.5, 3)),
+    ([[(1, 1)], [], [(1, 1, 1)]], EmptyEdgeError(1)),
+    ([[(1, 1)], [(2, 1), (2, -1)], [7]], DuplicateVertexInEdgeError(1, 2)),
+])
+def test_build_faults_keep_the_first_fault_order(edges, expected):
+    later = [[(1, 1, 1)], [(2.5, 1)], [(1, 0.5)], []]
+    padding = [[(1, 1), (2, -1), (3, 1)]] * 100
+    for tail in ([], later + padding, padding + later):
+        specs = edges + tail
+        _assert_raises(expected, lambda: hs.build(3, specs))
+        _assert_raises(expected, lambda: hs.OrientedHypergraph(3, tuple(map(tuple, specs))))
+
+
+@pytest.mark.parametrize("sets, gamma, expected", [
+    ([[1, 2], [2, 3]], [1, 1.2], InvalidValueError("edge 1: sign must be +1 or -1")),
+    ([[1, 2], [2, 3]], [1, "1"], InvalidValueError("edge 1: sign must be +1 or -1")),
+    ([[1, 2.5], [2, 3]], [1, 1.2], VertexOutOfRangeError(0, 2.5, 3)),
+    ([[1, 2], [2, 3.0]], [-1.5, 1], InvalidValueError("edge 0: sign must be +1 or -1")),
+])
+def test_build_signed_faults_keep_the_first_fault_order(sets, gamma, expected):
+    for pad in (0, 100):
+        members, signs = sets + [[1, 2, 3]] * pad, gamma + [1] * pad
+        _assert_raises(expected, lambda: hs.build_signed(3, members, signs))
+        _assert_raises(expected, lambda: hs.SignedHypergraph(
+            3, tuple(map(tuple, members)), tuple(signs)))
+
+
+def test_build_stores_integers_of_any_type_as_ints():
+    g = hs.build(3, [[(np.int64(1), np.int8(-1)), (np.uint16(3), np.int32(1))]])
+    signed = hs.build_signed(3, [[np.int64(1), np.int16(2)]], [np.int8(-1)])
+    values = [*g.edges[0][0], *g.edges[0][1], *signed.edges[0], *signed.gamma]
+    assert values == [1, -1, 3, 1, 1, 2, -1]
+    assert {type(v) for v in values} == {int}
+
+
 # ---------------------------------------------------------------------------
 # Incidence tokens.
 
@@ -382,7 +446,7 @@ def test_read_instances_carry_the_core_of_their_edges():
             assert h == g and h.names == g.names
             expected = referee_core(h)
             own = h.incidence_core
-            rebuilt = core._build_core(h)  # from the stored edges, once the core is taken
+            rebuilt = core._build_core(h)  # from the stored edges
             for name, values in expected.items():
                 arr = getattr(own, name)
                 assert arr.dtype == np.intp and not arr.flags.writeable, name
