@@ -62,9 +62,6 @@ class Balanced:
     cert: SwitchCertificate
     has_empty_part: bool = field(default=False)
 
-    def __bool__(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Unbalanced:

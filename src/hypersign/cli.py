@@ -23,12 +23,11 @@ from .fileio import load, serialize
 from .generate import generate, random_connected, random_connected_uniform
 from .linalg import MEMBERSHIP_ABS_TOL, MEMBERSHIP_REL_TOL
 from .spectral import spectral_balance_tests
-from .switching import SwitchCertificate, apply_switches
+from .switching import NotEquivalent, SwitchCertificate, apply_switches
 from .tensor import (
     NQZ_MAX_ITERS,
     NQZ_SHIFT,
     NQZ_TOL,
-    ParityCertificate,
     nqz_spectral_radius,
     odd_bipartite,
     theorem_battery_even,
@@ -120,15 +119,14 @@ def _spectral_json(suite, structural_balanced: bool) -> dict:
     }
 
 
-def _parity_json(outcome) -> dict:
-    if isinstance(outcome, ParityCertificate):
-        return {
-            "decision": True,
-            "vertices": list(outcome.vertices),
-            "eigenvalue": outcome.eigenvalue,
-            "residual": outcome.residual,
-        }
-    return {"decision": False, "witness_edges": list(outcome.witness_edges)}
+def _parity_json(outcome, *fields: str) -> dict:
+    if isinstance(outcome, NotEquivalent):
+        return {"decision": False, "witness_edges": list(outcome.witness_edges)}
+    report = {"decision": True}
+    for name in fields:
+        value = getattr(outcome, name)
+        report[name] = list(value) if isinstance(value, tuple) else value
+    return report
 
 
 def _write_instance(args, g) -> int:
@@ -202,19 +200,10 @@ def _cmd_tensor(args) -> int:
     report = _base_report("tensor", g, MEMBERSHIP_ABS_TOL, args.tol, seed=args.seed)
     report["rho"] = radius.rho
     report["nqz_iterations"] = radius.iterations
-    if bipartition:
-        report["odd_bipartite"] = {
-            "decision": True,
-            "part_one": list(bipartition.part_one),
-            "part_two": list(bipartition.part_two),
-        }
-    else:
-        report["odd_bipartite"] = {
-            "decision": False,
-            "witness_edges": list(bipartition.witness_edges),
-        }
-    report["minus_rho_h_eigen"] = _parity_json(battery.eigen_certificate)
-    report["zero_h_eigen"] = _parity_json(battery.laplacian_certificate)
+    report["odd_bipartite"] = _parity_json(bipartition, "part_one", "part_two")
+    criterion = ("vertices", "eigenvalue", "residual")
+    report["minus_rho_h_eigen"] = _parity_json(battery.eigen_certificate, *criterion)
+    report["zero_h_eigen"] = _parity_json(battery.laplacian_certificate, *criterion)
     statements = {
         "switch_equivalent_all_positive": battery.switch_equivalent_all_positive,
         "adjacency_similarity": battery.adjacency_similarity,

@@ -24,12 +24,14 @@ import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, islice, repeat
+from numbers import Real
 
 import numpy as np
 
 from .errors import (
     DuplicateVertexInEdgeError,
     EmptyEdgeError,
+    InternalCheckError,
     InvalidValueError,
     NotAdjacentError,
     UnknownEdgeError,
@@ -66,7 +68,8 @@ def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
         raise EmptyEdgeError(index)
     seen: set[int] = set()
     for v in vertices:
-        if not isinstance(v, int) or v < 1 or v > n:
+        # bool is a subclass of int, but True is not a vertex.
+        if type(v) is not int or v < 1 or v > n:
             raise VertexOutOfRangeError(index, v, n)
         if v in seen:
             raise DuplicateVertexInEdgeError(index, v)
@@ -129,38 +132,28 @@ def _checked_core(
     sizes: np.ndarray,
     members: np.ndarray,
     signs: np.ndarray | None,
-) -> IncidenceCore:
+) -> IncidenceCore | None:
     """The incidence core of h from its edge sizes, members and orientations
-    (None for a signed hypergraph), after checking them.
+    (None for a signed hypergraph), or None if they hold a fault.
 
     The checks are a few passes over the arrays.  The stable by-vertex sort
     that the core needs anyway orders the incidences by vertex and, within
     a vertex, by edge: its ends are the least and greatest member, and the
     (vertex, edge) keys in that order rise strictly unless an edge repeats
-    a vertex.  On a fault, the first faulty edge in edge order is checked
-    again one value at a time, which raises the error that names it.
+    a vertex.  Which edge is at fault, and how, is for the constructor's
+    value check to say.
     """
     n, m, total = h.n, sizes.size, members.size
     edge_ids = np.arange(m).repeat(sizes)
     by_vertex = members.argsort(kind="stable")
     ordered, vertex_edges = members[by_vertex], edge_ids[by_vertex]
-    valid = np.count_nonzero(sizes) == m and (
-        total == 0 or 1 <= ordered[0] and ordered[-1] <= n
-    )
-    if valid and total:
-        keys = ordered * m + vertex_edges  # within int64: members are in range
-        valid = np.count_nonzero(keys[1:] - keys[:-1]) == total - 1 and (
-            signs is None or np.count_nonzero(np.abs(signs) - 1) == 0
-        )
-    if not valid:
-        repeats = (ordered[1:] == ordered[:-1]) & (vertex_edges[1:] == vertex_edges[:-1])
-        faulty = [
-            np.flatnonzero(sizes == 0),
-            edge_ids[(members < 1) | (members > n)],
-            vertex_edges[1:][repeats],
-            [] if signs is None else edge_ids[np.abs(signs) != 1],
-        ]
-        h._check_edge(int(np.concatenate(faulty).min()))
+    if np.count_nonzero(sizes) < m or total and not (1 <= ordered[0] and ordered[-1] <= n):
+        return None
+    keys = ordered * m + vertex_edges  # within int64: members are in range
+    if np.count_nonzero(keys[1:] - keys[:-1]) < total - 1 or (
+        signs is not None and np.count_nonzero(np.abs(signs) - 1)
+    ):
+        return None
     # Vertex 0 has no incidences, so the running count of the degrees of
     # vertices 0..n and then of the edge sizes is the row pointer.
     indptr = np.add.accumulate(np.concatenate((np.bincount(members, minlength=n + 1), sizes)))
@@ -177,9 +170,13 @@ def _build_core(h: OrientedHypergraph | SignedHypergraph) -> IncidenceCore:
     sizes = np.fromiter(map(len, h.edges), dtype=np.intp, count=h.m)
     values = chain.from_iterable(h.edges)
     if isinstance(h, SignedHypergraph):
-        return _checked_core(h, sizes, np.array(list(values), dtype=np.intp), None)
-    values = np.array(list(chain.from_iterable(values)), dtype=np.intp)
-    return _checked_core(h, sizes, values[0::2], values[1::2].copy())
+        core = _checked_core(h, sizes, np.array(list(values), dtype=np.intp), None)
+    else:
+        values = np.array(list(chain.from_iterable(values)), dtype=np.intp)
+        core = _checked_core(h, sizes, values[0::2], values[1::2].copy())
+    if core is None:
+        raise InternalCheckError("internal check failed: the core refused checked values")
+    return core
 
 
 class _IncidenceStructure:
@@ -226,11 +223,11 @@ class _IncidenceStructure:
         return _build_core(self)
 
     def check_vertex(self, v: int) -> None:
-        if not 1 <= v <= self.n:
+        if type(v) is bool or not isinstance(v, (int, np.integer)) or not 1 <= v <= self.n:
             raise UnknownVertexError(v, self.n)
 
     def check_edge(self, e: int) -> None:
-        if not 0 <= e < self.m:
+        if type(e) is bool or not isinstance(e, (int, np.integer)) or not 0 <= e < self.m:
             raise UnknownEdgeError(e, self.m)
 
     def edges_of(self, v: int) -> tuple[int, ...]:
@@ -267,13 +264,16 @@ class OrientedHypergraph(_IncidenceStructure):
         intp arrays of the vertex and the orientation of each incidence in
         edge-major order, and one name per edge, which the reader has
         checked as the constructor would.  The edges are checked on the
-        incidence core built from these arrays, which the instance keeps."""
+        incidence core built from these arrays, which the instance keeps;
+        if they hold a fault, the constructor's value check names it."""
         _check_vertex_count(n)
         h = object.__new__(cls)
         edges = _by_edge(list(zip(members.tolist(), signs.tolist())), sizes)
         vars(h).update(n=n, edges=edges, names=names)
-        sizes = np.array(sizes, dtype=np.intp)
-        vars(h)["incidence_core"] = _checked_core(h, sizes, members, signs)
+        core = _checked_core(h, np.array(sizes, dtype=np.intp), members, signs)
+        if core is None:
+            return cls(n, edges, names)
+        vars(h)["incidence_core"] = core
         return h
 
     def _check_edge(self, j: int) -> None:
@@ -287,7 +287,8 @@ class OrientedHypergraph(_IncidenceStructure):
             ) from None
         _check_edge_vertices(self.n, j, vertices)
         for v, s in edge:
-            if s not in (-1, 1):
+            # A label is real (the complex 1+0j equals 1 too); ints skip the ABC check.
+            if s not in (-1, 1) or type(s) is not int and not isinstance(s, Real):
                 raise InvalidValueError(f"edge {j}: orientation at vertex {v} must be +1 or -1")
 
     def members(self, e: int) -> tuple[int, ...]:
@@ -331,7 +332,7 @@ class SignedHypergraph(_IncidenceStructure):
     def _check_edge(self, j: int) -> None:
         """Check edge j one value at a time, in the order errors are reported."""
         _check_edge_vertices(self.n, j, self.edges[j])
-        if self.gamma[j] not in (-1, 1):
+        if self.gamma[j] not in (-1, 1) or not isinstance(self.gamma[j], Real):
             raise InvalidValueError(f"edge {j}: sign must be +1 or -1")
 
     def members(self, e: int) -> tuple[int, ...]:

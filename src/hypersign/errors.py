@@ -47,7 +47,7 @@ class VertexOutOfRangeError(HypersignError):
         self.edge_index = edge_index
         self.vertex = vertex
         super().__init__(
-            f"edge {edge_index} references vertex {vertex}, outside 1..{n}"
+            f"edge {edge_index} references vertex {vertex!r}, outside 1..{n}"
         )
 
 
@@ -61,13 +61,13 @@ class DuplicateVertexInEdgeError(HypersignError):
 class UnknownVertexError(HypersignError):
     def __init__(self, vertex: int, n: int):
         self.vertex = vertex
-        super().__init__(f"vertex {vertex} outside 1..{n}")
+        super().__init__(f"vertex {vertex!r} outside 1..{n}")
 
 
 class UnknownEdgeError(HypersignError):
     def __init__(self, edge_index: int, m: int):
         self.edge_index = edge_index
-        super().__init__(f"edge index {edge_index} outside 0..{m - 1}")
+        super().__init__(f"edge index {edge_index!r} outside 0..{m - 1}")
 
 
 class NotAdjacentError(HypersignError):
@@ -105,7 +105,7 @@ class VertexLimitExceededError(HypersignError):
 
 
 class InvalidValueError(HypersignError, ValueError):
-    """A vertex count below 0, or an orientation or edge sign other than +-1."""
+    """A value its parameter does not admit, such as a tolerance of 0 or a sign of 2."""
 
 
 class NoConvergenceError(HypersignError):

@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from .core import OrientedHypergraph, _by_edge
-from .errors import ParseError
+from .errors import InvalidValueError, ParseError
 
 __all__ = [
     "parse",
@@ -156,7 +156,7 @@ def to_json_dict(g: OrientedHypergraph) -> dict:
             {
                 "name": g.names[j],
                 "incidences": [
-                    {"v": v, "sign": s} for v, s in sorted(g.edges[j])
+                    {"v": v, "sign": 1 if s > 0 else -1} for v, s in sorted(g.edges[j])
                 ],
             }
             for j in range(g.m)
@@ -169,7 +169,7 @@ def serialize(g: OrientedHypergraph, fmt: str = "ohg") -> str:
     if fmt == "json":
         return json.dumps(to_json_dict(g), indent=2) + "\n"
     if fmt != "ohg":
-        raise ValueError(f"unknown format {fmt!r}")
+        raise InvalidValueError(f"unknown format {fmt!r}")
     lines = [f"vertices {g.n}"]
     for j in range(g.m):
         tokens = " ".join(

@@ -62,7 +62,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySpectrumError
+from .errors import EmptySpectrumError, InvalidValueError
 
 __all__ = [
     "MEMBERSHIP_ABS_TOL",
@@ -91,9 +91,9 @@ class DenseSymMatrix:
     def __post_init__(self) -> None:
         arr = np.array(self.values)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("expected a square 2-d array")
+            raise InvalidValueError("expected a square 2-d array")
         if not np.array_equal(arr, arr.T):
-            raise ValueError("matrix must be exactly symmetric")
+            raise InvalidValueError("matrix must be exactly symmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -115,7 +115,7 @@ class RectMatrix:
     def __post_init__(self) -> None:
         arr = np.array(self.values)
         if arr.ndim != 2:
-            raise ValueError("expected a 2-d array")
+            raise InvalidValueError("expected a 2-d array")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -140,7 +140,7 @@ def _as_sym_array(a) -> np.ndarray:
         or not np.isfinite(arr).all()
         or not np.array_equal(arr, arr.T)
     ):
-        raise ValueError("expected a finite, exactly symmetric square matrix")
+        raise InvalidValueError("expected a finite, exactly symmetric square matrix")
     return arr
 
 
@@ -158,7 +158,7 @@ def singular_values(m: RectMatrix | np.ndarray) -> list[float]:
     """
     arr = np.asarray(m.values if isinstance(m, RectMatrix) else m, dtype=np.float64)
     if arr.ndim != 2 or not np.isfinite(arr).all():
-        raise ValueError("expected a finite 2-d array")
+        raise InvalidValueError("expected a finite 2-d array")
     if min(arr.shape) == 0:
         return []
     return [float(x) for x in np.linalg.svd(arr, compute_uv=False)[::-1]]
@@ -175,13 +175,13 @@ class GF2System:
 
     def __post_init__(self) -> None:
         if self.nvars < 0:
-            raise ValueError("nvars must be nonnegative")
+            raise InvalidValueError("nvars must be nonnegative")
         limit = 1 << self.nvars
         for i, (mask, rhs) in enumerate(self.rows):
             if not 0 <= mask < limit:
-                raise ValueError(f"row {i}: mask wider than {self.nvars} variables")
+                raise InvalidValueError(f"row {i}: mask wider than {self.nvars} variables")
             if rhs not in (0, 1):
-                raise ValueError(f"row {i}: right-hand side must be 0 or 1")
+                raise InvalidValueError(f"row {i}: right-hand side must be 0 or 1")
 
     @classmethod
     def from_sets(
@@ -196,7 +196,7 @@ class GF2System:
                     mask |= 1 << (var - 1)
                 rows.append((mask, rhs))
         except ValueError as exc:  # a variable below 1 shifts by a negative count
-            raise ValueError(f"variables must lie in 1..{nvars}") from exc
+            raise InvalidValueError(f"variables must lie in 1..{nvars}") from exc
         # __post_init__ rejects the variables above nvars: their masks are too wide.
         return cls(nvars, tuple(rows))
 
@@ -374,7 +374,7 @@ def spectrum_contains(
     decimal-to-binary round trip.
     """
     if not (0 < abs_tol < np.inf and 0 < rel_tol < np.inf):  # NaN fails too
-        raise ValueError("tolerances must be finite and positive")
+        raise InvalidValueError("tolerances must be finite and positive")
     values = [float(x) for x in spectrum]
     if not values:
         raise EmptySpectrumError("membership test against an empty spectrum")

@@ -65,11 +65,12 @@ class SignedSwitchCertificate:
 
 @dataclass(frozen=True)
 class NotEquivalent:
-    """Obstruction: a conflicting cycle (oriented case) or an odd-sum
-    subset of edge equations (signed case)."""
+    """Obstruction: a conflicting cycle (oriented switching), edges whose
+    parity equations sum to 0 = 1 (every parity question), or parallel
+    edges whose sign sums differ in size (tensor similarity)."""
 
-    cycle: Walk | None = None
     witness_edges: tuple[int, ...] = ()
+    cycle: Walk | None = None
 
     def __bool__(self) -> bool:
         return False
@@ -175,7 +176,7 @@ def _parity_route(n: int, edges, signing) -> SignedSwitchCertificate | NotEquiva
     each lie in an even number of its edges, and an odd number of them
     are +1; a solution meets every edge with the parity its sign asks.
     """
-    rhs = [(1 + s) // 2 for s in signing]
+    rhs = [1 if s == 1 else 0 for s in signing]  # by comparison: a sign may be 1.0
     outcome = _gf2_eliminate(n, edges, rhs)
     if isinstance(outcome, GF2Infeasible):
         witness = outcome.witness_rows

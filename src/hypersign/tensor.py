@@ -27,7 +27,8 @@ times, negative edges an even number.  The switching module's parity
 route poses and solves it: the criteria and theorem_battery_even ask it
 about h's own signing, odd_bipartite about the all-+1 signing.  The
 battery asks once: statements 1, 3, 5 and 6 restate that answer (3 adds
-an NQZ eigenpair residual check, 5 exact Laplacian cancellation).
+an NQZ eigenpair residual check, 5 exact Laplacian cancellation).  Every
+"no" is the route's own NotEquivalent witness; the old names are aliases.
 
 Statements 2 and 4 (diagonal similarity of the adjacency and of the
 Laplacian tensor) are one exact integer check of that solution, not two
@@ -54,6 +55,7 @@ from .core import (
 from .errors import (
     DimensionMismatchError,
     InternalCheckError,
+    InvalidValueError,
     NoConvergenceError,
     NotConnectedError,
     NotUniformError,
@@ -241,12 +243,16 @@ def nqz_spectral_radius(
     return _nqz(idx, h.n, tol, max_iters, shift)
 
 
+def _check_nqz(tol: float, max_iters: int = NQZ_MAX_ITERS, shift: float = NQZ_SHIFT) -> None:
+    if not (0 < tol < np.inf and 0 < shift < np.inf):  # NaN fails too
+        raise InvalidValueError("tol and shift must be finite and positive")
+    if max_iters < 1:
+        raise InvalidValueError("max_iters must be at least 1")
+
+
 def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
     """The iteration itself, for callers that checked connectivity."""
-    if not (0 < tol < np.inf and 0 < shift < np.inf):  # NaN fails too
-        raise ValueError("tol and shift must be finite and positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    _check_nqz(tol, max_iters, shift)
     m, k = idx.shape
     structure = np.ones(m, dtype=np.int64)  # every edge sign +1
     x = np.ones(n, dtype=np.float64)
@@ -291,6 +297,8 @@ def eigenpair_residual(h: SignedHypergraph, eigenvalue: complex, x) -> float:
 # ---------------------------------------------------------------------------
 # Parity criteria (even k).
 
+NotOddBipartite = NotHEigenvalue = NoZeroHEigenvalue = NotSimilar = NotEquivalent
+
 
 @dataclass(frozen=True)
 class OddBipartition:
@@ -298,17 +306,9 @@ class OddBipartition:
     part_two: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NotOddBipartite:
-    witness_edges: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return False
-
-
 def odd_bipartite(
     h: OrientedHypergraph | SignedHypergraph,
-) -> OddBipartition | NotOddBipartite:
+) -> OddBipartition | NotEquivalent:
     """Bipartition meeting every edge oddly on each side, if one exists.
 
     The parity route on the all-+1 signing: part one meets every edge
@@ -319,7 +319,7 @@ def odd_bipartite(
     _require_even(idx.shape[1])
     outcome = _parity_route(h.n, (idx + 1).tolist(), (1,) * h.m)
     if isinstance(outcome, NotEquivalent):
-        return NotOddBipartite(witness_edges=outcome.witness_edges)
+        return outcome
     inside = set(outcome.vertices)
     return OddBipartition(
         part_one=outcome.vertices,
@@ -344,22 +344,6 @@ class ParityCertificate:
     residual: float
 
 
-@dataclass(frozen=True)
-class NotHEigenvalue:
-    witness_edges: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class NoZeroHEigenvalue:
-    witness_edges: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return False
-
-
 def _signs_from_support(n: int, support: Sequence[int]) -> tuple[int, ...]:
     inside = set(support)
     return tuple(-1 if v in inside else 1 for v in range(1, n + 1))
@@ -375,9 +359,9 @@ def _solve_parity(h: SignedHypergraph, message: str):
     return idx, _parity_route(h.n, h.edges, h.gamma)
 
 
-def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotHEigenvalue:
+def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotEquivalent:
     if isinstance(outcome, NotEquivalent):
-        return NotHEigenvalue(witness_edges=outcome.witness_edges)
+        return outcome
     signs = _signs_from_support(h.n, outcome.vertices)
     radius = _nqz(idx, h.n, tol, NQZ_MAX_ITERS, NQZ_SHIFT)
     vector = np.array(signs, dtype=np.float64) * np.array(radius.vector)
@@ -395,9 +379,9 @@ def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotHEige
     )
 
 
-def _zero_certificate(h, idx, outcome) -> ParityCertificate | NoZeroHEigenvalue:
+def _zero_certificate(h, idx, outcome) -> ParityCertificate | NotEquivalent:
     if isinstance(outcome, NotEquivalent):
-        return NoZeroHEigenvalue(witness_edges=outcome.witness_edges)
+        return outcome
     signs = _signs_from_support(h.n, outcome.vertices)
     contraction = _lap_products(idx, _gamma(h), np.array(signs, dtype=np.int64))
     nonzero = np.flatnonzero(contraction)
@@ -418,18 +402,19 @@ def _zero_certificate(h, idx, outcome) -> ParityCertificate | NoZeroHEigenvalue:
 
 def h_eigen_minus_rho(
     h: SignedHypergraph, tol: float = NQZ_TOL
-) -> ParityCertificate | NotHEigenvalue:
+) -> ParityCertificate | NotEquivalent:
     """Is the negated structural spectral radius an H-eigenvalue?
 
     Decided by the parity system; a feasible solution flips the Perron
     vector on the switched set, which is then verified to satisfy the
     eigen-relation to within 10x the iteration tolerance.
     """
+    _check_nqz(tol)
     idx, outcome = _solve_parity(h, "this criterion assumes a connected instance")
     return _minus_rho_certificate(h, idx, outcome, tol)
 
 
-def lap_zero_h_eigen(h: SignedHypergraph) -> ParityCertificate | NoZeroHEigenvalue:
+def lap_zero_h_eigen(h: SignedHypergraph) -> ParityCertificate | NotEquivalent:
     """Is zero an H-eigenvalue of the Laplacian tensor?
 
     Same parity system; a feasible solution gives a +-1 vector whose
@@ -462,17 +447,9 @@ class TensorSimilarity:
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NotSimilar:
-    witness_edges: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return False
-
-
 def signed_tensor_similarity(
     first: SignedHypergraph, second: SignedHypergraph
-) -> TensorSimilarity | NotSimilar:
+) -> TensorSimilarity | NotEquivalent:
     """Signature vector conjugating one adjacency tensor into the other.
 
     Edges are grouped by member set, with sign sums a and b in first and
@@ -495,13 +472,13 @@ def signed_tensor_similarity(
         a = sum(first.gamma[j] for j in group)
         b = sum(second.gamma[j] for j in group)
         if abs(a) != abs(b):
-            return NotSimilar(tuple(group))
+            return NotEquivalent(witness_edges=tuple(group))
         if a:
             leaders.append(group[0])
             signing.append(-1 if a * b > 0 else 1)
     outcome = _parity_route(first.n, [first.edges[j] for j in leaders], signing)
     if isinstance(outcome, NotEquivalent):
-        return NotSimilar(tuple(leaders[r] for r in outcome.witness_edges))
+        return NotEquivalent(witness_edges=tuple(leaders[r] for r in outcome.witness_edges))
     signs = _signs_from_support(first.n, outcome.vertices)
     if not _similar_under(idx, _gamma(first), _gamma(second), signs):
         raise InternalCheckError("internal check failed: no similarity under the signs")
@@ -523,8 +500,8 @@ class SixWayReport:
     zero_h_eigen: bool
     parity_bipartition: bool
     switch_certificate: SignedSwitchCertificate | NotEquivalent
-    eigen_certificate: ParityCertificate | NotHEigenvalue
-    laplacian_certificate: ParityCertificate | NoZeroHEigenvalue
+    eigen_certificate: ParityCertificate | NotEquivalent
+    laplacian_certificate: ParityCertificate | NotEquivalent
 
     def values(self) -> tuple[bool, bool, bool, bool, bool, bool]:
         return (
@@ -557,6 +534,7 @@ def theorem_battery_even(
     into those of the all -1 signing.  seed is accepted and unused (the
     check draws nothing); it stays for callers that still pass it.
     """
+    _check_nqz(tol)
     idx, outcome = _solve_parity(h, "the equivalence battery assumes connectivity")
     statement_6 = isinstance(outcome, SignedSwitchCertificate)
     eigen_outcome = _minus_rho_certificate(h, idx, outcome, tol)

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import hypersign as hs
@@ -183,3 +185,69 @@ def test_vertex_limit_refuses_before_allocating(monkeypatch):
     assert peak < 1 << 20  # per-vertex arrays for 2 * 10^8 vertices are GiBs
     assert issubclass(VertexLimitExceededError, hs.HypersignError)
     assert hs.build(core.MAX_VERTICES, []).n == core.MAX_VERTICES
+
+
+@pytest.mark.parametrize("bad", ["2", 0.5, 1.5, 0.0, 2.0, True, False, None])
+def test_ids_that_are_not_integers_are_unknown(ex, bad):
+    h = hs.induced_signed(ex)
+    vertex, edge = UnknownVertexError(bad, ex.n), UnknownEdgeError(bad, ex.m)
+    for call, expected in (
+        (lambda: ex.degree(bad), vertex),
+        (lambda: ex.edges_of(bad), vertex),
+        (lambda: h.degree(bad), vertex),
+        (lambda: hs.vertex_switch(ex, bad), vertex),
+        (lambda: hs.signed_vertex_switch(h, bad), vertex),
+        (lambda: hs.paths_sign_consistent(ex, ("v", bad), ("v", 3)), vertex),
+        (lambda: ex.members(bad), edge),
+        (lambda: h.members(bad), edge),
+        (lambda: h.sign(bad), edge),
+        (lambda: ex.orientation(bad, 1), edge),
+        (lambda: hs.edge_sign(ex, bad), edge),
+        (lambda: hs.edge_switch(ex, bad), edge),
+        (lambda: hs.paths_sign_consistent(ex, ("e", bad), ("v", 3)), edge),
+    ):
+        with pytest.raises(type(expected)) as err:
+            call()
+        assert err.value.args == expected.args
+    assert UnknownVertexError(bad, 6).args == (f"vertex {bad!r} outside 1..6",)
+    assert UnknownEdgeError(bad, 3).args == (f"edge index {bad!r} outside 0..2",)
+
+
+def test_numpy_integer_ids_are_ids(ex):
+    h = hs.induced_signed(ex)
+    for i in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert ex.degree(i) == ex.degree(2) and ex.edges_of(i) == ex.edges_of(2)
+        assert ex.members(i) == ex.members(2) and h.sign(i) == h.sign(2)
+        assert hs.vertex_switch(ex, i) == hs.vertex_switch(ex, 2)
+        assert hs.edge_switch(ex, i) == hs.edge_switch(ex, 2)
+        assert hs.signed_vertex_switch(h, i) == hs.signed_vertex_switch(h, 2)
+    assert UnknownVertexError(7, 6).args == ("vertex 7 outside 1..6",)
+    assert UnknownEdgeError(3, 3).args == ("edge index 3 outside 0..2",)
+
+
+def test_bad_parameters_are_invalid_values(ex):
+    sex = hs.induced_signed(ex)
+    assert not hs.theorem_battery_even(sex).parity_bipartition  # NQZ never runs
+    asymmetric = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for call in (
+        lambda: hs.nqz_spectral_radius(ex, tol=0.0),
+        lambda: hs.nqz_spectral_radius(ex, shift=math.nan),
+        lambda: hs.nqz_spectral_radius(ex, max_iters=0),
+        lambda: hs.h_eigen_minus_rho(sex, tol=math.nan),
+        lambda: hs.theorem_battery_even(sex, tol=math.nan),
+        lambda: hs.theorem_battery_even(sex, tol=-1.0),
+        lambda: hs.spectrum_contains([0.0], 0.0, abs_tol=math.nan),
+        lambda: hs.spectrum_contains([0.0], 0.0, rel_tol=0.0),
+        lambda: hs.serialize(ex, "xml"),
+        lambda: hs.GF2System(-1, ()),
+        lambda: hs.GF2System(2, ((4, 0),)),
+        lambda: hs.GF2System(2, ((1, 2),)),
+        lambda: hs.GF2System.from_sets(2, [((0,), 1)]),
+        lambda: hs.DenseSymMatrix(np.zeros(3)),
+        lambda: hs.DenseSymMatrix(asymmetric),
+        lambda: hs.RectMatrix(np.zeros(3)),
+        lambda: hs.sym_eigenvalues(asymmetric),
+        lambda: hs.singular_values(np.array([[math.inf]])),
+    ):
+        with pytest.raises(InvalidValueError):
+            call()

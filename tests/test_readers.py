@@ -4,6 +4,7 @@ instance is read with."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -205,6 +206,59 @@ def test_constructors_check_values_that_are_not_plain_ints():
                   [[(1, 1)], [(2, 1), (np.int64(3), 1)]] + big):
         with pytest.raises(VertexOutOfRangeError):
             hs.OrientedHypergraph(5, tuple(map(tuple, edges)))
+
+
+@pytest.mark.parametrize("one", [1.0, True, Fraction(1), np.float64(1.0)],
+                         ids=["float", "bool", "Fraction", "float64"])
+def test_labels_equal_to_one_survive_every_route_and_both_file_formats(one):
+    def relabel(s):
+        return one if s == 1 else -one
+
+    for seed in range(6):
+        g = hs.generate(10, 16, k=4, p_neg=0.1 * seed, connected=True, seed=seed)
+        h = hs.induced_signed(g)
+        twin = h.with_gamma(tuple(-s for s in h.gamma[:3]) + h.gamma[3:])
+        edges = tuple(tuple((v, relabel(s)) for v, s in edge) for edge in g.edges)
+        for oriented in (hs.OrientedHypergraph(g.n, edges, g.names), hs.build(g.n, edges, g.names)):
+            for fmt in ("ohg", "json"):
+                assert hs.serialize(oriented, fmt) == hs.serialize(g, fmt)
+                assert hs.parse(hs.serialize(oriented, fmt)) == hs.parse(hs.serialize(g, fmt))
+            assert hs.incidence_balance(oriented) == hs.incidence_balance(g)
+            assert hs.odd_bipartite(oriented) == hs.odd_bipartite(g)
+            assert hs.induced_signed(oriented) == h
+        gamma = tuple(map(relabel, h.gamma))
+        for signed in (hs.SignedHypergraph(h.n, h.edges, gamma, h.names),
+                       hs.build_signed(h.n, h.edges, gamma, h.names)):
+            assert hs.signed_switch_equivalent(signed, twin) == hs.signed_switch_equivalent(h, twin)
+            assert hs.signed_switch_equivalent(twin, signed) == hs.signed_switch_equivalent(twin, h)
+            assert hs.signed_tensor_similarity(signed, twin) == hs.signed_tensor_similarity(h, twin)
+            assert hs.odd_bipartite(signed) == hs.odd_bipartite(h)
+            assert hs.h_eigen_minus_rho(signed) == hs.h_eigen_minus_rho(h)
+            assert hs.lap_zero_h_eigen(signed) == hs.lap_zero_h_eigen(h)
+            assert hs.theorem_battery_even(signed) == hs.theorem_battery_even(h)
+            assert np.array_equal(hs.adj_apply(signed, np.arange(h.n)), hs.adj_apply(h, np.arange(h.n)))
+
+
+def test_complex_labels_and_bool_vertices_are_refused():
+    orientation = "edge 0: orientation at vertex 2 must be +1 or -1"
+    for construct, expected in (
+        (lambda: hs.OrientedHypergraph(2, (((1, 1), (2, 1 + 0j)),)), InvalidValueError(orientation)),
+        (lambda: hs.build(2, [[(1, 1), (2, np.complex128(-1))]]), InvalidValueError(orientation)),
+        (lambda: hs.SignedHypergraph(2, ((1, 2),), (1 + 0j,)),
+         InvalidValueError("edge 0: sign must be +1 or -1")),
+        (lambda: hs.build_signed(2, [[1, 2]], [-1 + 0j]),
+         InvalidValueError("edge 0: sign must be +1 or -1")),
+        (lambda: hs.OrientedHypergraph(2, (((True, 1), (2, 1)),)), VertexOutOfRangeError(0, True, 2)),
+        (lambda: hs.SignedHypergraph(2, ((1, True),), (1,)), VertexOutOfRangeError(0, True, 2)),
+        (lambda: hs.build(3, [[("3", 1)]]), VertexOutOfRangeError(0, "3", 3)),
+    ):
+        _assert_raises(expected, construct)
+    assert VertexOutOfRangeError(0, "3", 3).args == ("edge 0 references vertex '3', outside 1..3",)
+    assert VertexOutOfRangeError(0, 4, 3).args == ("edge 0 references vertex 4, outside 1..3",)
+    # build turns True into the int 1, which the file formats can hold.
+    g = hs.build(2, [[(True, 1), (2, True)]])
+    assert g.edges == (((1, 1), (2, 1)),) and type(g.edges[0][0][0]) is int
+    assert hs.parse(hs.serialize(g)) == g
 
 
 @pytest.mark.parametrize("n", [3.5, 3.0, "3", True, None])

@@ -629,6 +629,32 @@ def test_parity_answers_match_sign_vector_enumeration():
     assert min(kinds[k, feasible] for k in (2, 4, 6) for feasible in (True, False)) >= 20
 
 
+def test_every_parity_no_is_the_route_witness():
+    for alias in (hs.NotOddBipartite, hs.NotHEigenvalue, hs.NoZeroHEigenvalue, hs.NotSimilar):
+        assert alias is hs.NotEquivalent
+    negatives = Counter()
+    for h in _parity_instances(240):
+        rep = hs.theorem_battery_even(h)
+        answers = {
+            "odd_bipartite": (hs.odd_bipartite(h), (1,) * h.m),
+            "h_eigen_minus_rho": (hs.h_eigen_minus_rho(h), h.gamma),
+            "lap_zero_h_eigen": (hs.lap_zero_h_eigen(h), h.gamma),
+            "switch_certificate": (rep.switch_certificate, h.gamma),
+            "eigen_certificate": (rep.eigen_certificate, h.gamma),
+            "laplacian_certificate": (rep.laplacian_certificate, h.gamma),
+        }
+        for name, (answer, gamma) in answers.items():
+            if answer:
+                continue
+            negatives[name] += 1
+            assert type(answer) is hs.NotEquivalent and answer.cycle is None
+            witness = answer.witness_edges
+            for v in range(1, h.n + 1):
+                assert sum(1 for j in witness if v in h.edges[j]) % 2 == 0
+            assert sum(1 for j in witness if gamma[j] == 1) % 2 == 1
+    assert len(negatives) == 6 and min(negatives.values()) >= 20
+
+
 def test_one_parity_solve_and_one_connectivity_check_per_call(monkeypatch, sex):
     calls = Counter()
 
