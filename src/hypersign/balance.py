@@ -83,10 +83,9 @@ def incidence_balance(g: OrientedHypergraph) -> BalanceVerdict:
     node with label +1, which makes certificates deterministic.
     """
     n, m = g.n, g.m
-    found = propagate_labels(g.incidence_core, g.incidence_core.signs)
-    if isinstance(found, Walk):
-        return Unbalanced(cycle=found)
-    label, _ = found
+    label = propagate_labels(g.incidence_core, g.incidence_core.signs)
+    if isinstance(label, Walk):
+        return Unbalanced(cycle=label)
     part_positive = tuple(v + 1 for v in range(n) if label[v] == 1)
     part_negative = tuple(v + 1 for v in range(n) if label[v] == -1)
     return Balanced(

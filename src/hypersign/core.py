@@ -297,7 +297,11 @@ class OrientedHypergraph(_IncidenceStructure):
         return tuple(v for v, _ in self.edges[e])
 
     def orientation(self, e: int, v: int) -> int:
+        """Orientation of vertex v in edge e.  An integer vertex that is not
+        in the edge raises NotAdjacentError, in range or not."""
         self.check_edge(e)
+        if type(v) is bool or not isinstance(v, (int, np.integer)):
+            raise UnknownVertexError(v, self.n)
         core = self.incidence_core
         start, stop = core.indptr[self.n + e : self.n + e + 2]
         hit = np.flatnonzero(core.indices[start:stop] == v - 1)

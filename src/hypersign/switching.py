@@ -140,10 +140,9 @@ def oriented_switch_equivalent(
     # so those rows align target's orientations with source's.
     values = ours.signs.copy()
     values[ours.slot[: ours.size]] *= theirs.signs[theirs.slot[: theirs.size]]
-    found = propagate_labels(ours, values)
-    if isinstance(found, Walk):
-        return NotEquivalent(cycle=found)
-    label, _ = found
+    label = propagate_labels(ours, values)
+    if isinstance(label, Walk):
+        return NotEquivalent(cycle=label)
     return SwitchCertificate(
         vertices=tuple(v + 1 for v in range(n) if label[v] == -1),
         edges=tuple(j for j in range(m) if label[n + j] == -1),

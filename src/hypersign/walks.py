@@ -6,8 +6,9 @@ orientations along it; the adjacency sign additionally carries a factor
 (-1)^floor(t/2) for a walk of t incidences.
 
 Every search here reads the instance's incidence core: one breadth-first
-label-propagation kernel serves balance, oriented switching and
-connectivity, and one depth-first simple-path search serves the cycle and
+label-propagation kernel serves balance and oriented switching; one
+hook-and-compress kernel decides connectivity in O(log n) rounds of array
+operations; and one depth-first simple-path search serves the cycle and
 path oracles, which are meant for small instances (a few dozen nodes).
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 from .core import IncidenceCore, OrientedHypergraph, SignedHypergraph
 from .errors import (
     DisconnectedPairError,
+    InternalCheckError,
     InvalidWalkError,
     NotAdjacentError,
     UnknownEdgeError,
@@ -196,13 +198,11 @@ def _rows(core: IncidenceCore, values) -> tuple[list[int], list[int], list[int]]
     return core.indptr.tolist(), core.indices.tolist(), gathered.tolist()
 
 
-def propagate_labels(
-    core: IncidenceCore, values: np.ndarray
-) -> tuple[list[int], list[int]] | Walk:
+def propagate_labels(core: IncidenceCore, values: np.ndarray) -> list[int] | Walk:
     """+-1 node labels (vertices first, then edges) whose product across
     every incidence equals that incidence's entry of ``values`` (one per
-    incidence, in edge-major order), together with the root of each
-    node's component; or a closed walk on which no such labels exist.
+    incidence, in edge-major order); or a closed walk on which no such
+    labels exist.
 
     Breadth-first over the core's rows; each component is rooted at its
     smallest node with label +1, which makes the result deterministic.
@@ -211,7 +211,6 @@ def propagate_labels(
     indptr, indices, wanted = _rows(core, values)
     label = [0] * nodes
     parent = list(range(nodes))
-    root = list(range(nodes))
     for r in range(nodes):
         if label[r]:
             continue
@@ -225,11 +224,10 @@ def propagate_labels(
                 if label[y] == 0:
                     label[y] = want
                     parent[y] = x
-                    root[y] = r
                     queue.append(y)
                 elif label[y] != want:
                     return fundamental_cycle(n, parent, x, y)
-    return label, root
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -251,31 +249,90 @@ def _element_node(h, el: Element) -> int:
     return h.n + ident
 
 
+def _component_roots(core: IncidenceCore) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest vertex node of each vertex's component (vertex v at
+    position v - 1), and of each edge's component.
+
+    Hook-and-compress connectivity (Shiloach and Vishkin, J. Algorithms 3,
+    1982; Liu and Tarjan, SOSA 2019) on the core's edge-major arrays.  A
+    forest over the vertices starts with every vertex a root, and each
+    round, with every vertex pointing at its root:
+
+    - the least root among each edge's members is read;
+    - every root hooks onto the least root across its edges, if smaller;
+      hooks only go to smaller roots, so no cycle forms;
+    - pointer jumping makes every vertex point at its root again.
+
+    A round in which no root hooks leaves every edge with one root, its
+    least, so each tree is a whole component, rooted at its smallest
+    vertex.  When every edge's least root is 0, the vertices with an edge
+    all join 0 at once.
+
+    Round bound.  Call a tree active while its component holds other
+    trees.  In a round, an active tree that neither hooks nor is hooked
+    onto has only neighbouring trees with larger roots.  Each of them
+    hooks, and not onto this tree, so onto a smaller root; so this tree
+    hooks in the next round.  Hence every active tree holds at least two
+    active trees of two rounds before: the trees of a component at least
+    halve every two rounds, every tree is whole after 2 * ceil(log2(n))
+    rounds, and one more round hooks nothing.  The loop allows
+    2 * ceil(log2(n + 1)) + 2 rounds and raises InternalCheckError past
+    them.
+    """
+    n, total = core.n, core.size
+    members, edges = core.indices[total:], core.edge_ids
+    starts = core.indptr[n:-1] - total
+    parent = np.arange(n)
+    roots = members
+    bound = 2 * n.bit_length() + 2  # bit_length is ceil(log2(n + 1))
+    for _ in range(bound):
+        least = np.minimum.reduceat(roots, starts)
+        if not np.count_nonzero(least):
+            parent[roots] = 0
+            return parent[parent], least
+        hooks = least[edges]
+        if not np.count_nonzero(hooks != roots):
+            return parent, least
+        np.minimum.at(parent, roots, hooks)
+        grand = parent[parent]
+        while np.count_nonzero(grand != parent):
+            parent, grand = grand, grand[grand]
+        roots = parent[members]
+    raise InternalCheckError(
+        f"internal check failed: components of {n} vertices unsettled after {bound} rounds"
+    )
+
+
 def connected_components(h: OrientedHypergraph | SignedHypergraph) -> list[list[int]]:
     """Components of the incidence structure, as sorted lists of node ids,
     ordered by their smallest node.
 
-    Runs the label-propagation search with every value +1, which never
-    conflicts.
+    Nodes are grouped by their component's smallest vertex, in one
+    stable sort.
     """
-    core = h.incidence_core
-    _, root = propagate_labels(core, np.ones(core.size, dtype=np.intp))
-    comps: dict[int, list[int]] = {}
-    for node, r in enumerate(root):
-        comps.setdefault(r, []).append(node)
-    return list(comps.values())
+    node_roots = np.concatenate(_component_roots(h.incidence_core))
+    counts = np.bincount(node_roots)
+    ends = np.add.accumulate(counts[counts.nonzero()]).tolist()
+    nodes = node_roots.argsort(kind="stable").tolist()
+    return [nodes[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def is_connected(h: OrientedHypergraph | SignedHypergraph) -> bool:
     """True iff any two elements of the vertex/edge node set are joined.
 
     Isolated vertices disconnect the structure; a single element (or the
-    empty structure) counts as connected.  Connected means every node's
-    search root is node 0.
+    empty structure) counts as connected.  Both are read off the row
+    pointers (with two nodes or more and no edge, every vertex is
+    isolated); past them, connected means every vertex's component root
+    is vertex node 0.
     """
     core = h.incidence_core
-    _, root = propagate_labels(core, np.ones(core.size, dtype=np.intp))
-    return not any(root)
+    n, indptr = core.n, core.indptr
+    if indptr.size <= 2:
+        return True
+    if np.count_nonzero(indptr[1 : n + 1] == indptr[:n]):
+        return False
+    return not np.count_nonzero(_component_roots(core)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,25 @@ def test_adjacency_sign(e1):
         hs.adjacency_sign(e1, 1, 1, 0)
 
 
+@pytest.mark.parametrize("v", [True, False, 1.5, 1.0, "1", None, (1,)])
+def test_orientation_refuses_a_vertex_that_is_not_an_integer(v):
+    g = hs.build(3, [[(1, 1), (2, -1)]])
+    with pytest.raises(UnknownVertexError):
+        g.orientation(0, v)
+    with pytest.raises(UnknownVertexError):
+        hs.adjacency_sign(g, v, 2, 0)
+    with pytest.raises(UnknownVertexError):
+        hs.adjacency_sign(g, 2, v, 0)
+
+
+def test_orientation_takes_numpy_integers():
+    g = hs.build(3, [[(1, 1), (2, -1)]])
+    assert g.orientation(np.int64(0), np.int32(2)) == -1
+    assert hs.adjacency_sign(g, np.int64(1), np.uint8(2), 0) == 1
+    with pytest.raises(NotAdjacentError):
+        g.orientation(0, np.int64(3))
+
+
 def test_induced_signed(ex):
     s = hs.induced_signed(ex)
     assert isinstance(s, hs.SignedHypergraph)

@@ -1,13 +1,15 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import hypersign as hs
-from hypersign.errors import DisconnectedPairError, InvalidWalkError
-from hypersign.walks import EDGE, VERTEX, Walk, edge_node, vertex_node
+from hypersign.core import IncidenceCore
+from hypersign.errors import DisconnectedPairError, InternalCheckError, InvalidWalkError
+from hypersign.walks import EDGE, VERTEX, Walk, _component_roots, edge_node, vertex_node
 
-from _oracles import canonical_cycle_by_rotations
+from _oracles import canonical_cycle_by_rotations, connected_components_by_dfs
 
 
 def test_walk_validation():
@@ -95,10 +97,84 @@ def test_is_connected_matches_component_count():
     seen = set()
     for g in graphs:
         for h in (g, hs.induced_signed(g)):
-            expected = len(hs.connected_components(h)) <= 1
+            expected = len(connected_components_by_dfs(h)) <= 1
             assert hs.is_connected(h) == expected
             seen.add(expected)
     assert seen == {False, True}
+
+
+def _bit_reversed(i: int, bits: int) -> int:
+    return int(format(i, f"0{bits}b")[::-1], 2)
+
+
+def _labelings(n: int, rng: random.Random) -> dict[str, list[int]]:
+    """Vertex ids (0-based) for positions 0..n-1 of a shape, in orders that
+    make hooking onto the least neighbouring root slow or fast."""
+    zigzag = [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    bits = (n - 1).bit_length()
+    return {
+        "identity": list(range(n)),
+        "reversed": list(range(n - 1, -1, -1)),
+        "zigzag": zigzag,
+        "bit-reversed": [_bit_reversed(i, bits) for i in range(n)],
+        "random": shuffled,
+    }
+
+
+def _shapes(n: int) -> dict[str, list[tuple[int, int]]]:
+    """Position pairs of a path, a cycle, a binary tree and a caterpillar
+    (a path of n/2 positions, each with one leaf) on n positions."""
+    path = [(i, i + 1) for i in range(n - 1)]
+    spine = n // 2
+    return {
+        "path": path,
+        "cycle": path + [(n - 1, 0)],
+        "binary tree": [((i - 1) // 2, i) for i in range(1, n)],
+        "caterpillar": path[: spine - 1] + [(i - spine, i) for i in range(spine, n)],
+    }
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle", "binary tree", "caterpillar"])
+def test_components_of_slow_shapes_under_adversarial_labels(shape):
+    # Shapes of 2^13 vertices, under orders that make the least root
+    # travel far (a breadth-first kernel needs O(diameter) steps) and
+    # orders that do not.  The round guard raises InternalCheckError if a
+    # call needs more than 2 * ceil(log2(n + 1)) + 2 rounds.  Each shape
+    # less its first edge, split in two unless it is the cycle, runs too.
+    n = 2**13
+    rng = random.Random(shape)
+    pairs = _shapes(n)[shape]
+    for name, label in _labelings(n, rng).items():
+        edges = [[(label[a] + 1, 1), (label[b] + 1, -1)] for a, b in pairs]
+        for g in (hs.build(n, edges), hs.build(n, edges[1:])):
+            expected = connected_components_by_dfs(g)
+            assert hs.connected_components(g) == expected, name
+            assert hs.is_connected(g) == (len(expected) == 1), name
+
+
+def test_components_of_a_long_path_with_decreasing_labels():
+    n = 10**5
+    g = hs.build(n, [[(n - i, 1), (n - i - 1, 1)] for i in range(n - 1)])
+    assert hs.is_connected(g)
+    assert hs.connected_components(g) == [list(range(2 * n - 1))]
+    cut = hs.build(n, [[(n - i, 1), (n - i - 1, 1)] for i in range(1, n - 1)])
+    assert not hs.is_connected(cut)
+    assert hs.connected_components(cut) == [
+        list(range(n - 1)) + list(range(n, 2 * n - 2)), [n - 1]
+    ]
+
+
+def test_round_guard_stops_a_search_that_does_not_settle():
+    # Two one-vertex edges whose edge ids both name the second edge: the
+    # first vertex keeps wanting to hook onto a root larger than its own,
+    # so no round settles, and the guard ends the loop.
+    indptr = np.array([0, 1, 2, 3, 4])
+    indices = np.array([2, 3, 0, 1])
+    core = IncidenceCore(2, indptr, indices, np.arange(4), None, np.array([1, 1]))
+    with pytest.raises(InternalCheckError, match="rounds"):
+        _component_roots(core)
 
 
 def _traced_peak(call, h) -> int:
