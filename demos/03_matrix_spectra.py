@@ -17,10 +17,10 @@ triangle = hs.build(3, [[(1, -1), (2, 1)], [(1, 1), (3, 1)], [(2, 1), (3, 1)]])
 m = hs.incidence_matrix(triangle)
 a = hs.adjacency_matrix(triangle)
 lap = hs.laplacian_matrix(triangle)
-print("M =\n", m.values)
-print("A =\n", a.values)
-print("L =\n", lap.values)
-print("L equals M^T M exactly?", np.array_equal(m.values.T @ m.values, lap.values))
+print("M =\n", m)
+print("A =\n", a)
+print("L =\n", lap)
+print("L equals M^T M exactly?", np.array_equal(m.T @ m, lap))
 
 print("\nA spectrum:", hs.sym_eigenvalues(a))
 print("L spectrum:", hs.sym_eigenvalues(lap))

@@ -33,7 +33,6 @@ from .core import (
 from .errors import (
     DenseLimitExceededError,
     DimensionMismatchError,
-    DisconnectedInputError,
     DisconnectedPairError,
     DuplicateVertexInEdgeError,
     EmptyEdgeError,
@@ -71,11 +70,9 @@ from .fileio import (
 )
 from .generate import generate, random_connected, random_connected_uniform
 from .linalg import (
-    DenseSymMatrix,
     GF2Infeasible,
     GF2Solution,
     GF2System,
-    RectMatrix,
     gf2_solve,
     singular_values,
     spectrum_contains,
@@ -104,23 +101,16 @@ from .switching import (
 )
 from .tensor import (
     NQZResult,
-    NoZeroHEigenvalue,
-    NotHEigenvalue,
-    NotOddBipartite,
-    NotSimilar,
     OddBipartition,
     ParityCertificate,
     SixWayReport,
     TensorSimilarity,
-    TensorView,
     adj_apply,
-    adjacency_tensor,
     eigenpair_residual,
     h_eigen_minus_rho,
     lap_apply,
     lap_form,
     lap_zero_h_eigen,
-    laplacian_tensor,
     nqz_spectral_radius,
     odd_bipartite,
     signed_tensor_similarity,

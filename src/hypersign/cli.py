@@ -235,14 +235,11 @@ def _cmd_switch(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    size_range = None
-    if args.sizes is not None:
-        size_range = args.sizes
     g = generate(
         args.n,
         args.m,
         k=args.k,
-        size_range=size_range,
+        size_range=args.sizes,
         p_neg=args.p_neg,
         connected=args.connected,
         seed=args.seed,
@@ -394,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, tol_default: float) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--tol", type=_tolerance, default=tol_default)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("check", help="structural balance verdict with certificate")
     p.add_argument("instance")
@@ -409,6 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor", help="tensor criteria for even-uniform instances")
     p.add_argument("instance")
     common(p, NQZ_TOL)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_tensor)
 
     p = sub.add_parser("switch", help="apply a switching certificate")
@@ -436,6 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cycles", type=int, default=20_000, dest="max_cycles")
     p.add_argument("--inject-fault", action="store_true", dest="inject_fault")
     common(p, NQZ_TOL)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_battery)
     return parser
 

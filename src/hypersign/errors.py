@@ -21,7 +21,6 @@ __all__ = [
     "NoConvergenceError",
     "InternalCheckError",
     "EmptySpectrumError",
-    "DisconnectedInputError",
     "NotUniformError",
     "DimensionMismatchError",
     "ZeroVectorError",
@@ -138,9 +137,6 @@ class OddUniformityError(HypersignError):
 
 class NotConnectedError(HypersignError):
     """Operation requires a connected instance."""
-
-
-DisconnectedInputError = NotConnectedError
 
 
 class InfeasibleParametersError(HypersignError):

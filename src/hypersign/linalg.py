@@ -2,7 +2,10 @@
 
 Dense symmetric eigenvalues and singular values through LAPACK
 (``numpy.linalg``), bitset Gaussian elimination over GF(2) with
-infeasibility witnesses, and tolerance-based spectrum membership.
+infeasibility witnesses, and tolerance-based spectrum membership.  The
+spectral functions take plain array-likes of finite real numbers, such
+as the read-only int64 arrays of the spectral module's matrix builders,
+and refuse anything else with InvalidValueError.
 
 GF(2) elimination.  Both answers are fixed by the system alone, so the
 eliminator may pivot in any order that reaches them exactly:
@@ -56,8 +59,10 @@ span the same row space and have the same solutions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, islice
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,8 +72,6 @@ from .errors import EmptySpectrumError, InvalidValueError
 __all__ = [
     "MEMBERSHIP_ABS_TOL",
     "MEMBERSHIP_REL_TOL",
-    "DenseSymMatrix",
-    "RectMatrix",
     "sym_eigenvalues",
     "singular_values",
     "GF2System",
@@ -82,83 +85,38 @@ MEMBERSHIP_ABS_TOL = 1e-7
 MEMBERSHIP_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class DenseSymMatrix:
-    """Immutable dense matrix with exact (bitwise) symmetry."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidValueError("expected a square 2-d array")
-        if not np.array_equal(arr, arr.T):
-            raise InvalidValueError("matrix must be exactly symmetric")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def order(self) -> int:
-        return self.values.shape[0]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "DenseSymMatrix":
-        return cls(np.array(rows))
-
-
-@dataclass(frozen=True, eq=False)
-class RectMatrix:
-    """Immutable dense rectangular matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values)
-        if arr.ndim != 2:
-            raise InvalidValueError("expected a 2-d array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "RectMatrix":
-        return cls(np.array(rows))
-
-
-def _as_sym_array(a) -> np.ndarray:
-    arr = np.asarray(a.values if isinstance(a, DenseSymMatrix) else a, dtype=np.float64)
-    if (
-        arr.ndim != 2
-        or arr.shape[0] != arr.shape[1]
-        or not np.isfinite(arr).all()
-        or not np.array_equal(arr, arr.T)
-    ):
-        raise InvalidValueError("expected a finite, exactly symmetric square matrix")
+def _finite_array(a, ndim: int, what: str) -> np.ndarray:
+    """a as a float64 array of ndim dimensions with finite entries, else
+    InvalidValueError: ragged, string, object and complex input is
+    refused.  One conversion, and none for a float64 array."""
+    try:
+        arr = np.asarray(a)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidValueError(f"expected a real {what}") from exc
+    if arr.dtype.kind not in "biuf" or arr.ndim != ndim:
+        raise InvalidValueError(f"expected a real {what}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise InvalidValueError(f"expected a finite {what}")
     return arr
 
 
-def sym_eigenvalues(a: DenseSymMatrix | np.ndarray) -> list[float]:
+def sym_eigenvalues(a) -> list[float]:
     """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
-    return [float(x) for x in np.linalg.eigvalsh(_as_sym_array(a))]
+    arr = _finite_array(a, 2, "2-d array")
+    if arr.shape[0] != arr.shape[1] or not np.array_equal(arr, arr.T):
+        raise InvalidValueError("expected an exactly symmetric square matrix")
+    return [float(x) for x in np.linalg.eigvalsh(arr)]
 
 
-def singular_values(m: RectMatrix | np.ndarray) -> list[float]:
+def singular_values(m) -> list[float]:
     """min(rows, cols) singular values, ascending.
 
     Golub-Kahan SVD of the matrix itself (LAPACK through
     ``numpy.linalg.svd``), not square roots of Gram-matrix eigenvalues,
     which keep only about half the digits of a singular value near zero.
     """
-    arr = np.asarray(m.values if isinstance(m, RectMatrix) else m, dtype=np.float64)
-    if arr.ndim != 2 or not np.isfinite(arr).all():
-        raise InvalidValueError("expected a finite 2-d array")
+    arr = _finite_array(m, 2, "2-d array")
     if min(arr.shape) == 0:
         return []
     return [float(x) for x in np.linalg.svd(arr, compute_uv=False)[::-1]]
@@ -375,8 +333,10 @@ def spectrum_contains(
     """
     if not (0 < abs_tol < np.inf and 0 < rel_tol < np.inf):  # NaN fails too
         raise InvalidValueError("tolerances must be finite and positive")
-    values = [float(x) for x in spectrum]
-    if not values:
+    values = _finite_array(spectrum, 1, "1-d spectrum")
+    if not (isinstance(target, Real) and math.isfinite(target)):
+        raise InvalidValueError("expected a finite real target")
+    if not values.size:
         raise EmptySpectrumError("membership test against an empty spectrum")
-    margin = min(abs(x - target) for x in values)
+    margin = float(np.abs(values - target).min())
     return margin <= abs_tol + rel_tol * abs(target), margin

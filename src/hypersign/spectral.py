@@ -3,11 +3,11 @@
 The incidence matrix holds the orientation at each (edge, vertex) pair;
 the adjacency matrix sums orientation products over shared edges with a
 zero diagonal; the Laplacian adds the degrees and equals MᵀM in exact
-integers.  For a connected instance, balance is equivalent to each of
-three spectral memberships: the largest singular value of the
-all-positive incidence matrix appearing among the singular values, and
-the spectral radii of the all-positive Laplacian/adjacency appearing
-among the eigenvalues.
+integers.  The builders return each as a read-only int64 array.  For a
+connected instance, balance is equivalent to each of three spectral
+memberships: the largest singular value of the all-positive incidence
+matrix appearing among the singular values, and the spectral radii of
+the all-positive Laplacian/adjacency appearing among the eigenvalues.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .errors import DenseLimitExceededError, NotConnectedError, NotUniformError
 from .linalg import (
     MEMBERSHIP_ABS_TOL,
     MEMBERSHIP_REL_TOL,
-    DenseSymMatrix,
-    RectMatrix,
     singular_values,
     spectrum_contains,
     sym_eigenvalues,
@@ -89,22 +87,27 @@ def _zero_diagonal(lap: np.ndarray) -> np.ndarray:
     return lap - np.diag(np.diag(lap))
 
 
-def incidence_matrix(g: OrientedHypergraph) -> RectMatrix:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def incidence_matrix(g: OrientedHypergraph) -> np.ndarray:
     """m x n integer matrix of orientations, one row per edge."""
-    return RectMatrix(_incidence_array(g))
+    return _read_only(_incidence_array(g))
 
 
-def adjacency_matrix(g: OrientedHypergraph) -> DenseSymMatrix:
+def adjacency_matrix(g: OrientedHypergraph) -> np.ndarray:
     """Zero-diagonal symmetric matrix of summed orientation products."""
-    return DenseSymMatrix(_zero_diagonal(_gram(_incidence_array(g))))
+    return _read_only(_zero_diagonal(_gram(_incidence_array(g))))
 
 
-def laplacian_matrix(g: OrientedHypergraph) -> DenseSymMatrix:
+def laplacian_matrix(g: OrientedHypergraph) -> np.ndarray:
     """Degrees on the diagonal plus the adjacency matrix (equals MᵀM)."""
-    return DenseSymMatrix(_gram(_incidence_array(g)))
+    return _read_only(_gram(_incidence_array(g)))
 
 
-def signed_adjacency_matrix(h: SignedHypergraph) -> DenseSymMatrix:
+def signed_adjacency_matrix(h: SignedHypergraph) -> np.ndarray:
     """Adjacency matrix of a 2-uniform signed hypergraph (entries = signs)."""
     _check_dense_size(h.n, h.n)
     if h.m and uniform_edge_size(h) != 2:
@@ -112,7 +115,7 @@ def signed_adjacency_matrix(h: SignedHypergraph) -> DenseSymMatrix:
     u, v = h.incidence_core.edge_major()[1].reshape(h.m, 2).T
     arr = np.zeros((h.n, h.n), dtype=np.int64)
     np.add.at(arr, (np.concatenate((u, v)), np.concatenate((v, u))), np.tile(h.gamma, 2))
-    return DenseSymMatrix(arr)
+    return _read_only(arr)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ with a fused or an unfused loop depending on their memory layout, so
 complex terms agree with other evaluation orders to rounding only.  The
 kernel works unchanged for float64, complex128 and int64 vectors, so
 the Laplacian zero-eigenvalue check stays in exact integer arithmetic.
-A form T x^k is x . (T x^{k-1}).
+The tensors are reached only through adj_apply and lap_apply; a form
+T x^k is x . (T x^{k-1}), which lap_form computes for the Laplacian.
 
 For even k and a connected instance, the negated structural spectral
 radius is an H-eigenvalue exactly when a parity system over the vertices
@@ -28,7 +29,7 @@ route poses and solves it: the criteria and theorem_battery_even ask it
 about h's own signing, odd_bipartite about the all-+1 signing.  The
 battery asks once: statements 1, 3, 5 and 6 restate that answer (3 adds
 an NQZ eigenpair residual check, 5 exact Laplacian cancellation).  Every
-"no" is the route's own NotEquivalent witness; the old names are aliases.
+"no" is the route's own NotEquivalent witness.
 
 Statements 2 and 4 (diagonal similarity of the adjacency and of the
 Laplacian tensor) are one exact integer check of that solution, not two
@@ -42,6 +43,7 @@ their entry, so each member set's summed sign must match (Shao 2013).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -70,9 +72,6 @@ __all__ = [
     "NQZ_TOL",
     "NQZ_MAX_ITERS",
     "NQZ_SHIFT",
-    "TensorView",
-    "adjacency_tensor",
-    "laplacian_tensor",
     "adj_apply",
     "lap_apply",
     "lap_form",
@@ -80,15 +79,11 @@ __all__ = [
     "nqz_spectral_radius",
     "eigenpair_residual",
     "OddBipartition",
-    "NotOddBipartite",
     "odd_bipartite",
     "ParityCertificate",
-    "NotHEigenvalue",
-    "NoZeroHEigenvalue",
     "h_eigen_minus_rho",
     "lap_zero_h_eigen",
     "TensorSimilarity",
-    "NotSimilar",
     "signed_tensor_similarity",
     "SixWayReport",
     "theorem_battery_even",
@@ -180,36 +175,10 @@ def lap_form(h: SignedHypergraph, x) -> complex | float:
 
     Nonnegative for real x and even k (term-wise AM-GM).
     """
-    return laplacian_tensor(h).form(x)
-
-
-@dataclass(frozen=True)
-class TensorView:
-    """Symbolic handle on the adjacency or Laplacian tensor of a signed
-    k-uniform hypergraph; contractions are edge-based, never entrywise."""
-
-    k: int
-    kind: str
-    source: SignedHypergraph
-
-    def apply(self, x) -> np.ndarray:
-        if self.kind == "adjacency":
-            return adj_apply(self.source, x)
-        return lap_apply(self.source, x)
-
-    def form(self, x) -> complex | float:
-        """T x^k, the contraction against x once more."""
-        contraction = self.apply(x)
-        value = complex(_as_vector(self.source, x) @ contraction)
-        return value if value.imag != 0 else value.real
-
-
-def adjacency_tensor(h: SignedHypergraph) -> TensorView:
-    return TensorView(_uniform_k(h), "adjacency", h)
-
-
-def laplacian_tensor(h: SignedHypergraph) -> TensorView:
-    return TensorView(_uniform_k(h), "laplacian", h)
+    idx = _edge_index(h)
+    vec = _as_vector(h, x)
+    value = complex(vec @ _lap_products(idx, _gamma(h), vec))
+    return value if value.imag != 0 else value.real
 
 
 @dataclass(frozen=True)
@@ -244,10 +213,12 @@ def nqz_spectral_radius(
 
 
 def _check_nqz(tol: float, max_iters: int = NQZ_MAX_ITERS, shift: float = NQZ_SHIFT) -> None:
-    if not (0 < tol < np.inf and 0 < shift < np.inf):  # NaN fails too
-        raise InvalidValueError("tol and shift must be finite and positive")
-    if max_iters < 1:
-        raise InvalidValueError("max_iters must be at least 1")
+    real = isinstance(tol, Real) and isinstance(shift, Real)
+    if not (real and 0 < tol < np.inf and 0 < shift < np.inf):  # NaN fails too
+        raise InvalidValueError("tol and shift must be finite and positive numbers")
+    # bool is a subclass of int, but True is not an iteration budget.
+    if type(max_iters) is bool or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise InvalidValueError("max_iters must be an integer of at least 1")
 
 
 def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
@@ -296,8 +267,6 @@ def eigenpair_residual(h: SignedHypergraph, eigenvalue: complex, x) -> float:
 
 # ---------------------------------------------------------------------------
 # Parity criteria (even k).
-
-NotOddBipartite = NotHEigenvalue = NoZeroHEigenvalue = NotSimilar = NotEquivalent
 
 
 @dataclass(frozen=True)

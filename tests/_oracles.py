@@ -19,7 +19,7 @@ import hypersign as hs
 from hypersign.walks import fundamental_cycle
 
 
-def dense_adjacency_tensor(h: hs.SignedHypergraph) -> np.ndarray:
+def dense_adj_tensor(h: hs.SignedHypergraph) -> np.ndarray:
     """Order-k dense symmetric tensor with entry sign/(k-1)! for every
     permutation of every edge."""
     k = hs.uniform_edge_size(h)
@@ -34,9 +34,9 @@ def dense_adjacency_tensor(h: hs.SignedHypergraph) -> np.ndarray:
     return tensor
 
 
-def dense_laplacian_tensor(h: hs.SignedHypergraph) -> np.ndarray:
+def dense_lap_tensor(h: hs.SignedHypergraph) -> np.ndarray:
     k = hs.uniform_edge_size(h)
-    tensor = dense_adjacency_tensor(h)
+    tensor = dense_adj_tensor(h)
     for v in range(1, h.n + 1):
         tensor[(v - 1,) * k] += h.degree(v)
     return tensor
@@ -149,7 +149,7 @@ def jacobi_eigenvalues(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mat = np.array(a.values if isinstance(a, hs.DenseSymMatrix) else a, dtype=np.float64)
+    mat = np.array(a, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.array_equal(mat, mat.T):
         raise ValueError("expected an exactly symmetric square matrix")
     n = mat.shape[0]
@@ -206,7 +206,7 @@ def jacobi_singular_values(m, tol: float = JACOBI_TOL) -> list[float]:
     (M Mᵀ or Mᵀ M); tiny negative eigenvalues from roundoff clip to zero.
     A singular value near zero keeps only about half its digits.
     """
-    arr = np.array(m.values if isinstance(m, hs.RectMatrix) else m, dtype=np.float64)
+    arr = np.array(m, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d array")
     rows, cols = arr.shape

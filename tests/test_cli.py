@@ -158,6 +158,14 @@ def test_tensor_on_bundled_example(ex_path, capsys):
     }
 
 
+def test_seed_only_where_it_is_read(ex_path, capsys):
+    # check and spectra draw nothing, so they take no --seed.
+    assert main(["check", "--seed", "1", ex_path]) == 2
+    assert main(["spectra", "--seed", "1", ex_path]) == 2
+    assert main(["tensor", "--seed", "1", "--json", ex_path]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 1
+
+
 def test_tensor_rejects_odd_uniformity(tmp_path, capsys):
     p = tmp_path / "odd.ohg"
     hs.save(hs.build(3, [[(1, 1), (2, 1), (3, 1)]]), p)

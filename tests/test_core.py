@@ -262,11 +262,34 @@ def test_bad_parameters_are_invalid_values(ex):
         lambda: hs.GF2System(2, ((4, 0),)),
         lambda: hs.GF2System(2, ((1, 2),)),
         lambda: hs.GF2System.from_sets(2, [((0,), 1)]),
-        lambda: hs.DenseSymMatrix(np.zeros(3)),
-        lambda: hs.DenseSymMatrix(asymmetric),
-        lambda: hs.RectMatrix(np.zeros(3)),
+        lambda: hs.sym_eigenvalues(np.zeros(3)),
         lambda: hs.sym_eigenvalues(asymmetric),
+        lambda: hs.singular_values(np.zeros(3)),
         lambda: hs.singular_values(np.array([[math.inf]])),
+        # Ragged, string, object and complex matrices, and spectra or
+        # targets that are not finite real numbers.
+        lambda: hs.sym_eigenvalues([[1.0, 2.0], [3.0]]),
+        lambda: hs.sym_eigenvalues("abc"),
+        lambda: hs.sym_eigenvalues([[object()]]),
+        lambda: hs.sym_eigenvalues(np.array([[1j]])),
+        lambda: hs.singular_values([[1.0, 2.0], [3.0]]),
+        lambda: hs.singular_values("abc"),
+        lambda: hs.singular_values([[object()]]),
+        lambda: hs.singular_values(np.array([[1 + 1j, 0.0]])),
+        lambda: hs.spectrum_contains(["a"], 0.0),
+        lambda: hs.spectrum_contains([0.0], "0"),
+        lambda: hs.spectrum_contains([0.0], math.nan),
+        lambda: hs.spectrum_contains([0.0, math.nan], 0.0),
+        lambda: hs.spectrum_contains([0.0, math.inf], 0.0),
+        # NQZ budgets that are not integers, and tolerances or shifts
+        # that are not numbers.
+        lambda: hs.nqz_spectral_radius(ex, max_iters=1.5),
+        lambda: hs.nqz_spectral_radius(ex, max_iters="5"),
+        lambda: hs.nqz_spectral_radius(ex, max_iters=True),
+        lambda: hs.nqz_spectral_radius(ex, tol="1e-8"),
+        lambda: hs.nqz_spectral_radius(ex, shift="1"),
+        lambda: hs.h_eigen_minus_rho(sex, tol="1e-8"),
+        lambda: hs.theorem_battery_even(sex, tol="1e-8"),
     ):
         with pytest.raises(InvalidValueError):
             call()

@@ -8,7 +8,6 @@ import pytest
 import hypersign as hs
 from hypersign.errors import (
     DenseLimitExceededError,
-    DisconnectedInputError,
     NotConnectedError,
     NotUniformError,
 )
@@ -25,7 +24,7 @@ from _oracles import (
 
 
 def test_incidence_matrix_entries(ex):
-    m = hs.incidence_matrix(ex).values
+    m = hs.incidence_matrix(ex)
     assert m.shape == (3, 6)
     expected = np.ones((3, 6), dtype=int)
     expected[0, [4, 5]] = 0
@@ -38,41 +37,47 @@ def test_incidence_matrix_entries(ex):
 
 
 def test_adjacency_matrix_single_edge(e1):
-    a = hs.adjacency_matrix(e1).values
+    a = hs.adjacency_matrix(e1)
     assert np.array_equal(a, [[0, -1], [-1, 0]])
-    lap = hs.laplacian_matrix(e1).values
+    lap = hs.laplacian_matrix(e1)
     assert np.array_equal(lap, [[1, -1], [-1, 1]])
 
 
 def test_adjacency_matrix_triangle(triangle):
-    a = hs.adjacency_matrix(triangle).values
+    a = hs.adjacency_matrix(triangle)
     assert np.array_equal(a, [[0, -1, 1], [-1, 0, 1], [1, 1, 0]])
 
 
 def test_laplacian_equals_gram_of_incidence(ex, e1, triangle):
     for g in (ex, e1, triangle):
-        m = hs.incidence_matrix(g).values
-        lap = hs.laplacian_matrix(g).values
+        m = hs.incidence_matrix(g)
+        lap = hs.laplacian_matrix(g)
         assert np.array_equal(m.T @ m, lap)
 
 
 def test_matrices_have_integer_dtype(ex):
-    assert hs.incidence_matrix(ex).values.dtype == np.int64
-    assert hs.adjacency_matrix(ex).values.dtype == np.int64
-    assert hs.laplacian_matrix(ex).values.dtype == np.int64
+    h = hs.build_signed(3, [(1, 2), (2, 3)], [1, -1])
+    for arr in (
+        hs.incidence_matrix(ex),
+        hs.adjacency_matrix(ex),
+        hs.laplacian_matrix(ex),
+        hs.signed_adjacency_matrix(h),
+    ):
+        assert type(arr) is np.ndarray and arr.dtype == np.int64
+        assert not arr.flags.writeable
 
 
 def test_parallel_edges_accumulate():
     g = hs.build(2, [[(1, 1), (2, 1)], [(1, 1), (2, -1)]])
-    a = hs.adjacency_matrix(g).values
+    a = hs.adjacency_matrix(g)
     assert np.array_equal(a, [[0, 0], [0, 0]])  # -1 and +1 cancel
-    lap = hs.laplacian_matrix(g).values
+    lap = hs.laplacian_matrix(g)
     assert np.array_equal(lap, [[2, 0], [0, 2]])
 
 
 def test_signed_adjacency_matrix():
     h = hs.build_signed(3, [(1, 2), (2, 3), (1, 3)], [1, 1, -1])
-    a = hs.signed_adjacency_matrix(h).values
+    a = hs.signed_adjacency_matrix(h)
     assert np.array_equal(a, [[0, 1, -1], [1, 0, 1], [-1, 1, 0]])
     mixed = hs.build_signed(3, [(1, 2, 3)], [1])
     with pytest.raises(NotUniformError):
@@ -107,12 +112,8 @@ def test_suite_on_unbalanced_triangle(triangle):
 
 def test_suite_rejects_disconnected():
     g = hs.build(4, [[(1, 1), (2, 1)], [(3, 1), (4, 1)]])
-    with pytest.raises(DisconnectedInputError):
-        hs.spectral_balance_tests(g)
-    # one class under two names
     with pytest.raises(NotConnectedError):
         hs.spectral_balance_tests(g)
-    assert DisconnectedInputError is NotConnectedError is hs.DisconnectedInputError
 
 
 def test_dense_layer_refuses_oversized_input_before_allocating():
@@ -142,8 +143,8 @@ def test_dense_layer_refuses_oversized_input_before_allocating():
 
 def test_dense_limit_admits_the_n1000_rung():
     g = hs.generate(1000, 2000, size_range=(2, 4), connected=True, seed=1)
-    assert hs.incidence_matrix(g).values.shape == (2000, 1000)
-    assert hs.laplacian_matrix(g).order == 1000
+    assert hs.incidence_matrix(g).shape == (2000, 1000)
+    assert hs.laplacian_matrix(g).shape == (1000, 1000)
 
 
 def test_suite_trivial_instances():
@@ -196,8 +197,8 @@ def test_matrix_builders_match_pair_loops():
             (hs.laplacian_matrix(g), loop_laplacian_matrix(g)),
             (hs.adjacency_matrix(g), loop_adjacency_matrix(g)),
         ):
-            assert ours.values.dtype == ref.dtype
-            assert np.array_equal(ours.values, ref)
+            assert ours.dtype == ref.dtype
+            assert np.array_equal(ours, ref)
 
 
 def _referee_suite(g) -> hs.SpectralTestSuite:

@@ -18,9 +18,9 @@ from hypersign.errors import (
 from hypersign.tensor import NQZ_TOL, _edge_products
 
 from _oracles import (
-    dense_adjacency_tensor,
+    dense_adj_tensor,
     dense_contract,
-    dense_laplacian_tensor,
+    dense_lap_tensor,
     diagonal_similarities_bruteforce,
     loop_adj_apply,
     loop_adj_form,
@@ -54,7 +54,7 @@ def test_adj_apply_matches_dense_oracle():
             random.Random(rng.randrange(2**32)), k, n_max=6, m_max=4
         )
         h = hs.induced_signed(g)
-        dense = dense_adjacency_tensor(h)
+        dense = dense_adj_tensor(h)
         probe = np.array(
             [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(h.n)]
         )
@@ -69,7 +69,7 @@ def test_lap_apply_matches_dense_oracle():
             random.Random(rng.randrange(2**32)), k, n_max=6, m_max=4
         )
         h = hs.induced_signed(g)
-        dense = dense_laplacian_tensor(h)
+        dense = dense_lap_tensor(h)
         probe = np.array([rng.gauss(0, 1) for _ in range(h.n)])
         assert np.allclose(hs.lap_apply(h, probe), dense_contract(dense, probe), atol=1e-10)
 
@@ -85,8 +85,8 @@ def test_apply_input_validation(sex):
         hs.lap_apply,
         hs.lap_form,
         lambda h, x: hs.eigenpair_residual(h, 1.0, x),
-        lambda h, x: hs.adjacency_tensor(h).form(x),
-        lambda h, x: hs.laplacian_tensor(h).form(x),
+        lambda h, x: x @ hs.adj_apply(h, x),
+        lambda h, x: x @ hs.lap_apply(h, x),
     )
     for call in vector_calls:
         for bad in (np.ones(5), np.ones((6, 1)), np.ones((2, 3))):
@@ -189,15 +189,14 @@ def test_kernel_complex_and_forms_within_rounding():
             assert np.all(np.abs(got - loop(h, z)) <= ulps * eps * magnitude)
         for x in (z, z.real):
             size = np.abs(x)
+            lap, adj = loop_lap_form(h, x), loop_adj_form(h, x)
             pairs = (
-                (hs.lap_form(h, x), loop_lap_form(h, x), loop_lap_form(structure, size)),
-                (hs.laplacian_tensor(h).form(x), loop_lap_form(h, x),
-                 loop_lap_form(structure, size)),
-                (hs.adjacency_tensor(h).form(x), loop_adj_form(h, x),
-                 loop_adj_form(structure, size)),
+                (hs.lap_form(h, x), lap, loop_lap_form(structure, size)),
+                (x @ hs.lap_apply(h, x), lap, loop_lap_form(structure, size)),
+                (x @ hs.adj_apply(h, x), adj, loop_adj_form(structure, size)),
             )
+            assert type(pairs[0][0]) is type(lap)
             for got, want, magnitude in pairs:
-                assert type(got) is type(want)
                 assert abs(got - want) <= ulps * eps * magnitude
 
 
@@ -239,13 +238,11 @@ def test_lap_form_nonnegative_for_real_vectors_even_k():
 
 
 def test_tensor_views(sex):
-    adj = hs.adjacency_tensor(sex)
-    lap = hs.laplacian_tensor(sex)
-    assert adj.k == 4 and lap.k == 4
+    assert hs.uniform_edge_size(sex) == 4
     x = np.array([1j, 1, 1j, 1, 1j, 1], dtype=complex)
-    assert np.allclose(adj.apply(x), hs.adj_apply(sex, x))
-    assert np.allclose(lap.apply(x), hs.lap_apply(sex, x))
-    assert lap.form(np.ones(6)) == pytest.approx(24.0)
+    assert x @ hs.adj_apply(sex, x) == pytest.approx(loop_adj_form(sex, x))
+    assert x @ hs.lap_apply(sex, x) == pytest.approx(hs.lap_form(sex, x))
+    assert hs.lap_form(sex, np.ones(6)) == pytest.approx(24.0)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,7 @@ def test_signed_tensor_similarity_positive():
     assert sim
     # any switching set flipping the edge an odd number of times is valid
     assert len(set(sim.vertices) & {1, 2, 3, 4}) % 2 == 1
-    for dense in (dense_adjacency_tensor, dense_laplacian_tensor):
+    for dense in (dense_adj_tensor, dense_lap_tensor):
         assert sim.signs in diagonal_similarities_bruteforce(h, flipped, dense)
 
 
@@ -436,7 +433,7 @@ def test_parallel_edges_with_equal_sums_are_similar():
     c = hs.build_signed(4, [(1, 2, 3, 4)] * 3, (1, -1, -1))
     assert hs.signed_tensor_similarity(a, c) == hs.TensorSimilarity((-1, 1, 1, 1), (1,))
     d = hs.build_signed(4, [(1, 2, 3, 4)] * 3, (-1, -1, -1))
-    assert hs.signed_tensor_similarity(a, d) == hs.NotSimilar((0, 1, 2))
+    assert hs.signed_tensor_similarity(a, d) == hs.NotEquivalent((0, 1, 2))
 
 
 def test_similarity_check_refuses_wrong_signs(monkeypatch):
@@ -477,8 +474,8 @@ def _similarity_pairs(count: int):
 def test_similarity_matches_signature_enumeration():
     kinds = Counter()
     for first, second in _similarity_pairs(240):
-        adjacency = diagonal_similarities_bruteforce(first, second, dense_adjacency_tensor)
-        laplacian = diagonal_similarities_bruteforce(first, second, dense_laplacian_tensor)
+        adjacency = diagonal_similarities_bruteforce(first, second, dense_adj_tensor)
+        laplacian = diagonal_similarities_bruteforce(first, second, dense_lap_tensor)
         assert adjacency == laplacian  # the diagonal is never scaled
         verdict = hs.signed_tensor_similarity(first, second)
         assert bool(verdict) == bool(adjacency)
@@ -630,8 +627,6 @@ def test_parity_answers_match_sign_vector_enumeration():
 
 
 def test_every_parity_no_is_the_route_witness():
-    for alias in (hs.NotOddBipartite, hs.NotHEigenvalue, hs.NoZeroHEigenvalue, hs.NotSimilar):
-        assert alias is hs.NotEquivalent
     negatives = Counter()
     for h in _parity_instances(240):
         rep = hs.theorem_battery_even(h)
