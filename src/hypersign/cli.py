@@ -51,7 +51,7 @@ def _summary(g) -> dict:
         "m": g.m,
         "uniform_k": uniform_edge_size(g),
         "connected": is_connected(g),
-        "unit_edges": any(len(g.members(j)) == 1 for j in range(g.m)),
+        "unit_edges": bool((g.incidence_core.edge_sizes() == 1).any()),
     }
 
 

@@ -14,8 +14,10 @@ convert a file's incidences to arrays, build the core from them and
 check it there, so a read instance carries its core from the start.
 Copies derived from an instance (induced signing, all-positive variant,
 switched copies) are trusted and share their parent's core arrays, all
-but the signs.  ``edges`` is the stored form; every structural question
-reads the incidence core instead.
+but the signs.  Every structural question reads the incidence core.
+``edges`` is stored by the constructors; a read or derived instance keeps
+only its core, and builds ``edges`` from it the first time it is read
+(``members``, ``edge_sign``, serialization, equality), then keeps it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, islice, repeat
 from numbers import Real
+from typing import Iterable
 
 import numpy as np
 
@@ -122,7 +125,7 @@ class IncidenceCore:
         return np.diff(self.indptr[self.n :])
 
 
-def _by_edge(items: list, sizes: list[int]) -> tuple[tuple, ...]:
+def _by_edge(items: Iterable, sizes: list[int]) -> tuple[tuple, ...]:
     """items, one per incidence in edge-major order, cut into one tuple per edge."""
     return tuple(map(tuple, map(islice, repeat(iter(items)), sizes)))
 
@@ -179,6 +182,22 @@ def _build_core(h: OrientedHypergraph | SignedHypergraph) -> IncidenceCore:
     return core
 
 
+def _member_rows(h: OrientedHypergraph | SignedHypergraph) -> tuple[tuple[int, ...], ...]:
+    """The vertices of each edge, in stored order, cut from h's incidence core."""
+    core = h.incidence_core
+    return _by_edge((core.edge_major()[1] + 1).tolist(), core.edge_sizes().tolist())
+
+
+def _build_edges(h: OrientedHypergraph | SignedHypergraph) -> tuple[tuple, ...]:
+    """The stored form of h's edges, cut from its incidence core: the tuples
+    and ints that h's constructor would have stored."""
+    core = h.incidence_core
+    if core.signs is None:
+        return _member_rows(h)
+    vertices = (core.edge_major()[1] + 1).tolist()
+    return _by_edge(zip(vertices, core.signs.tolist()), core.edge_sizes().tolist())
+
+
 class _IncidenceStructure:
     """What both hypergraph kinds share: vertex ids 1..n, edge indices
     0..m-1 with optional names, and the incidence core."""
@@ -187,7 +206,7 @@ class _IncidenceStructure:
         """Check n, the names and then each edge, one value at a time."""
         _check_vertex_count(self.n)
         if not self.names:
-            object.__setattr__(self, "names", tuple(f"e{j + 1}" for j in range(self.m)))
+            object.__setattr__(self, "names", tuple(f"e{j + 1}" for j in range(len(self.edges))))
         elif len(self.names) != len(self.edges):
             raise InvalidValueError("names must match edge count")
         elif not all(isinstance(name, str) for name in self.names) or (
@@ -212,9 +231,16 @@ class _IncidenceStructure:
         vars(copy).update(n=parent.n, names=parent.names, incidence_core=core, **fields)
         return copy
 
+    def __getattr__(self, name: str):
+        """``edges`` of a read or derived instance, built on its first read."""
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = vars(self)["edges"] = _build_edges(self)
+        return edges
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.names)
 
     @cached_property
     def incidence_core(self) -> IncidenceCore:
@@ -268,11 +294,10 @@ class OrientedHypergraph(_IncidenceStructure):
         if they hold a fault, the constructor's value check names it."""
         _check_vertex_count(n)
         h = object.__new__(cls)
-        edges = _by_edge(list(zip(members.tolist(), signs.tolist())), sizes)
-        vars(h).update(n=n, edges=edges, names=names)
+        vars(h).update(n=n, names=names)
         core = _checked_core(h, np.array(sizes, dtype=np.intp), members, signs)
         if core is None:
-            return cls(n, edges, names)
+            return cls(n, _by_edge(zip(members.tolist(), signs.tolist()), sizes), names)
         vars(h)["incidence_core"] = core
         return h
 
@@ -441,16 +466,14 @@ def induced_signed(g: OrientedHypergraph) -> SignedHypergraph:
     sizes = core.edge_sizes()
     negatives = np.bincount(core.edge_ids[core.signs < 0], minlength=g.m)
     gamma = np.where((sizes - 1 + negatives) % 2, -1, 1).tolist()
-    edges = _by_edge((core.edge_major()[1] + 1).tolist(), sizes.tolist())
-    return SignedHypergraph._derived(g, None, edges=edges, gamma=tuple(gamma))
+    return SignedHypergraph._derived(g, None, gamma=tuple(gamma))
 
 
 def all_positive_variant(g: OrientedHypergraph) -> OrientedHypergraph:
     """Same structure with every orientation set to +1."""
     signs = np.ones(g.incidence_core.size, dtype=np.intp)
     signs.setflags(write=False)
-    edges = tuple([tuple([(v, 1) for v, _ in edge]) for edge in g.edges])
-    return OrientedHypergraph._derived(g, signs, edges=edges)
+    return OrientedHypergraph._derived(g, signs)
 
 
 def uniform_edge_size(h: OrientedHypergraph | SignedHypergraph) -> int | None:

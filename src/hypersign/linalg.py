@@ -331,7 +331,8 @@ def spectrum_contains(
     quoted to exactly abs_tol decimal digits still passes after the
     decimal-to-binary round trip.
     """
-    if not (0 < abs_tol < np.inf and 0 < rel_tol < np.inf):  # NaN fails too
+    real = isinstance(abs_tol, Real) and isinstance(rel_tol, Real)
+    if not (real and 0 < abs_tol < np.inf and 0 < rel_tol < np.inf):  # NaN fails too
         raise InvalidValueError("tolerances must be finite and positive")
     values = _finite_array(spectrum, 1, "1-d spectrum")
     if not (isinstance(target, Real) and math.isfinite(target)):

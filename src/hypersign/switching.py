@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrientedHypergraph, SignedHypergraph, structures_match
+from .core import OrientedHypergraph, SignedHypergraph, _member_rows, structures_match
 from .errors import InternalCheckError, StructureMismatchError
 from .linalg import GF2Infeasible, _gf2_eliminate
 from .walks import Walk, propagate_labels
@@ -98,9 +98,7 @@ def apply_switches(g: OrientedHypergraph, cert: SwitchCertificate) -> OrientedHy
     edge_ids, members = core.edge_major()
     signs = core.signs * flip[members] * flip[n + edge_ids]
     signs.setflags(write=False)
-    flat = iter(signs.tolist())
-    edges = tuple([tuple([(u, next(flat)) for u, _ in edge]) for edge in g.edges])
-    return OrientedHypergraph._derived(g, signs, edges=edges)
+    return OrientedHypergraph._derived(g, signs)
 
 
 def signed_vertex_switch(h: SignedHypergraph, v: int) -> SignedHypergraph:
@@ -114,10 +112,13 @@ def apply_signed_switches(
     """Negate each edge sign once per switched vertex it contains."""
     for v in cert.vertices:
         h.check_vertex(v)
-    switched = set(cert.vertices)
-    flips = (len(switched.intersection(edge)) for edge in h.edges)
-    gamma = tuple(s * (-1) ** k for s, k in zip(h.gamma, flips))
-    return SignedHypergraph._derived(h, None, edges=h.edges, gamma=gamma)
+    core = h.incidence_core
+    switched = np.zeros(h.n, dtype=bool)
+    switched[[v - 1 for v in cert.vertices]] = True
+    edge_ids, members = core.edge_major()
+    flips = np.bincount(edge_ids[switched[members]], minlength=h.m) % 2
+    gamma = tuple(s * (-1) ** k for s, k in zip(h.gamma, flips.tolist()))
+    return SignedHypergraph._derived(h, None, gamma=gamma)
 
 
 def oriented_switch_equivalent(
@@ -162,7 +163,7 @@ def signed_switch_equivalent(
             "switching equivalence needs identical underlying structures"
         )
     signing = tuple(-a * b for a, b in zip(first.gamma, second.gamma))
-    return _parity_route(first.n, first.edges, signing)
+    return _parity_route(first.n, _member_rows(first), signing)
 
 
 def _parity_route(n: int, edges, signing) -> SignedSwitchCertificate | NotEquivalent:

@@ -43,7 +43,7 @@ their entry, so each member set's summed sign must match (Shao 2013).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Number, Real
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +51,7 @@ import numpy as np
 from .core import (
     OrientedHypergraph,
     SignedHypergraph,
+    _member_rows,
     structures_match,
     uniform_edge_size,
 )
@@ -111,7 +112,14 @@ def _require_even(k: int) -> None:
 
 
 def _as_vector(h, x) -> np.ndarray:
-    arr = np.asarray(x)
+    """x as a float64 (or, if complex, complex128) vector of length n;
+    ragged, string, object and None entries are invalid values."""
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidValueError("expected a numeric vector") from exc
+    if arr.dtype.kind not in "biufc":
+        raise InvalidValueError(f"expected a numeric vector, got dtype {arr.dtype}")
     if arr.shape != (h.n,):
         raise DimensionMismatchError(
             f"vector of length {h.n} expected, got shape {arr.shape}"
@@ -254,6 +262,8 @@ def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
 
 def eigenpair_residual(h: SignedHypergraph, eigenvalue: complex, x) -> float:
     """Max-norm defect of the eigen-relation after max-modulus normalization."""
+    if not isinstance(eigenvalue, Number):
+        raise InvalidValueError(f"eigenvalue must be a number, got {eigenvalue!r:.40}")
     idx = _edge_index(h)
     arr = _as_vector(h, x).astype(np.complex128)
     scale = float(np.abs(arr).max()) if arr.size else 0.0
@@ -325,7 +335,7 @@ def _solve_parity(h: SignedHypergraph, message: str):
     _require_even(idx.shape[1])
     if not is_connected(h):
         raise NotConnectedError(message)
-    return idx, _parity_route(h.n, h.edges, h.gamma)
+    return idx, _parity_route(h.n, _member_rows(h), h.gamma)
 
 
 def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotEquivalent:
@@ -445,7 +455,8 @@ def signed_tensor_similarity(
         if a:
             leaders.append(group[0])
             signing.append(-1 if a * b > 0 else 1)
-    outcome = _parity_route(first.n, [first.edges[j] for j in leaders], signing)
+    rows = _member_rows(first)
+    outcome = _parity_route(first.n, [rows[j] for j in leaders], signing)
     if isinstance(outcome, NotEquivalent):
         return NotEquivalent(witness_edges=tuple(leaders[r] for r in outcome.witness_edges))
     signs = _signs_from_support(first.n, outcome.vertices)

@@ -155,12 +155,19 @@ def canonical_cycle(walk: Walk) -> Walk:
     """Smallest rotation/reflection of a closed walk; sign-preserving.
 
     Linear in the walk's length: the least rotation of each direction,
-    then the smaller of the two.
+    then the smaller of the two.  When no element repeats, as on every
+    fundamental or enumerated cycle, both least rotations start at the
+    least element; otherwise Booth's algorithm finds them.
     """
     if not walk.is_closed:
         raise InvalidWalkError("canonical form is defined for closed walks")
     seq = list(walk.elements[:-1])
-    best = min(_least_rotation(seq), _least_rotation(seq[::-1]))
+    if len(set(seq)) == len(seq):
+        start = seq.index(min(seq))
+        forward = seq[start:] + seq[:start]
+        best = min(tuple(forward), tuple(forward[:1] + forward[:0:-1]))
+    else:
+        best = min(_least_rotation(seq), _least_rotation(seq[::-1]))
     return Walk(best + (best[0],))
 
 

@@ -257,6 +257,9 @@ def test_bad_parameters_are_invalid_values(ex):
         lambda: hs.theorem_battery_even(sex, tol=-1.0),
         lambda: hs.spectrum_contains([0.0], 0.0, abs_tol=math.nan),
         lambda: hs.spectrum_contains([0.0], 0.0, rel_tol=0.0),
+        lambda: hs.spectrum_contains([0.0], 0.0, abs_tol="1"),
+        lambda: hs.spectrum_contains([0.0], 0.0, rel_tol="1"),
+        lambda: hs.spectral_balance_tests(ex, abs_tol="1"),
         lambda: hs.serialize(ex, "xml"),
         lambda: hs.GF2System(-1, ()),
         lambda: hs.GF2System(2, ((4, 0),)),

@@ -381,3 +381,72 @@ def test_read_instances_build_their_core_while_read(monkeypatch, fmt):
     hs.connected_components(h)
     hs.incidence_balance(h)
     assert built == [h]
+
+
+def _count_edge_builds(monkeypatch) -> list:
+    built = []
+    build = core._build_edges
+
+    def counting(h):
+        built.append(h)
+        return build(h)
+
+    monkeypatch.setattr(core, "_build_edges", counting)
+    return built
+
+
+@pytest.mark.parametrize("fmt", ["ohg", "json"])
+def test_read_and_derived_instances_build_edges_only_when_read(monkeypatch, tmp_path, fmt):
+    built = _count_edge_builds(monkeypatch)
+    rng = random.Random(2018)
+    for k, p_neg in ((3, 0.0), (3, 0.5), (4, 0.0), (4, 0.5)):
+        g = hs.generate(40, 60, k=k, p_neg=p_neg, connected=True, seed=k)
+        path = tmp_path / f"case.{fmt}"
+        hs.save(g, path)
+        built.clear()
+        h = hs.load(path)
+        plus = hs.all_positive_variant(h)
+        cert = hs.SwitchCertificate(
+            tuple(v for v in range(1, h.n + 1) if rng.random() < 0.5),
+            tuple(j for j in range(h.m) if rng.random() < 0.5),
+        )
+        switched = hs.apply_switches(h, cert)
+        signed, signed_plus = hs.induced_signed(h), hs.induced_signed(plus)
+        signed_switched = hs.apply_signed_switches(
+            signed, hs.SignedSwitchCertificate(cert.vertices)
+        )
+        assert bool(hs.incidence_balance(h)) == (p_neg == 0.0)
+        assert hs.oriented_switch_equivalent(switched, h)
+        hs.oriented_switch_equivalent(h, plus)
+        assert hs.signed_switch_equivalent(signed, signed_switched)
+        hs.signed_switch_equivalent(signed, signed_plus)
+        if k % 2 == 0:
+            hs.odd_bipartite(h)
+            hs.theorem_battery_even(signed)
+            hs.signed_tensor_similarity(signed, signed_switched)
+        assert built == []
+
+        # Read, each builds its edges once, and they equal the validated
+        # construction: the file holds every edge's incidences by vertex.
+        table = orientation_table(g)
+        vertex_flip = {v: -1 for v in cert.vertices}
+        edge_flip = {j: -1 for j in cert.edges}
+        sets = [sorted(v for v, _ in edge) for edge in g.edges]
+        expected = [
+            (h, hs.build(g.n, [[(v, table[(j, v)]) for v in vs] for j, vs in enumerate(sets)],
+                         g.names)),
+            (plus, hs.build(g.n, [[(v, 1) for v in vs] for vs in sets], g.names)),
+            (switched, hs.build(g.n, [
+                [(v, table[(j, v)] * vertex_flip.get(v, 1) * edge_flip.get(j, 1)) for v in vs]
+                for j, vs in enumerate(sets)], g.names)),
+            (signed, hs.build_signed(g.n, sets, [hs.edge_sign(g, j) for j in range(g.m)],
+                                     g.names)),
+            (signed_plus, hs.build_signed(g.n, sets, [(-1) ** (k - 1)] * g.m, g.names)),
+            (signed_switched, hs.build_signed(g.n, sets, [
+                hs.edge_sign(g, j) * (-1) ** len(set(cert.vertices).intersection(vs))
+                for j, vs in enumerate(sets)], g.names)),
+        ]
+        for copy, validated in expected:
+            assert copy.edges is copy.edges
+            assert copy == validated and repr(copy) == repr(validated)
+        assert built == [copy for copy, _ in expected]

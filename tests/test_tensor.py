@@ -9,6 +9,7 @@ import hypersign as hs
 from hypersign.errors import (
     DimensionMismatchError,
     InternalCheckError,
+    InvalidValueError,
     NoConvergenceError,
     NotConnectedError,
     NotUniformError,
@@ -92,6 +93,14 @@ def test_apply_input_validation(sex):
         for bad in (np.ones(5), np.ones((6, 1)), np.ones((2, 3))):
             with pytest.raises(DimensionMismatchError):
                 call(sex, bad)
+        # string, None, object and ragged entries are not numbers
+        for bad in (["a"] * 6, [None] * 6, np.array([object()] * 6), "abcdef",
+                    [[1.0], [1.0, 2.0], 1, 1, 1, 1]):
+            with pytest.raises(InvalidValueError):
+                call(sex, bad)
+    for eigenvalue in ("x", None, [1.0]):
+        with pytest.raises(InvalidValueError):
+            hs.eigenpair_residual(sex, eigenvalue, np.ones(6))
     mixed = hs.build_signed(3, [(1, 2), (1, 2, 3)], [1, 1])
     singletons = hs.build_signed(2, [(1,), (2,)], [1, 1])
     edgeless = hs.build_signed(2, [], [])

@@ -7,7 +7,15 @@ import pytest
 import hypersign as hs
 from hypersign.core import IncidenceCore
 from hypersign.errors import DisconnectedPairError, InternalCheckError, InvalidWalkError
-from hypersign.walks import EDGE, VERTEX, Walk, _component_roots, edge_node, vertex_node
+from hypersign.walks import (
+    EDGE,
+    VERTEX,
+    Walk,
+    _component_roots,
+    _least_rotation,
+    edge_node,
+    vertex_node,
+)
 
 from _oracles import canonical_cycle_by_rotations, connected_components_by_dfs
 
@@ -279,6 +287,37 @@ def test_canonical_cycle_matches_all_rotations():
         walks.append(Walk(tuple(elements) + (elements[0],)))
     for walk in walks:
         assert hs.canonical_cycle(walk).elements == canonical_cycle_by_rotations(walk)
+
+
+def test_canonical_cycle_matches_booth_on_simple_cycles_and_repeats():
+    # Booth's algorithm in both directions is the referee: on seeded
+    # cycles whose elements are all distinct (the shortcut) and on closed
+    # walks that repeat an element (Booth's algorithm itself).
+    rng = random.Random(2018)
+    walks = []
+    for _ in range(400):
+        half = rng.randint(1, 30)
+        vertices = rng.sample(range(1, 100), half)
+        edges = rng.sample(range(100), half)
+        elements = [node for pair in zip(map(vertex_node, vertices), map(edge_node, edges))
+                    for node in pair]
+        if rng.random() < 0.5:
+            elements = elements[1:] + elements[:1]
+        walks.append(elements)
+    for _ in range(400):
+        half = rng.randint(2, 12)
+        elements = [node for _ in range(half) for node in (
+            vertex_node(rng.randint(1, 4)), edge_node(rng.randint(0, 3)))]
+        if len(set(elements)) == len(elements):
+            elements += elements
+        walks.append(elements)
+    distinct = sum(len(set(elements)) == len(elements) for elements in walks)
+    assert distinct == 400
+    for elements in walks:
+        best = min(_least_rotation(elements), _least_rotation(elements[::-1]))
+        assert hs.canonical_cycle(Walk(tuple(elements) + (elements[0],))).elements == (
+            best + (best[0],)
+        )
 
 
 def test_canonical_cycle_of_a_long_loose_cycle():
