@@ -5,9 +5,9 @@ empty) parts so that each edge meets one part only through positive
 incidences and the other only through negative ones.  Equivalently there
 is a +-1 labeling of vertices and edges with label(edge) * label(vertex)
 equal to the orientation at every incidence; the decision procedure
-propagates such labels in one pass and either returns the bipartition
-(with the switching certificate that positivizes everything) or a cycle
-whose incidence sign is -1.
+propagates such labels in O(log n) rounds of array operations and either
+returns the bipartition (with the switching certificate that positivizes
+everything) or a cycle whose incidence sign is -1.
 
 equivalence_battery evaluates the five equivalent statements on
 oracle-scale instances: four by independent computations, and the
@@ -31,7 +31,7 @@ from .walks import (
     incidence_sign_of,
     node_element,
     paths_sign_consistent,
-    propagate_labels,
+    _propagate_labels,
 )
 
 __all__ = [
@@ -77,25 +77,28 @@ BalanceVerdict = Balanced | Unbalanced
 
 
 def incidence_balance(g: OrientedHypergraph) -> BalanceVerdict:
-    """Decide balance in time linear in the number of incidences.
+    """Decide balance in O(incidences * log n) array work, plus one
+    breadth-first search, linear in the incidences, when unbalanced.
 
     Components are labeled independently, each rooted at its smallest
-    node with label +1, which makes certificates deterministic.
+    node with label +1, which makes certificates deterministic.  The
+    search names the cycle of incidence sign -1 on which breadth-first
+    propagation over the components in node order first meets a conflict.
     """
-    n, m = g.n, g.m
-    label = propagate_labels(g.incidence_core, g.incidence_core.signs)
+    n = g.n
+    label = _propagate_labels(g.incidence_core, g.incidence_core.signs)
     if isinstance(label, Walk):
         return Unbalanced(cycle=label)
-    part_positive = tuple(v + 1 for v in range(n) if label[v] == 1)
-    part_negative = tuple(v + 1 for v in range(n) if label[v] == -1)
+    part_positive = tuple((np.flatnonzero(label[:n] == 1) + 1).tolist())
+    part_negative = tuple((np.flatnonzero(label[:n] == -1) + 1).tolist())
     return Balanced(
         part_positive=part_positive,
         part_negative=part_negative,
-        vertex_labels=tuple(label[:n]),
-        edge_labels=tuple(label[n:]),
+        vertex_labels=tuple(label[:n].tolist()),
+        edge_labels=tuple(label[n:].tolist()),
         cert=SwitchCertificate(
             vertices=part_negative,
-            edges=tuple(j for j in range(m) if label[n + j] == -1),
+            edges=tuple(np.flatnonzero(label[n:] == -1).tolist()),
         ),
         has_empty_part=not part_positive or not part_negative,
     )

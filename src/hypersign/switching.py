@@ -25,7 +25,7 @@ import numpy as np
 from .core import OrientedHypergraph, SignedHypergraph, _member_rows, structures_match
 from .errors import InternalCheckError, StructureMismatchError
 from .linalg import GF2Infeasible, _gf2_eliminate
-from .walks import Walk, propagate_labels
+from .walks import Walk, _propagate_labels
 
 __all__ = [
     "SwitchCertificate",
@@ -126,27 +126,28 @@ def oriented_switch_equivalent(
 ) -> SwitchCertificate | NotEquivalent:
     """Certificate turning source into target, or a conflicting cycle.
 
-    Labels every vertex and edge of the shared structure by breadth-first
-    propagation of the per-incidence discrepancy source*target, each
-    component rooted at its smallest element with label +1.  The
-    resulting certificate is involutive: it also maps target to source.
+    Labels every vertex and edge of the shared structure so that their
+    product across each incidence is the discrepancy source*target, each
+    component rooted at its smallest element with label +1, by the same
+    label propagation as incidence_balance.  The resulting certificate is
+    involutive: it also maps target to source.
     """
     if not structures_match(source, target):
         raise StructureMismatchError(
             "switching equivalence needs identical underlying structures"
         )
-    n, m = source.n, source.m
+    n = source.n
     ours, theirs = source.incidence_core, target.incidence_core
     # Matching structures list the same incidences in their vertex rows,
     # so those rows align target's orientations with source's.
     values = ours.signs.copy()
     values[ours.slot[: ours.size]] *= theirs.signs[theirs.slot[: theirs.size]]
-    label = propagate_labels(ours, values)
+    label = _propagate_labels(ours, values)
     if isinstance(label, Walk):
         return NotEquivalent(cycle=label)
     return SwitchCertificate(
-        vertices=tuple(v + 1 for v in range(n) if label[v] == -1),
-        edges=tuple(j for j in range(m) if label[n + j] == -1),
+        vertices=tuple((np.flatnonzero(label[:n] == -1) + 1).tolist()),
+        edges=tuple(np.flatnonzero(label[n:] == -1).tolist()),
     )
 
 

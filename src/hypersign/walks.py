@@ -5,16 +5,17 @@ incidence.  The incidence sign of a walk is the product of the
 orientations along it; the adjacency sign additionally carries a factor
 (-1)^floor(t/2) for a walk of t incidences.
 
-Every search here reads the instance's incidence core: one breadth-first
-label-propagation kernel serves balance and oriented switching; one
-hook-and-compress kernel decides connectivity in O(log n) rounds of array
-operations; and one depth-first simple-path search serves the cycle and
-path oracles, which are meant for small instances (a few dozen nodes).
+Every search here reads the instance's incidence core.  One
+hook-and-compress kernel runs in O(log n) rounds of array operations: it
+decides connectivity, and with one parity bit per vertex it labels nodes
+for balance and oriented switching.  A breadth-first search runs only to
+name the negative cycle when no labels exist.  One depth-first
+simple-path search serves the cycle and path oracles, which are meant for
+small instances (a few dozen nodes).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,7 +44,6 @@ __all__ = [
     "adjacency_sign_of",
     "canonical_cycle",
     "fundamental_cycle",
-    "propagate_labels",
     "is_connected",
     "connected_components",
     "CycleEnumeration",
@@ -66,32 +66,51 @@ def edge_node(e: int) -> Element:
     return (EDGE, e)
 
 
+_KINDS = (VERTEX, EDGE)
+
+
+def _element(el) -> Element:
+    """el with its id as a Python int; ids follow the vertex and edge id
+    contract (an integer, numpy integers included, and not a bool)."""
+    if (
+        isinstance(el, tuple)
+        and len(el) == 2
+        and el[0] in _KINDS
+        and type(el[1]) is not bool
+        and isinstance(el[1], (int, np.integer))
+    ):
+        return (el[0], int(el[1]))
+    raise InvalidWalkError(f"malformed element {el!r}")
+
+
 @dataclass(frozen=True)
 class Walk:
     """Alternating element sequence a0, a1, ..., a_t (incidences implicit).
 
     Each element is ("v", vertex id) or ("e", edge index).  The j-th
     incidence is the (edge, vertex) pair formed by elements j-1 and j.
+    An id is an integer and not a bool; a numpy integer is stored as an
+    int.
     """
 
     elements: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        if len(self.elements) == 0:
+        elements = self.elements
+        if len(elements) == 0:
             raise InvalidWalkError("a walk has at least one element")
-        for el in self.elements:
-            if (
-                not isinstance(el, tuple)
-                or len(el) != 2
-                or el[0] not in (VERTEX, EDGE)
-                or not isinstance(el[1], int)
-            ):
-                raise InvalidWalkError(f"malformed element {el!r}")
-        for a, b in zip(self.elements, self.elements[1:]):
-            if a[0] == b[0]:
-                raise InvalidWalkError(
-                    "consecutive elements must alternate between vertices and edges"
-                )
+        if not all(
+            type(el) is tuple and len(el) == 2 and el[0] in _KINDS and type(el[1]) is int
+            for el in elements
+        ):
+            elements = tuple(map(_element, elements))
+            object.__setattr__(self, "elements", elements)
+        kinds = [kind for kind, _ in elements]
+        other = EDGE if kinds[0] == VERTEX else VERTEX
+        if kinds[0::2].count(kinds[0]) + kinds[1::2].count(other) < len(kinds):
+            raise InvalidWalkError(
+                "consecutive elements must alternate between vertices and edges"
+            )
 
     @property
     def length(self) -> int:
@@ -161,7 +180,12 @@ def canonical_cycle(walk: Walk) -> Walk:
     """
     if not walk.is_closed:
         raise InvalidWalkError("canonical form is defined for closed walks")
-    seq = list(walk.elements[:-1])
+    return _canonical_walk(list(walk.elements[:-1]))
+
+
+def _canonical_walk(seq: list[Element]) -> Walk:
+    """The closed walk around the cyclic sequence seq, canonicalized as by
+    canonical_cycle; one Walk is built, from the canonical elements."""
     if len(set(seq)) == len(seq):
         start = seq.index(min(seq))
         forward = seq[start:] + seq[:start]
@@ -182,8 +206,9 @@ def fundamental_cycle(n: int, parent: list[int], x: int, y: int) -> Walk:
 
     def up(node: int) -> list[int]:
         chain = [node]
-        while parent[chain[-1]] != chain[-1]:
-            chain.append(parent[chain[-1]])
+        while parent[node] != node:
+            node = parent[node]
+            chain.append(node)
         return chain
 
     path_x = up(x)
@@ -194,8 +219,7 @@ def fundamental_cycle(n: int, parent: list[int], x: int, y: int) -> Walk:
         iy += 1
     ix = pos_in_x[path_y[iy]]
     nodes = path_x[ix::-1] + path_y[:iy]
-    elements = tuple(node_element(n, u) for u in nodes)
-    return canonical_cycle(Walk(elements + (elements[0],)))
+    return _canonical_walk([node_element(n, u) for u in nodes])
 
 
 def _rows(core: IncidenceCore, values) -> tuple[list[int], list[int], list[int]]:
@@ -205,40 +229,36 @@ def _rows(core: IncidenceCore, values) -> tuple[list[int], list[int], list[int]]
     return core.indptr.tolist(), core.indices.tolist(), gathered.tolist()
 
 
-def propagate_labels(core: IncidenceCore, values: np.ndarray) -> list[int] | Walk:
-    """+-1 node labels (vertices first, then edges) whose product across
-    every incidence equals that incidence's entry of ``values`` (one per
-    incidence, in edge-major order); or a closed walk on which no such
-    labels exist.
+def _conflict_cycle(core: IncidenceCore, values: np.ndarray, root: int) -> Walk:
+    """The fundamental cycle of the first conflict that breadth-first
+    propagation of +-1 labels (their product across every incidence equal
+    to its entry of ``values``) meets from ``root``, labelled +1.
 
-    Breadth-first over the core's rows; each component is rooted at its
-    smallest node with label +1, which makes the result deterministic.
+    Raises InternalCheckError if the component of ``root`` holds none.
     """
     n, nodes = core.n, core.indptr.size - 1
     indptr, indices, wanted = _rows(core, values)
     label = [0] * nodes
     parent = list(range(nodes))
-    for r in range(nodes):
-        if label[r]:
-            continue
-        label[r] = 1
-        queue = deque([r])
-        while queue:
-            x = queue.popleft()
-            start, stop = indptr[x], indptr[x + 1]
-            for y, value in zip(indices[start:stop], wanted[start:stop]):
-                want = label[x] * value
-                if label[y] == 0:
-                    label[y] = want
-                    parent[y] = x
-                    queue.append(y)
-                elif label[y] != want:
-                    return fundamental_cycle(n, parent, x, y)
-    return label
+    label[root] = 1
+    queue = [root]  # the loop below reads it in order as it grows
+    for x in queue:
+        sign = label[x]
+        for k in range(indptr[x], indptr[x + 1]):
+            y, want = indices[k], sign * wanted[k]
+            if not label[y]:
+                label[y] = want
+                parent[y] = x
+                queue.append(y)
+            elif label[y] != want:
+                return fundamental_cycle(n, parent, x, y)
+    raise InternalCheckError(
+        f"internal check failed: no conflicting label in the component of node {root}"
+    )
 
 
 # ---------------------------------------------------------------------------
-# Incidence-structure connectivity.
+# Incidence-structure connectivity and labels.
 # Node ids: vertex v -> v - 1, edge j -> n + j.
 
 
@@ -256,7 +276,9 @@ def _element_node(h, el: Element) -> int:
     return h.n + ident
 
 
-def _component_roots(core: IncidenceCore) -> tuple[np.ndarray, np.ndarray]:
+def _component_roots(
+    core: IncidenceCore, flips: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The smallest vertex node of each vertex's component (vertex v at
     position v - 1), and of each edge's component.
 
@@ -285,29 +307,80 @@ def _component_roots(core: IncidenceCore) -> tuple[np.ndarray, np.ndarray]:
     rounds, and one more round hooks nothing.  The loop allows
     2 * ceil(log2(n + 1)) + 2 rounds and raises InternalCheckError past
     them.
+
+    Parity.  Given ``flips`` (one bool per incidence, in edge-major order,
+    for +-1 labels whose product across an incidence is -1 where it is
+    set), every entry is root * 2 + parity instead, the parity being the
+    node's label relative to its root's.  Incidence (e, v) keys edge e by
+    v's root and the parity that v gives e: v's parity XOR the flip.  An
+    edge takes the least of its members' keys.  A root hooking onto the
+    edge's least root q takes the parity across the edge, the XOR of the
+    two parities the edge has relative to q and to it; so the key passed
+    to np.minimum.at is q * 2 + bit, and the hooks and the round bound
+    stand as they are.  Each pointer jump XORs in the parent's parity.
+    Members that give their edge different parities leave it
+    unlabellable; reading them is the caller's part.
     """
     n, total = core.n, core.size
     members, edges = core.indices[total:], core.edge_ids
     starts = core.indptr[n:-1] - total
-    parent = np.arange(n)
-    roots = members
+    if flips is None:
+        parent, keys = np.arange(n), members
+    else:
+        parent, keys = np.arange(0, 2 * n, 2), (members << 1) ^ flips
     bound = 2 * n.bit_length() + 2  # bit_length is ceil(log2(n + 1))
     for _ in range(bound):
-        least = np.minimum.reduceat(roots, starts)
-        if not np.count_nonzero(least):
-            parent[roots] = 0
-            return parent[parent], least
-        hooks = least[edges]
-        if not np.count_nonzero(hooks != roots):
-            return parent, least
-        np.minimum.at(parent, roots, hooks)
-        grand = parent[parent]
-        while np.count_nonzero(grand != parent):
-            parent, grand = grand, grand[grand]
-        roots = parent[members]
+        least = np.minimum.reduceat(keys, starts)
+        if flips is None:
+            if not np.count_nonzero(least):
+                parent[keys] = 0
+                return parent[parent], least
+            hooks = least[edges]
+            if not np.count_nonzero(hooks != keys):
+                return parent, least
+            np.minimum.at(parent, keys, hooks)
+            grand = parent[parent]
+            while np.count_nonzero(grand != parent):
+                parent, grand = grand, grand[grand]
+            keys = parent[members]
+        else:
+            hooks = least[edges] ^ (keys & 1)
+            if not np.count_nonzero((hooks ^ keys) > 1):
+                return parent, least
+            np.minimum.at(parent, keys >> 1, hooks)
+            grand = parent[parent >> 1] ^ (parent & 1)
+            while np.count_nonzero(grand != parent):
+                parent, grand = grand, grand[grand >> 1] ^ (grand & 1)
+            keys = parent[members] ^ flips
     raise InternalCheckError(
         f"internal check failed: components of {n} vertices unsettled after {bound} rounds"
     )
+
+
+def _propagate_labels(core: IncidenceCore, values: np.ndarray) -> np.ndarray | Walk:
+    """+-1 node labels, in an array (vertices first, then edges), whose
+    product across every incidence equals that incidence's entry of
+    ``values`` (one per incidence, in edge-major order); or a closed walk
+    on which no such labels exist.
+
+    The hook-and-compress kernel carries every node's label relative to
+    its component's smallest node, a vertex, labelled +1.  If every
+    edge's members give it one label, these are the labels, and the only
+    ones with every smallest node at +1.  Otherwise the first component,
+    in node order, that holds an edge whose members disagree is the first
+    one in which breadth-first propagation over the components in node
+    order meets a conflict (the components before it are balanced), and
+    that search, run from its smallest node alone, names the cycle.
+    """
+    n, total = core.n, core.size
+    flips = np.asarray(values) < 0
+    codes, least = _component_roots(core, flips)
+    keys = codes[core.indices[total:]] ^ flips
+    most = np.maximum.reduceat(keys, core.indptr[n:-1] - total)
+    split = least != most  # members that give their edge different labels
+    if not np.count_nonzero(split):
+        return 1 - 2 * (np.concatenate((codes, least)) & 1)
+    return _conflict_cycle(core, values, int(least[split].min()) >> 1)
 
 
 def connected_components(h: OrientedHypergraph | SignedHypergraph) -> list[list[int]]:
@@ -406,8 +479,7 @@ def enumerate_cycles(
     for s in range(g.n + g.m):
         for path, sign in _simple_paths(indptr, indices, steps, s, s, floor=s):
             if len(path) >= 3 and path[1] < path[-1]:
-                elements = tuple(node_element(g.n, u) for u in path)
-                out.append((canonical_cycle(Walk(elements + (elements[0],))), sign))
+                out.append((_canonical_walk([node_element(g.n, u) for u in path]), sign))
                 if len(out) >= max_count:
                     return CycleEnumeration(tuple(out), True)
     return CycleEnumeration(tuple(out), False)

@@ -12,12 +12,18 @@ from hypersign.walks import (
     VERTEX,
     Walk,
     _component_roots,
+    _conflict_cycle,
     _least_rotation,
+    _propagate_labels,
     edge_node,
     vertex_node,
 )
 
-from _oracles import canonical_cycle_by_rotations, connected_components_by_dfs
+from _oracles import (
+    canonical_cycle_by_rotations,
+    connected_components_by_dfs,
+    propagate_labels_by_dict,
+)
 
 
 def test_walk_validation():
@@ -30,6 +36,24 @@ def test_walk_validation():
         Walk(((VERTEX, 1), (VERTEX, 2)))
     with pytest.raises(InvalidWalkError):
         Walk((("x", 1),))
+
+
+def test_walk_ids_follow_the_id_contract(triangle):
+    # A bool is not an id, as for every vertex and edge lookup; a numpy
+    # integer is one, and is stored as a Python int.
+    for bad in ((VERTEX, True), (EDGE, False), (VERTEX, np.bool_(True)), (VERTEX, 1.0)):
+        with pytest.raises(InvalidWalkError, match="malformed element"):
+            Walk((bad,))
+        with pytest.raises(InvalidWalkError, match="malformed element"):
+            Walk(((VERTEX, 2), (EDGE, 0), bad, (EDGE, 1), (VERTEX, 2)))
+    w = Walk(((VERTEX, np.int64(1)), (EDGE, np.intp(0)), (VERTEX, np.uint8(2))))
+    assert w.elements == ((VERTEX, 1), (EDGE, 0), (VERTEX, 2))
+    assert [type(ident) for _, ident in w.elements] == [int, int, int]
+    assert w == Walk(((VERTEX, 1), (EDGE, 0), (VERTEX, 2)))
+    assert hash(w) == hash(Walk(((VERTEX, 1), (EDGE, 0), (VERTEX, 2))))
+    cycle = hs.enumerate_cycles(triangle).cycles[0][0]
+    raw = Walk(tuple((kind, np.int64(ident)) for kind, ident in cycle.elements))
+    assert hs.canonical_cycle(raw) == cycle
 
 
 def test_walk_incidences_and_signs(e1):
@@ -131,35 +155,67 @@ def _labelings(n: int, rng: random.Random) -> dict[str, list[int]]:
     }
 
 
-def _shapes(n: int) -> dict[str, list[tuple[int, int]]]:
-    """Position pairs of a path, a cycle, a binary tree and a caterpillar
-    (a path of n/2 positions, each with one leaf) on n positions."""
-    path = [(i, i + 1) for i in range(n - 1)]
+def _shapes(n: int) -> dict[str, list[tuple[int, int, int]]]:
+    """Position triples (a, b, s), one edge oriented +1 at a and s at b, on
+    n positions (n a multiple of 8).  Balanced: a path, a cycle, a binary
+    tree and a caterpillar (a path of n/2 positions, each with one leaf).
+    Unbalanced: the cycle with one incidence flipped, and four cycles on
+    the positions of each residue mod 4 in which only the last two hold a
+    flipped incidence (under the identity order, the first conflict lies
+    in the third component, after two balanced ones of n/4 vertices)."""
+    path = [(i, i + 1, -1) for i in range(n - 1)]
     spine = n // 2
+    loops = [(p, p + 4 if p + 4 < n else p + 4 - n, -1) for p in range(n)]
+    for c in (2, 3):
+        loops[c] = (c, c + 4, 1)
     return {
         "path": path,
-        "cycle": path + [(n - 1, 0)],
-        "binary tree": [((i - 1) // 2, i) for i in range(1, n)],
-        "caterpillar": path[: spine - 1] + [(i - spine, i) for i in range(spine, n)],
+        "cycle": path + [(n - 1, 0, -1)],
+        "binary tree": [((i - 1) // 2, i, -1) for i in range(1, n)],
+        "caterpillar": path[: spine - 1] + [(i - spine, i, -1) for i in range(spine, n)],
+        "flipped cycle": path + [(n - 1, 0, 1)],
+        "four cycles": loops,
     }
 
 
-@pytest.mark.parametrize("shape", ["path", "cycle", "binary tree", "caterpillar"])
+@pytest.mark.parametrize("shape", list(_shapes(8)))
 def test_components_of_slow_shapes_under_adversarial_labels(shape):
     # Shapes of 2^13 vertices, under orders that make the least root
     # travel far (a breadth-first kernel needs O(diameter) steps) and
     # orders that do not.  The round guard raises InternalCheckError if a
-    # call needs more than 2 * ceil(log2(n + 1)) + 2 rounds.  Each shape
-    # less its first edge, split in two unless it is the cycle, runs too.
+    # call needs more than 2 * ceil(log2(n + 1)) + 2 rounds, on the
+    # labelled path too.  Each shape less its first edge, split in two
+    # unless it is a cycle, runs too.  Balance and oriented switching to
+    # the all-positive variant must give the labels, or name the cycle,
+    # that breadth-first propagation over dicts does.
     n = 2**13
     rng = random.Random(shape)
-    pairs = _shapes(n)[shape]
+    triples = _shapes(n)[shape]
     for name, label in _labelings(n, rng).items():
-        edges = [[(label[a] + 1, 1), (label[b] + 1, -1)] for a, b in pairs]
-        for g in (hs.build(n, edges), hs.build(n, edges[1:])):
+        edges = [[(label[a] + 1, 1), (label[b] + 1, s)] for a, b, s in triples]
+        for specs in (edges, edges[1:]):
+            g = hs.build(n, specs)
             expected = connected_components_by_dfs(g)
             assert hs.connected_components(g) == expected, name
             assert hs.is_connected(g) == (len(expected) == 1), name
+            labels = propagate_labels_by_dict(
+                n, g.m, [(j, v, s) for j, edge in enumerate(specs) for v, s in edge]
+            )
+            verdict = hs.incidence_balance(g)
+            switched = hs.oriented_switch_equivalent(g, hs.all_positive_variant(g))
+            unbalanced = shape == "four cycles" or shape == "flipped cycle" and specs is edges
+            assert isinstance(labels, Walk) == unbalanced, name
+            if unbalanced:
+                assert verdict == hs.Unbalanced(cycle=labels), name
+                assert switched == hs.NotEquivalent(cycle=labels), name
+                continue
+            assert verdict.vertex_labels == tuple(labels[:n]), name
+            assert verdict.edge_labels == tuple(labels[n:]), name
+            assert switched == verdict.cert, name
+    if shape == "four cycles":
+        g = hs.build(n, [[(a + 1, 1), (b + 1, s)] for a, b, s in triples])
+        cycle = hs.incidence_balance(g).cycle
+        assert {ident % 4 for kind, ident in cycle.elements if kind == VERTEX} == {3}
 
 
 def test_components_of_a_long_path_with_decreasing_labels():
@@ -183,6 +239,18 @@ def test_round_guard_stops_a_search_that_does_not_settle():
     core = IncidenceCore(2, indptr, indices, np.arange(4), None, np.array([1, 1]))
     with pytest.raises(InternalCheckError, match="rounds"):
         _component_roots(core)
+    for values in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
+        with pytest.raises(InternalCheckError, match="rounds"):
+            _propagate_labels(core, np.array(values))
+
+
+def test_conflict_search_checks_that_it_finds_a_conflict(e1, triangle):
+    # The search runs only where the labelling kernel found an edge whose
+    # members disagree; a component without a conflict is an internal fault.
+    with pytest.raises(InternalCheckError, match="no conflicting label"):
+        _conflict_cycle(e1.incidence_core, e1.incidence_core.signs, 0)
+    core = triangle.incidence_core
+    assert _conflict_cycle(core, core.signs, 0) == hs.incidence_balance(triangle).cycle
 
 
 def _traced_peak(call, h) -> int:
