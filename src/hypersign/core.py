@@ -17,7 +17,8 @@ switched copies) are trusted and share their parent's core arrays, all
 but the signs.  Every structural question reads the incidence core.
 ``edges`` is stored by the constructors; a read or derived instance keeps
 only its core, and builds ``edges`` from it the first time it is read
-(``members``, ``edge_sign``, serialization, equality), then keeps it.
+(``members``, ``edge_sign``, equality), then keeps it.  Serialization
+reads whichever of the two an instance has.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ class IncidenceCore:
 
     def edge_sizes(self) -> np.ndarray:
         """Number of members of each edge, in edge order."""
-        return np.diff(self.indptr[self.n :])
+        ends = self.indptr[self.n :]
+        return ends[1:] - ends[:-1]
 
 
 def _by_edge(items: Iterable, sizes: list[int]) -> tuple[tuple, ...]:
@@ -182,20 +184,14 @@ def _build_core(h: OrientedHypergraph | SignedHypergraph) -> IncidenceCore:
     return core
 
 
-def _member_rows(h: OrientedHypergraph | SignedHypergraph) -> tuple[tuple[int, ...], ...]:
-    """The vertices of each edge, in stored order, cut from h's incidence core."""
-    core = h.incidence_core
-    return _by_edge((core.edge_major()[1] + 1).tolist(), core.edge_sizes().tolist())
-
-
 def _build_edges(h: OrientedHypergraph | SignedHypergraph) -> tuple[tuple, ...]:
     """The stored form of h's edges, cut from its incidence core: the tuples
     and ints that h's constructor would have stored."""
     core = h.incidence_core
-    if core.signs is None:
-        return _member_rows(h)
-    vertices = (core.edge_major()[1] + 1).tolist()
-    return _by_edge(zip(vertices, core.signs.tolist()), core.edge_sizes().tolist())
+    items = (core.edge_major()[1] + 1).tolist()
+    if core.signs is not None:  # (vertex, orientation) pairs
+        items = zip(items, core.signs.tolist())
+    return _by_edge(items, core.edge_sizes().tolist())
 
 
 class _IncidenceStructure:

@@ -22,6 +22,7 @@ import json
 import os
 import re
 from importlib import resources
+from itertools import islice
 
 import numpy as np
 
@@ -149,17 +150,30 @@ def from_json_dict(data: dict) -> OrientedHypergraph:
     return OrientedHypergraph._read(n, sizes, values[0::2], values[1::2].copy(), tuple(names))
 
 
+def _signed_members(g: OrientedHypergraph) -> tuple[list[int], list[int]]:
+    """v or -v, for orientation +1 or -1, at every incidence, edge by edge
+    and by vertex within an edge, and the size of every edge.  Read from
+    the stored edges of an instance that has them, else from its incidence
+    core, whose vertex rows list each vertex's edges in ascending order, so
+    a stable regrouping by edge keeps every edge's members by vertex.
+    Neither representation is built from the other."""
+    if "edges" in vars(g):  # constructed, or a read instance whose edges were read
+        codes = [v if s > 0 else -v for edge in g.edges for v, s in sorted(edge)]
+        return codes, list(map(len, g.edges))
+    core = g.incidence_core
+    slots = core.slot[: core.size][core.indices[: core.size].argsort(kind="stable")]
+    codes = (core.edge_major()[1][slots] + 1) * core.signs[slots]
+    return codes.tolist(), core.edge_sizes().tolist()
+
+
 def to_json_dict(g: OrientedHypergraph) -> dict:
+    codes, sizes = _signed_members(g)
+    incidences = ({"v": abs(c), "sign": 1 if c > 0 else -1} for c in codes)
     return {
         "n": g.n,
         "edges": [
-            {
-                "name": g.names[j],
-                "incidences": [
-                    {"v": v, "sign": 1 if s > 0 else -1} for v, s in sorted(g.edges[j])
-                ],
-            }
-            for j in range(g.m)
+            {"name": name, "incidences": list(islice(incidences, size))}
+            for name, size in zip(g.names, sizes)
         ],
     }
 
@@ -170,12 +184,13 @@ def serialize(g: OrientedHypergraph, fmt: str = "ohg") -> str:
         return json.dumps(to_json_dict(g), indent=2) + "\n"
     if fmt != "ohg":
         raise InvalidValueError(f"unknown format {fmt!r}")
-    lines = [f"vertices {g.n}"]
-    for j in range(g.m):
-        tokens = " ".join(
-            f"{'+' if s > 0 else '-'}{v}" for v, s in sorted(g.edges[j])
-        )
-        lines.append(f"edge {g.names[j]} {tokens}".rstrip())
+    codes, sizes = _signed_members(g)
+    # One format per edge size: "%+d" writes code v as "+v" and -v as "-v".
+    formats = {size: "edge %s" + " %+d" * size for size in set(sizes)}
+    lines, start = [f"vertices {g.n}"], 0
+    for name, size in zip(g.names, sizes):
+        lines.append(formats[size] % (name, *codes[start : start + size]))
+        start += size
     return "\n".join(lines) + "\n"
 
 

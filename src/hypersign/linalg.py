@@ -20,21 +20,26 @@ eliminator may pivot in any order that reaches them exactly:
   j - 1), it is the least solution, and it does not depend on the order
   of the rows.
 
-The first pass keeps the rows in input order but ranks the columns in
-ascending order of (occurrences among the first min(m, n) rows, total
-occurrences, variable index), a deterministic O(incidences) order, and
-pivots each row on its first column in that order.  The rarely used
-columns are eliminated first, so fill-in stays low: on the structural
-benchmark's systems (n = 2,000, m = 4,000) this halves the XORs.  A row
-is one int: one bit per basis slot at the bottom (the rank is at most
-min(m, n)), then the right-hand side, then the variables, the first in
-the order highest.  The pivot is then the highest set bit, which
-``int.bit_length`` finds without building another int, and one XOR
-moves the variables, the right-hand side and the slots.  A basis row
-holds the slots of the greedy rows it is a sum of, so a row that
-reduces to 0 = 1 names its witness in its slot bits.  The greedy rows,
-their slots and the first inconsistent row do not depend on the column
-order, so neither does the witness.
+The kernel takes a system as two flat arrays: the variables of every row
+in row order, and one count per row.  The parity route cuts them from
+the incidence core; gf2_solve reads them off its masks.  The first pass
+keeps the rows in input order but ranks the columns in ascending order
+of (occurrences among the first min(m, n) rows, total occurrences,
+variable index), a deterministic O(incidences) order: two
+``np.bincount`` calls count the occurrences and one stable
+``np.lexsort`` ranks them.  It pivots each row on its first column in
+that order.  The rarely used columns are eliminated first, so fill-in
+stays low: on the structural benchmark's systems (n = 2,000, m = 4,000)
+this halves the XORs.  A row is one int: one bit per basis slot at the
+bottom (the rank is at most min(m, n)), then the right-hand side, then
+the variables, the first in the order highest; one ``tolist`` of the
+gathered column positions gives every row's variable bits.  The pivot is
+then the highest set bit, which ``int.bit_length`` finds without
+building another int, and one XOR moves the variables, the right-hand
+side and the slots.  A basis row holds the slots of the greedy rows it
+is a sum of, so a row that reduces to 0 = 1 names its witness in its
+slot bits.  The greedy rows, their slots and the first inconsistent row
+do not depend on the column order, so neither does the witness.
 
 Once the rank reaches n - 1, one vector z spans the null space of the
 rows seen so far (z = 0 at full rank), and a row a lies in their row
@@ -60,6 +65,7 @@ span the same row space and have the same solutions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, islice
 from numbers import Real
@@ -126,36 +132,64 @@ def singular_values(m) -> list[float]:
 # GF(2) linear systems as bit masks (bit j-1 <-> variable j).
 
 
+def _whole(value, what: str) -> int:
+    """value as an int if it is an integer (numpy's too) other than a bool,
+    else InvalidValueError: True is not the number 1 here."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidValueError(f"{what} must be an integer, got {value!r:.40}")
+
+
 @dataclass(frozen=True)
 class GF2System:
     nvars: int
     rows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.nvars < 0:
+        """Check nvars and every row, and store them as ints."""
+        nvars = _whole(self.nvars, "nvars")
+        if nvars < 0:
             raise InvalidValueError("nvars must be nonnegative")
-        limit = 1 << self.nvars
-        for i, (mask, rhs) in enumerate(self.rows):
+        limit, rows = 1 << nvars, []
+        for i, row in enumerate(self.rows):
+            try:
+                mask, rhs = row
+            except (TypeError, ValueError):
+                raise InvalidValueError(f"row {i}: expected a (mask, rhs) pair") from None
+            mask = _whole(mask, f"row {i}: mask")
             if not 0 <= mask < limit:
-                raise InvalidValueError(f"row {i}: mask wider than {self.nvars} variables")
-            if rhs not in (0, 1):
+                raise InvalidValueError(f"row {i}: mask wider than {nvars} variables")
+            # A truth value is a bit; 1.0 is not (the kernel XORs it).
+            if not isinstance(rhs, (int, np.integer, np.bool_)) or rhs not in (0, 1):
                 raise InvalidValueError(f"row {i}: right-hand side must be 0 or 1")
+            rows.append((mask, int(rhs)))
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def from_sets(
         cls, nvars: int, equations: Iterable[tuple[Iterable[int], int]]
     ) -> "GF2System":
         """Each equation is (variable ids summing on the left, rhs bit)."""
-        rows = []
-        try:
-            for variables, rhs in equations:
-                mask = 0
-                for var in variables:
-                    mask |= 1 << (var - 1)
-                rows.append((mask, rhs))
-        except ValueError as exc:  # a variable below 1 shifts by a negative count
-            raise InvalidValueError(f"variables must lie in 1..{nvars}") from exc
-        # __post_init__ rejects the variables above nvars: their masks are too wide.
+        nvars, rows = _whole(nvars, "nvars"), []
+        for i, equation in enumerate(equations):
+            try:
+                variables, rhs = equation
+                variables = list(variables)
+            except (TypeError, ValueError):
+                raise InvalidValueError(
+                    f"equation {i}: expected (variables, right-hand side)"
+                ) from None
+            mask = 0
+            for var in variables:
+                var = _whole(var, f"equation {i}: variable")
+                if not 1 <= var <= nvars:
+                    raise InvalidValueError(f"equation {i}: variables must lie in 1..{nvars}")
+                mask |= 1 << (var - 1)
+            rows.append((mask, rhs))
         return cls(nvars, tuple(rows))
 
     def evaluate(self, assignment: Sequence[int]) -> list[int]:
@@ -213,42 +247,39 @@ def _saturation(basis: list[int], low: int) -> tuple[int, int]:
     return null, _back_substitute(basis, low, 0, 1)
 
 
-def _occurrences(n: int, rows: Iterable[Sequence[int]]) -> list[int]:
-    """count[v] = the number of rows holding variable v (1..n)."""
-    count = [0] * (n + 1)
-    for v in chain.from_iterable(rows):
-        count[v] += 1
-    return count
-
-
 def _gf2_eliminate(
-    nvars: int, rows: Sequence[Sequence[int]], rhs: Sequence[int]
+    nvars: int, members: np.ndarray, sizes: np.ndarray, rhs: Sequence[int]
 ) -> GF2Solution | GF2Infeasible:
-    """Solve sum(x[v] for v in rows[i]) = rhs[i] over GF(2), with every
-    variable in 1..nvars and at most once in a row.  See gf2_solve."""
-    n, lshift = nvars, (1).__lshift__
+    """Solve, for every row i, the sum of x[v] over its members = rhs[i]
+    over GF(2).  members holds the variables (1..nvars, at most once in a
+    row) of every row in row order and sizes the number of each row's, both
+    intp arrays.  See gf2_solve."""
+    n, m, lshift = nvars, sizes.size, (1).__lshift__
     # Bits 0..low-1 are basis slots (the rank is at most low), bit low is
     # the right-hand side, and the variables sit above it, the first in
     # the order highest, since a row's pivot is its highest bit.
-    low = min(len(rows), n)
-    if len(rows) < n - 1:
+    low = min(m, n)
+    if m < n - 1:
         # The rank stays below n - 1, so a feasible answer needs the input
         # order's basis anyway: eliminate in that order from the start.
         order = range(1, n + 1)
-        column = list(range(low + n + 1, low, -1))
+        column = np.arange(low + n + 1, low, -1)
     else:
-        order = sorted(range(1, n + 1), key=_occurrences(n, rows).__getitem__)
-        if len(rows) > n:  # else the first min(m, n) rows are all of them
-            order.sort(key=_occurrences(n, islice(rows, n)).__getitem__)
-        column = [0] * (n + 1)
-        for v, p in zip(order, range(low + n, low, -1)):
-            column[v] = p
+        # Ascending (occurrences among the first min(m, n) rows, total
+        # occurrences, index): the sort is stable, so the index breaks ties.
+        total = np.bincount(members, minlength=n + 1)[1:]
+        head = total if m <= n else np.bincount(members[: sizes[:n].sum()], minlength=n + 1)[1:]
+        order = np.lexsort((total, head)) + 1
+        column = np.zeros(n + 1, dtype=np.intp)
+        column[order] = np.arange(low + n, low, -1)
+        order = order.tolist()
+    positions = iter(column[members].tolist())
     top = 1 << low
     basis = [0] * (low + n + 1)
     greedy: list[int] = []  # the input row that filled each basis slot
     saturated: tuple[int, int] | None = None  # (z, x) while the rank is >= n - 1
-    for idx, (members, bit) in enumerate(zip(rows, rhs)):
-        row = sum(map(lshift, map(column.__getitem__, members)), top if bit else 0)
+    for idx, (size, bit) in enumerate(zip(sizes.tolist(), rhs)):
+        row = sum(map(lshift, islice(positions, size)), top if bit else 0)
         if len(greedy) >= n - 1:
             if saturated is None:
                 saturated = _saturation(basis, low)
@@ -271,10 +302,14 @@ def _gf2_eliminate(
             row ^= entry
     if len(greedy) >= n - 1:
         z, x = saturated or _saturation(basis, low)
-    elif len(rows) >= n - 1:
+    elif m >= n - 1:
         # Fewer than n - 1 greedy rows span the row space and have the
         # same solutions: solve them alone, in the input order.
-        return _gf2_eliminate(n, [rows[i] for i in greedy], [rhs[i] for i in greedy])
+        keep = np.zeros(m, dtype=bool)
+        keep[greedy] = True
+        return _gf2_eliminate(
+            n, members[keep.repeat(sizes)], sizes[keep], [rhs[i] for i in greedy]
+        )
     else:
         z, x = 0, _back_substitute(basis, low, 0, 1)
     solution = [0] * n
@@ -304,19 +339,15 @@ def gf2_solve(system: GF2System) -> GF2Solution | GF2Infeasible:
     then index), and each row carries one bit per basis slot, so the
     witness is read off the row that reduces to 0 = 1.  Neither answer
     depends on that order; the canonical solution is recovered in the
-    input order, as the module docstring says.  The masks are read back
-    into member lists first; the parity route hands those lists to the
-    same kernel directly.
+    input order, as the module docstring says.  The masks are first
+    turned into the kernel's two arrays, every row's variables in row
+    order and one count per row; the parity route cuts the same two
+    arrays from the incidence core and hands them to the kernel directly.
     """
-    rows = []
-    for mask, _ in system.rows:
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length())
-            mask ^= low
-        rows.append(members)
-    return _gf2_eliminate(system.nvars, rows, [rhs for _, rhs in system.rows])
+    rows = [_ones(mask) for mask, _ in system.rows]
+    members = np.fromiter(chain.from_iterable(rows), dtype=np.intp) + 1
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    return _gf2_eliminate(system.nvars, members, sizes, [rhs for _, rhs in system.rows])
 
 
 def spectrum_contains(

@@ -13,7 +13,11 @@ signed question is then one GF(2) system, posed and solved only in
 ``_parity_route``: which vertex sets meet the +1 edges of a signing
 oddly and its -1 edges evenly?  signed_switch_equivalent asks it about
 the signing -gamma1*gamma2; the tensor module about the all-+1 signing
-(odd_bipartite) and about h's own (the even-k parity criteria).
+(odd_bipartite), about h's own (the even-k parity criteria) and about
+the first edge of each member set (signed_tensor_similarity).  Each
+caller hands it the incidence core's edge-major arrays, or a masked cut
+of them, and the route hands them to the GF(2) kernel and checks its
+answer with array reductions; no per-edge tuple is built.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrientedHypergraph, SignedHypergraph, _member_rows, structures_match
+from .core import OrientedHypergraph, SignedHypergraph, structures_match
 from .errors import InternalCheckError, StructureMismatchError
 from .linalg import GF2Infeasible, _gf2_eliminate
 from .walks import Walk, _propagate_labels
@@ -164,37 +168,44 @@ def signed_switch_equivalent(
             "switching equivalence needs identical underlying structures"
         )
     signing = tuple(-a * b for a, b in zip(first.gamma, second.gamma))
-    return _parity_route(first.n, _member_rows(first), signing)
+    core = first.incidence_core
+    return _parity_route(first.n, core.edge_major()[1], core.edge_sizes(), signing)
 
 
-def _parity_route(n: int, edges, signing) -> SignedSwitchCertificate | NotEquivalent:
-    """Vertices meeting every +1 edge (members in 1..n) oddly, -1 evenly;
-    edges and signing are sequences of equal length.
+def _parity_route(
+    n: int, members: np.ndarray, sizes: np.ndarray, signing
+) -> SignedSwitchCertificate | NotEquivalent:
+    """Vertices meeting every +1 edge oddly and every -1 edge evenly.
 
-    One equation per edge, in edge order, solved once: the canonical
-    solution (free variables zero), or edges whose equations XOR to 0 = 1.
-    Either answer is checked before it is returned: a witness's vertices
-    each lie in an even number of its edges, and an odd number of them
+    members holds the vertex nodes (vertex v is v - 1) of every edge in
+    edge order, as the incidence core's edge-major arrays do, and sizes
+    the number of each edge's; signing has one sign per edge.  One
+    equation per edge, in edge order, solved once: the canonical solution
+    (free variables zero), or edges whose equations XOR to 0 = 1.  Either
+    answer is checked on the arrays before it is returned: every vertex
+    lies in an even number of a witness's edges, and an odd number of them
     are +1; a solution meets every edge with the parity its sign asks.
     """
-    rhs = [1 if s == 1 else 0 for s in signing]  # by comparison: a sign may be 1.0
-    outcome = _gf2_eliminate(n, edges, rhs)
+    odd = np.array(signing) == 1  # by comparison: a sign may be 1.0
+    outcome = _gf2_eliminate(n, members + 1, sizes, odd.tolist())
     if isinstance(outcome, GF2Infeasible):
         witness = outcome.witness_rows
-        unpaired: set[int] = set()
-        for j in witness:
-            unpaired.symmetric_difference_update(edges[j])
-        if unpaired or sum(rhs[j] for j in witness) % 2 == 0:
+        chosen = np.zeros(sizes.size, dtype=bool)
+        chosen[list(witness)] = True
+        meets = np.bincount(members[chosen.repeat(sizes)])
+        if np.count_nonzero(meets & 1) or np.count_nonzero(odd[chosen]) % 2 == 0:
             raise InternalCheckError(
                 f"internal check failed: the {len(witness)} witness edges "
                 "do not sum to 0 = 1"
             )
         return NotEquivalent(witness_edges=witness)
-    inside = (0, *outcome.assignment)  # inside[v] for v in 1..n
-    for j, (members, bit) in enumerate(zip(edges, rhs)):
-        if (sum(map(inside.__getitem__, members)) ^ bit) & 1:
-            raise InternalCheckError(
-                f"internal check failed: the solution meets edge {j} "
-                "with the wrong parity"
-            )
+    inside = np.array(outcome.assignment, dtype=np.intp)[members]
+    # An edge is never empty, where reduceat would read its successor's term.
+    hits = np.add.reduceat(inside, sizes.cumsum() - sizes)
+    wrong = (hits & 1) != odd
+    if np.count_nonzero(wrong):
+        raise InternalCheckError(
+            f"internal check failed: the solution meets edge {wrong.argmax()} "
+            "with the wrong parity"
+        )
     return SignedSwitchCertificate(vertices=outcome.support)

@@ -51,7 +51,6 @@ import numpy as np
 from .core import (
     OrientedHypergraph,
     SignedHypergraph,
-    _member_rows,
     structures_match,
     uniform_edge_size,
 )
@@ -296,7 +295,7 @@ def odd_bipartite(
     """
     idx = _edge_index(h)
     _require_even(idx.shape[1])
-    outcome = _parity_route(h.n, (idx + 1).tolist(), (1,) * h.m)
+    outcome = _parity_route(h.n, idx.ravel(), h.incidence_core.edge_sizes(), (1,) * h.m)
     if isinstance(outcome, NotEquivalent):
         return outcome
     inside = set(outcome.vertices)
@@ -335,7 +334,7 @@ def _solve_parity(h: SignedHypergraph, message: str):
     _require_even(idx.shape[1])
     if not is_connected(h):
         raise NotConnectedError(message)
-    return idx, _parity_route(h.n, _member_rows(h), h.gamma)
+    return idx, _parity_route(h.n, idx.ravel(), h.incidence_core.edge_sizes(), h.gamma)
 
 
 def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotEquivalent:
@@ -455,8 +454,14 @@ def signed_tensor_similarity(
         if a:
             leaders.append(group[0])
             signing.append(-1 if a * b > 0 else 1)
-    rows = _member_rows(first)
-    outcome = _parity_route(first.n, [rows[j] for j in leaders], signing)
+    # The leaders ascend, so a mask over the edges selects their members in order.
+    core = first.incidence_core
+    chosen = np.zeros(first.m, dtype=bool)
+    chosen[leaders] = True
+    edge_ids, members = core.edge_major()
+    outcome = _parity_route(
+        first.n, members[chosen[edge_ids]], core.edge_sizes()[chosen], signing
+    )
     if isinstance(outcome, NotEquivalent):
         return NotEquivalent(witness_edges=tuple(leaders[r] for r in outcome.witness_edges))
     signs = _signs_from_support(first.n, outcome.vertices)

@@ -424,6 +424,10 @@ def test_read_and_derived_instances_build_edges_only_when_read(monkeypatch, tmp_
             hs.odd_bipartite(h)
             hs.theorem_battery_even(signed)
             hs.signed_tensor_similarity(signed, signed_switched)
+        saved = []  # the oriented copies, saved from their cores
+        for copy in (h, plus, switched):
+            hs.save(copy, tmp_path / f"copy.{fmt}")
+            saved.append((tmp_path / f"copy.{fmt}").read_text())
         assert built == []
 
         # Read, each builds its edges once, and they equal the validated
@@ -449,4 +453,6 @@ def test_read_and_derived_instances_build_edges_only_when_read(monkeypatch, tmp_
         for copy, validated in expected:
             assert copy.edges is copy.edges
             assert copy == validated and repr(copy) == repr(validated)
+        for text, (_, validated) in zip(saved, expected):
+            assert text == hs.serialize(validated, fmt)
         assert built == [copy for copy, _ in expected]

@@ -226,6 +226,42 @@ def test_gf2_from_sets_rejects_out_of_range_variables():
     assert GF2System.from_sets(3, [((1, 3, 3), 1)]).rows == ((0b101, 1),)
 
 
+_MALFORMED_SYSTEMS = {
+    "float variable": lambda: GF2System.from_sets(2, [((1, 2.5), 1)]),
+    "string variable": lambda: GF2System.from_sets(2, [(("1",), 1)]),
+    "bool variable": lambda: GF2System.from_sets(2, [((True,), 1)]),
+    "numpy bool variable": lambda: GF2System.from_sets(2, [((np.True_,), 1)]),
+    "float count in from_sets": lambda: GF2System.from_sets(2.5, [((1,), 1)]),
+    "variables not iterable": lambda: GF2System.from_sets(2, [(1, 1)]),
+    "equation without rhs": lambda: GF2System.from_sets(2, [((1,),)]),
+    "float rhs in from_sets": lambda: GF2System.from_sets(2, [((1,), 1.0)]),
+    "float count": lambda: GF2System(2.5, ()),
+    "string count": lambda: GF2System("2", ()),
+    "bool count": lambda: GF2System(True, ()),
+    "float mask": lambda: GF2System(2, ((1.5, 0),)),
+    "string mask": lambda: GF2System(2, (("1", 0),)),
+    "bool mask": lambda: GF2System(2, ((True, 0),)),
+    "float rhs": lambda: GF2System(2, ((1, 1.0),)),
+    "row without rhs": lambda: GF2System(2, ((1,),)),
+    "row not a pair": lambda: GF2System(2, (1,)),
+}
+
+
+@pytest.mark.parametrize("make", _MALFORMED_SYSTEMS.values(), ids=_MALFORMED_SYSTEMS)
+def test_gf2_malformed_systems_raise_invalid_value(make):
+    with pytest.raises(hs.InvalidValueError):
+        gf2_solve(make())
+
+
+def test_gf2_integer_types_are_stored_as_ints():
+    system = GF2System(np.int64(3), ((np.int64(5), np.int8(1)), (2, True)))
+    assert system == GF2System(3, ((5, 1), (2, 1)))
+    assert all(type(x) is int for row in system.rows for x in row)
+    assert type(system.nvars) is int
+    assert GF2System.from_sets(np.int32(3), [((np.int64(1), 3), 1)]).rows == ((0b101, 1),)
+    assert gf2_solve(system).assignment == (1, 1, 0)
+
+
 def _saturating_system(rng: random.Random, nvars: int, full: bool, late_conflict: bool):
     """Rows that reach rank n - 1 (or n) early, then dependent rows.
 
@@ -263,18 +299,59 @@ def _saturating_system(rng: random.Random, nvars: int, full: bool, late_conflict
     return GF2System(nvars, tuple(rows))
 
 
-def _route_system(n, edges, signing) -> GF2System:
-    """The system the parity route poses for this signing, as it solves it."""
+def _flat(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Member lists (variables 1..n) as the route's two arrays: the vertex
+    nodes (v - 1) of every row in row order, and one count per row."""
+    members = [v - 1 for row in rows for v in row]
+    return np.array(members, dtype=np.intp), np.array(list(map(len, rows)), dtype=np.intp)
+
+
+def _kernel_systems(call, *args) -> list[GF2System]:
+    """The systems the parity route hands the kernel while call(*args) runs."""
     with mock.patch.object(switching, "_gf2_eliminate", wraps=_gf2_eliminate) as solve:
-        switching._parity_route(n, edges, signing)
-    (nvars, rows, rhs), _ = solve.call_args
-    return GF2System.from_sets(nvars, zip(rows, rhs))
+        call(*args)
+    systems = []
+    for (nvars, members, sizes, rhs), _ in solve.call_args_list:
+        rows = np.split(members, np.cumsum(sizes)[:-1])
+        systems.append(GF2System.from_sets(nvars, zip((r.tolist() for r in rows), rhs)))
+    return systems
+
+
+def _route_system(h: hs.SignedHypergraph, signing) -> GF2System:
+    """The system the parity route poses for this signing of h's edges, as
+    it solves it."""
+    core = h.incidence_core
+    (system,) = _kernel_systems(
+        switching._parity_route, h.n, core.edge_major()[1], core.edge_sizes(), signing
+    )
+    return system
+
+
+def _similarity_pairs(rng: random.Random, count: int):
+    """Pairs of even-uniform signed hypergraphs with parallel edges whose
+    member sets carry sign sums of equal size in both, so that
+    signed_tensor_similarity poses its leader-row system: a switched copy,
+    some of whose member sets then have every sign negated."""
+    for i in range(count):
+        k = (2, 4)[i % 2]
+        n = rng.randint(k + 1, 16)
+        g = hs.generate(n, n, k=k, p_neg=0.5, seed=rng.randrange(2**32))
+        edges = [tuple(v for v, _ in e) for e in g.edges]
+        edges += [rng.choice(edges) for _ in range(rng.randint(1, n))]
+        rng.shuffle(edges)
+        first = hs.build_signed(n, edges, [rng.choice((-1, 1)) for _ in edges])
+        switched = [v for v in range(1, n + 1) if rng.random() < 0.5]
+        second = hs.apply_signed_switches(first, hs.SignedSwitchCertificate(switched))
+        negated = {e for e in dict.fromkeys(map(frozenset, edges)) if rng.random() < 0.15}
+        gamma = [-s if frozenset(e) in negated else s for e, s in zip(edges, second.gamma)]
+        yield first, first.with_gamma(tuple(gamma))
 
 
 def _referee_systems() -> list[GF2System]:
-    """1,200 seeded systems: rank-saturating ones with and without a late
+    """1,320 seeded systems: rank-saturating ones with and without a late
     conflict, the parity and all-ones systems of generated uniform
-    hypergraphs, and n in {0, 1}."""
+    hypergraphs, n in {0, 1}, and the leader-row systems of
+    signed_tensor_similarity on hypergraphs with parallel edges."""
     rng = random.Random(9)
     out = []
     for i in range(600):
@@ -286,12 +363,14 @@ def _referee_systems() -> list[GF2System]:
         g = hs.generate(n, 2 * n, k=k, p_neg=0.5, connected=i % 2 == 0 and n > k,
                         seed=rng.randrange(2**32))
         h = hs.induced_signed(g)
-        out.append(_route_system(n, h.edges, h.gamma))
-        out.append(_route_system(n, h.edges, (1,) * h.m))
+        out.append(_route_system(h, h.gamma))
+        out.append(_route_system(h, (1,) * h.m))
     for i in range(120):
         nvars = i % 2
         rows = tuple((rng.randint(0, nvars), rng.randint(0, 1)) for _ in range(rng.randint(0, 4)))
         out.append(GF2System(nvars, rows))
+    for first, second in _similarity_pairs(rng, 120):
+        out += _kernel_systems(hs.signed_tensor_similarity, first, second)
     return out
 
 
@@ -376,7 +455,7 @@ def test_kernel_matches_reduction_referee_at_scale():
         system = GF2System.from_sets(n, zip(edges, ((1 + s) // 2 for s in signing)))
         want = gf2_solve_by_reduction(system)
         assert gf2_solve(system) == want
-        routed = switching._parity_route(n, edges, signing)
+        routed = switching._parity_route(n, *_flat(edges), signing)
         if isinstance(want, GF2Solution):
             assert routed == hs.SignedSwitchCertificate(vertices=want.support)
         else:

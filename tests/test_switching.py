@@ -156,6 +156,21 @@ def test_corrupted_parity_solution_is_caught(monkeypatch):
         hs.odd_bipartite(bipartite)
 
 
+@pytest.mark.parametrize(
+    "witness",
+    [(0, 1), (0,)],
+    ids=["pairs up but sums to 0 = 0", "odd right-hand side but unpaired members"],
+)
+def test_forged_parity_witness_is_caught(monkeypatch, witness):
+    # Two parallel +1 edges: their equations cancel to 0 = 0, and one alone
+    # leaves its members unpaired, so each half of the check must refuse.
+    h = hs.build_signed(4, [(1, 2, 3, 4), (4, 3, 2, 1)], [1, 1])
+    assert hs.odd_bipartite(h)
+    monkeypatch.setattr(hs.switching, "_gf2_eliminate", lambda *args: hs.GF2Infeasible(witness))
+    with pytest.raises(InternalCheckError, match="do not sum to 0 = 1"):
+        hs.odd_bipartite(h)
+
+
 def test_signed_equivalence_structure_mismatch():
     a = hs.build_signed(2, [(1, 2)], [1])
     b = hs.build_signed(3, [(1, 2)], [1])
