@@ -16,13 +16,19 @@ fifth by replaying the decision procedure's own witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
 
 from .core import OrientedHypergraph, all_positive_variant
-from .errors import InvalidWalkError, NotAPartitionError, OracleBudgetExceededError
+from .errors import (
+    InvalidWalkError,
+    NotAPartitionError,
+    OracleBudgetExceededError,
+    check_budget,
+    check_integer,
+)
 from .switching import SwitchCertificate, apply_switches
 from .walks import (
     Walk,
@@ -114,8 +120,8 @@ def verify_bipartition(
     For every edge some polarity p must satisfy: orientation p at every
     member in the first part and -p at every member in the second.
     """
-    first = set(part_positive)
-    second = set(part_negative)
+    first = {check_integer(v, "vertex") for v in part_positive}
+    second = {check_integer(v, "vertex") for v in part_negative}
     everything = set(range(1, g.n + 1))
     if first & second or first | second != everything:
         raise NotAPartitionError(
@@ -130,11 +136,17 @@ def verify_bipartition(
 
 @dataclass(frozen=True)
 class OracleLimits:
-    """Budgets for the brute-force routes of equivalence_battery."""
+    """Budgets for the brute-force routes of equivalence_battery, each an
+    integer of at least 1 (errors.check_budget)."""
 
     max_nodes: int = 16
     max_cycles: int = 20_000
     max_paths: int = 20_000
+
+    def __post_init__(self) -> None:
+        for budget in fields(self):
+            value = check_budget(getattr(self, budget.name), budget.name)
+            object.__setattr__(self, budget.name, value)
 
 
 @dataclass(frozen=True)

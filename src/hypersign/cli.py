@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 
 from . import __version__
 from .balance import Balanced, OracleLimits, equivalence_battery, incidence_balance
 from .core import induced_signed, uniform_edge_size
-from .errors import HypersignError, InternalCheckError
+from .errors import (
+    HypersignError,
+    InternalCheckError,
+    InvalidValueError,
+    check_integer,
+    check_tolerance,
+)
 from .fileio import load, serialize
 from .generate import generate, random_connected, random_connected_uniform
 from .linalg import MEMBERSHIP_ABS_TOL, MEMBERSHIP_REL_TOL
@@ -39,6 +44,9 @@ __all__ = ["main", "entrypoint", "run_battery"]
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DISAGREE = 3
+
+# Most instances run_battery draws per suite; a million take about half an hour.
+_MAX_INSTANCES = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +267,12 @@ def run_battery(
 
     inject_fault deliberately inverts one oracle answer on the first
     instance, which a healthy harness must flag as a disagreement.
+    instances lies in 0..10^6, and seed is an integer.
     """
+    instances, seed = check_integer(instances, "instances"), check_integer(seed, "seed")
+    tol = check_tolerance(tol, "tol")
+    if not 0 <= instances <= _MAX_INSTANCES:
+        raise InvalidValueError(f"instances must lie in 0..{_MAX_INSTANCES}, got {instances}")
     rng = random.Random(seed)
     limits = OracleLimits(max_nodes=16, max_cycles=max_cycles, max_paths=max_cycles)
     disagreements: list[dict] = []
@@ -363,13 +376,10 @@ def _id_list(text: str) -> list[int]:
 
 
 def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
+    try:  # InvalidValueError is a ValueError
+        return check_tolerance(float(text), "tolerance")
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
-    return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number") from None
 
 
 def _size_pair(text: str) -> tuple[int, int]:

@@ -23,7 +23,6 @@ reads whichever of the two an instance has.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -42,6 +41,8 @@ from .errors import (
     UnknownVertexError,
     VertexLimitExceededError,
     VertexOutOfRangeError,
+    check_integer,
+    is_integer,
 )
 
 __all__ = [
@@ -72,7 +73,8 @@ def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
         raise EmptyEdgeError(index)
     seen: set[int] = set()
     for v in vertices:
-        # bool is a subclass of int, but True is not a vertex.
+        # errors.is_integer's rule, inlined because it runs per incidence, and
+        # narrowed to the plain ints that an instance stores.
         if type(v) is not int or v < 1 or v > n:
             raise VertexOutOfRangeError(index, v, n)
         if v in seen:
@@ -80,14 +82,13 @@ def _check_edge_vertices(n: int, index: int, vertices: tuple[int, ...]) -> None:
         seen.add(v)
 
 
-def _check_vertex_count(n: int) -> None:
-    # bool is a subclass of int, but True is not a vertex count.
-    if type(n) is not int:
-        raise InvalidValueError(f"vertex count must be an integer, got {n!r:.40}")
+def _check_vertex_count(n, name: str = "vertex count") -> int:
+    n = check_integer(n, name)
     if n < 0:
-        raise InvalidValueError("vertex count must be nonnegative")
+        raise InvalidValueError(f"{name} must be nonnegative")
     if n > MAX_VERTICES:
         raise VertexLimitExceededError(n, MAX_VERTICES)
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +201,7 @@ class _IncidenceStructure:
 
     def __post_init__(self) -> None:
         """Check n, the names and then each edge, one value at a time."""
-        _check_vertex_count(self.n)
+        object.__setattr__(self, "n", _check_vertex_count(self.n))
         if not self.names:
             object.__setattr__(self, "names", tuple(f"e{j + 1}" for j in range(len(self.edges))))
         elif len(self.names) != len(self.edges):
@@ -245,11 +246,11 @@ class _IncidenceStructure:
         return _build_core(self)
 
     def check_vertex(self, v: int) -> None:
-        if type(v) is bool or not isinstance(v, (int, np.integer)) or not 1 <= v <= self.n:
+        if not is_integer(v) or not 1 <= v <= self.n:
             raise UnknownVertexError(v, self.n)
 
     def check_edge(self, e: int) -> None:
-        if type(e) is bool or not isinstance(e, (int, np.integer)) or not 0 <= e < self.m:
+        if not is_integer(e) or not 0 <= e < self.m:
             raise UnknownEdgeError(e, self.m)
 
     def edges_of(self, v: int) -> tuple[int, ...]:
@@ -288,7 +289,7 @@ class OrientedHypergraph(_IncidenceStructure):
         checked as the constructor would.  The edges are checked on the
         incidence core built from these arrays, which the instance keeps;
         if they hold a fault, the constructor's value check names it."""
-        _check_vertex_count(n)
+        n = _check_vertex_count(n)
         h = object.__new__(cls)
         vars(h).update(n=n, names=names)
         core = _checked_core(h, np.array(sizes, dtype=np.intp), members, signs)
@@ -321,7 +322,7 @@ class OrientedHypergraph(_IncidenceStructure):
         """Orientation of vertex v in edge e.  An integer vertex that is not
         in the edge raises NotAdjacentError, in range or not."""
         self.check_edge(e)
-        if type(v) is bool or not isinstance(v, (int, np.integer)):
+        if not is_integer(v):
             raise UnknownVertexError(v, self.n)
         core = self.incidence_core
         start, stop = core.indptr[self.n + e : self.n + e + 2]
@@ -390,23 +391,21 @@ def structures_match(
 
 
 def _integer(value):
-    """value as an int if it is an integer of any type (numpy's too), else
-    unchanged, for the constructor to check."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        return value
+    """value as an int if it is an integer (errors.is_integer: numpy's too,
+    never a bool), else unchanged, for the constructor to check."""
+    return int(value) if is_integer(value) else value
 
 
 def _pairs(spec) -> tuple:
     """The incidences of spec as pairs of _integer values, or spec itself
     when one of them is not a pair, for the constructor to refuse."""
     spec = tuple(spec)
-    try:  # integer pairs, the common case, without a Python call per value
-        return tuple([(operator.index(v), operator.index(s)) for v, s in spec])
-    except (TypeError, ValueError):
-        pass
     try:
+        # Plain int pairs, the common case, meet errors.is_integer's rule,
+        # inlined here to spare a Python call per value.
+        pairs = tuple([(v, s) for v, s in spec if type(v) is int is type(s)])
+        if len(pairs) == len(spec):
+            return pairs
         return tuple([(_integer(v), _integer(s)) for v, s in spec])
     except (TypeError, ValueError):
         return spec
@@ -419,8 +418,8 @@ def build(
 ) -> OrientedHypergraph:
     """Validated construction from (vertex, orientation) pair lists.
 
-    Integers of any type (numpy's too) are stored as ints, and other values
-    reach the constructor as they are.  Raises EmptyEdgeError,
+    Integers of any type (numpy's too, but not bool) are stored as ints, and
+    other values reach the constructor as they are.  Raises EmptyEdgeError,
     VertexOutOfRangeError, DuplicateVertexInEdgeError or InvalidValueError
     naming the first offending edge index.
     """

@@ -1,6 +1,39 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the input contract.
+
+Every public function, constructor and method checks its input against
+one contract and refuses a violation with a typed HypersignError before
+doing any work; the command line reports it and exits 2.
+
+- Ids (vertices, edges, walk elements, certificate members, GF(2)
+  variables and masks), counts, sizes and seeds are integers: a Python
+  int or a numpy integer, never a bool or ``np.bool_``, stored as an int.
+  A lookup raises UnknownVertexError or UnknownEdgeError for an id that
+  is no integer or out of range, and a constructor VertexOutOfRangeError
+  for such a vertex.  A vertex count (and nvars) lies in
+  0..core.MAX_VERTICES, with VertexLimitExceededError above it.
+- Budgets (max_iters, max_count, max_paths, OracleLimits) are integers
+  of at least 1.
+- Tolerances (tol, abs_tol, rel_tol, and the NQZ shift) are finite reals
+  above 0, never bool.
+- Labels (orientations and edge signs) are real numbers equal to +1 or -1.
+- Numeric arrays hold booleans, integers or floats (complex numbers where
+  a vector may be complex), not strings, objects or ragged rows.
+- A size whose memory would pass a fixed budget is refused before
+  anything is allocated: DenseLimitExceededError for a dense matrix or a
+  GF(2) basis.
+
+Any other violation raises InvalidValueError.  is_integer, check_integer,
+check_budget, check_tolerance and check_array state these rules once;
+every module calls them, or inlines is_integer's rule, saying so, where
+it runs once per incidence and a call would cost too much.
+"""
 
 from __future__ import annotations
+
+import sys
+from numbers import Real
+
+import numpy as np
 
 __all__ = [
     "HypersignError",
@@ -94,7 +127,7 @@ class OracleBudgetExceededError(HypersignError):
 
 
 class DenseLimitExceededError(HypersignError):
-    """A dense matrix would exceed the fixed cell limit of the matrix layer."""
+    """A dense matrix, real or over GF(2), would exceed its layer's fixed limit."""
 
 
 class VertexLimitExceededError(HypersignError):
@@ -147,3 +180,46 @@ class ParseError(HypersignError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer in the contract's sense: a Python or numpy
+    integer and not a bool (``np.bool_`` is no numpy integer)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer(value, name: str) -> int:
+    """value as an int, or InvalidValueError naming the parameter."""
+    if not is_integer(value):
+        raise InvalidValueError(f"{name} must be an integer, got {value!r:.40}")
+    return int(value)
+
+
+def check_budget(value, name: str) -> int:
+    """value as an int of at least 1, or InvalidValueError."""
+    if not is_integer(value) or value < 1:
+        raise InvalidValueError(f"{name} must be an integer of at least 1, got {value!r:.40}")
+    return int(value)
+
+
+def check_tolerance(value, name: str) -> float:
+    """value as a float if it is a finite real above 0 and not a bool, else
+    InvalidValueError.  NaN fails the comparison, and so does an int too
+    large for a float."""
+    if isinstance(value, Real) and not isinstance(value, bool) and 0 < value <= sys.float_info.max:
+        return float(value)
+    raise InvalidValueError(f"{name} must be finite and positive, got {value!r:.40}")
+
+
+def check_array(value, what: str, kinds: str = "biuf") -> np.ndarray:
+    """value as a float64 array, or complex128 if it is complex and kinds
+    admits "c"; an array of another kind (strings, objects, complex where
+    kinds does not admit it) or ragged nesting raises InvalidValueError.
+    A float64 array is returned as it is, without a copy."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in kinds:
+        raise InvalidValueError(f"expected a numeric {what}, got dtype {arr.dtype}")
+    return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)

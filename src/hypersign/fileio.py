@@ -225,7 +225,11 @@ def parse(source: str) -> OrientedHypergraph:
 
 def load(path) -> OrientedHypergraph:
     with open(path, "r", encoding="utf-8") as handle:
-        return _parse_content(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(0, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return _parse_content(text)
 
 
 def save(g: OrientedHypergraph, path) -> None:

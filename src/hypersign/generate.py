@@ -12,14 +12,25 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from numbers import Real
 
-from .core import OrientedHypergraph, build
-from .errors import InfeasibleParametersError
+from .core import MAX_VERTICES, OrientedHypergraph, build
+from .errors import (
+    InfeasibleParametersError,
+    InvalidValueError,
+    VertexLimitExceededError,
+    check_integer,
+)
 
 __all__ = ["generate", "random_connected", "random_connected_uniform"]
 
 _DEDUP_RETRIES = 30
 _ENSEMBLE_RETRIES = 200
+# Most incidences one draw may hold, checked before any is drawn.  A draw
+# takes about 300 bytes per incidence (generate(10^5, 2 * 10^5, k=4)
+# peaked 230 MB above the interpreter), so 3 * 2^20 of them keep it within
+# the 1 GiB budget behind MAX_VERTICES.
+_MAX_INCIDENCES = 3 << 20
 
 
 class _Without(Sequence):
@@ -66,10 +77,28 @@ def generate(
     Exactly one of k (uniform size) or size_range (inclusive bounds,
     sampled per edge) is required when m > 0.  Each orientation is -1
     with probability p_neg.  With connected=True the instance is grown
-    around a spanning structure; infeasible combinations raise.
+    around a spanning structure; infeasible combinations raise.  n, m, k,
+    the bounds and seed are integers (errors.check_integer), p_neg a real
+    number; n is at most MAX_VERTICES, and m edges of the largest size
+    may hold at most 3 * 2^20 incidences.
     """
+    n, m, seed = check_integer(n, "n"), check_integer(m, "m"), check_integer(seed, "seed")
+    if k is not None:
+        k = check_integer(k, "k")
+    if size_range is not None:
+        try:
+            lo, hi = size_range
+        except (TypeError, ValueError):
+            raise InvalidValueError(
+                f"size_range must be a (low, high) pair, got {size_range!r:.40}"
+            ) from None
+        lo, hi = check_integer(lo, "size_range low"), check_integer(hi, "size_range high")
+    if isinstance(p_neg, bool) or not isinstance(p_neg, Real):
+        raise InvalidValueError(f"p_neg must be a real number, got {p_neg!r:.40}")
     if n < 0 or m < 0:
         raise InfeasibleParametersError("n and m must be nonnegative")
+    if n > MAX_VERTICES:
+        raise VertexLimitExceededError(n, MAX_VERTICES)
     if not 0.0 <= p_neg <= 1.0:
         raise InfeasibleParametersError("p_neg must lie in [0, 1]")
     rng = random.Random(seed)
@@ -84,16 +113,16 @@ def generate(
             "exactly one of k or size_range is required when m > 0"
         )
     if k is not None:
+        lo = hi = k
         if not 1 <= k <= n:
             raise InfeasibleParametersError(f"edge size {k} outside 1..{n}")
-        sizes = [k] * m
-    else:
-        lo, hi = size_range
-        if not 1 <= lo <= hi <= n:
-            raise InfeasibleParametersError(
-                f"size range {lo}..{hi} invalid for {n} vertices"
-            )
-        sizes = [rng.randint(lo, hi) for _ in range(m)]
+    elif not 1 <= lo <= hi <= n:
+        raise InfeasibleParametersError(f"size range {lo}..{hi} invalid for {n} vertices")
+    if m * hi > _MAX_INCIDENCES:
+        raise InfeasibleParametersError(
+            f"{m} edges of up to {hi} members exceed the limit of {_MAX_INCIDENCES} incidences"
+        )
+    sizes = [k] * m if k is not None else [rng.randint(lo, hi) for _ in range(m)]
 
     specs: list[list[tuple[int, int]]] = []
     seen_sets: set[frozenset[int]] = set()
@@ -115,12 +144,12 @@ def generate(
             # A short draw is topped up toward the upper bound so that
             # feasibility depends on the parameters, not on the draw.
             deficit = n - (sum(sizes) - (m - 1))
-            room = [j for j in range(m) if sizes[j] < size_range[1]]
+            room = [j for j in range(m) if sizes[j] < hi]
             while deficit > 0 and room:
                 j = rng.choice(room)
                 sizes[j] += 1
                 deficit -= 1
-                if sizes[j] == size_range[1]:
+                if sizes[j] == hi:
                     room.remove(j)
         if sum(sizes) - (m - 1) < n:
             raise InfeasibleParametersError(
@@ -168,6 +197,10 @@ def random_connected(
     Parameter combinations whose sizes cannot cover the vertices are
     redrawn, so every call succeeds (deterministically under rng).
     """
+    n_max, m_max = check_integer(n_max, "n_max"), check_integer(m_max, "m_max")
+    size_min, size_max = check_integer(size_min, "size_min"), check_integer(size_max, "size_max")
+    if n_max < 2 or m_max < 1:
+        raise InfeasibleParametersError("n_max must be at least 2 and m_max at least 1")
     for _ in range(_ENSEMBLE_RETRIES):
         n = rng.randint(2, n_max)
         m = rng.randint(1, m_max)
@@ -195,6 +228,10 @@ def random_connected_uniform(
     p_neg: float = 0.5,
 ) -> OrientedHypergraph:
     """Connected k-uniform instance (vertex count drawn from k..n_max)."""
+    k = check_integer(k, "k")
+    n_max, m_max = check_integer(n_max, "n_max"), check_integer(m_max, "m_max")
+    if not 1 <= k <= n_max or m_max < 1:
+        raise InfeasibleParametersError(f"k must lie in 1..{n_max} and m_max be at least 1")
     for _ in range(_ENSEMBLE_RETRIES):
         n = rng.randint(k, n_max)
         m = rng.randint(1, m_max)

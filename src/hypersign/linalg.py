@@ -65,7 +65,6 @@ span the same row space and have the same solutions.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain, islice
 from numbers import Real
@@ -73,9 +72,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySpectrumError, InvalidValueError
+from .core import _check_vertex_count
+from .errors import (
+    DenseLimitExceededError,
+    EmptySpectrumError,
+    InvalidValueError,
+    check_array,
+    check_integer,
+    check_tolerance,
+)
 
 __all__ = [
+    "GF2_MAX_BASIS_BYTES",
     "MEMBERSHIP_ABS_TOL",
     "MEMBERSHIP_REL_TOL",
     "sym_eigenvalues",
@@ -90,20 +98,19 @@ __all__ = [
 MEMBERSHIP_ABS_TOL = 1e-7
 MEMBERSHIP_REL_TOL = 1e-9
 
+# Largest basis, in bytes, that GF(2) elimination may build: a system of m
+# rows over n variables holds up to min(m, n) rows of min(m, n) + n + 1
+# bits.  At n = 50,000 (m = 100,000) the bound is 625 MB and the parity
+# route peaked at 675 MB, so 1 GiB matches the budget behind MAX_VERTICES.
+GF2_MAX_BASIS_BYTES = 1 << 30
+
 
 def _finite_array(a, ndim: int, what: str) -> np.ndarray:
-    """a as a float64 array of ndim dimensions with finite entries, else
-    InvalidValueError: ragged, string, object and complex input is
-    refused.  One conversion, and none for a float64 array."""
-    try:
-        arr = np.asarray(a)
-    except ValueError as exc:  # ragged nesting
-        raise InvalidValueError(f"expected a real {what}") from exc
-    if arr.dtype.kind not in "biuf" or arr.ndim != ndim:
-        raise InvalidValueError(f"expected a real {what}")
-    arr = arr.astype(np.float64, copy=False)
-    if not np.isfinite(arr).all():
-        raise InvalidValueError(f"expected a finite {what}")
+    """a as a real array (errors.check_array) of ndim dimensions with finite
+    entries, else InvalidValueError."""
+    arr = check_array(a, what)
+    if arr.ndim != ndim or not np.isfinite(arr).all():
+        raise InvalidValueError(f"expected a finite real {what}")
     return arr
 
 
@@ -132,17 +139,6 @@ def singular_values(m) -> list[float]:
 # GF(2) linear systems as bit masks (bit j-1 <-> variable j).
 
 
-def _whole(value, what: str) -> int:
-    """value as an int if it is an integer (numpy's too) other than a bool,
-    else InvalidValueError: True is not the number 1 here."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidValueError(f"{what} must be an integer, got {value!r:.40}")
-
-
 @dataclass(frozen=True)
 class GF2System:
     nvars: int
@@ -150,16 +146,14 @@ class GF2System:
 
     def __post_init__(self) -> None:
         """Check nvars and every row, and store them as ints."""
-        nvars = _whole(self.nvars, "nvars")
-        if nvars < 0:
-            raise InvalidValueError("nvars must be nonnegative")
+        nvars = _check_vertex_count(self.nvars, "nvars")
         limit, rows = 1 << nvars, []
         for i, row in enumerate(self.rows):
             try:
                 mask, rhs = row
             except (TypeError, ValueError):
                 raise InvalidValueError(f"row {i}: expected a (mask, rhs) pair") from None
-            mask = _whole(mask, f"row {i}: mask")
+            mask = check_integer(mask, f"row {i}: mask")
             if not 0 <= mask < limit:
                 raise InvalidValueError(f"row {i}: mask wider than {nvars} variables")
             # A truth value is a bit; 1.0 is not (the kernel XORs it).
@@ -174,7 +168,7 @@ class GF2System:
         cls, nvars: int, equations: Iterable[tuple[Iterable[int], int]]
     ) -> "GF2System":
         """Each equation is (variable ids summing on the left, rhs bit)."""
-        nvars, rows = _whole(nvars, "nvars"), []
+        nvars, rows = _check_vertex_count(nvars, "nvars"), []
         for i, equation in enumerate(equations):
             try:
                 variables, rhs = equation
@@ -185,7 +179,7 @@ class GF2System:
                 ) from None
             mask = 0
             for var in variables:
-                var = _whole(var, f"equation {i}: variable")
+                var = check_integer(var, f"equation {i}: variable")
                 if not 1 <= var <= nvars:
                     raise InvalidValueError(f"equation {i}: variables must lie in 1..{nvars}")
                 mask |= 1 << (var - 1)
@@ -253,12 +247,18 @@ def _gf2_eliminate(
     """Solve, for every row i, the sum of x[v] over its members = rhs[i]
     over GF(2).  members holds the variables (1..nvars, at most once in a
     row) of every row in row order and sizes the number of each row's, both
-    intp arrays.  See gf2_solve."""
+    intp arrays.  Refuses, before building anything, a system whose basis
+    could pass GF2_MAX_BASIS_BYTES.  See gf2_solve."""
     n, m, lshift = nvars, sizes.size, (1).__lshift__
     # Bits 0..low-1 are basis slots (the rank is at most low), bit low is
     # the right-hand side, and the variables sit above it, the first in
     # the order highest, since a row's pivot is its highest bit.
     low = min(m, n)
+    if low * (low + n + 1) > 8 * GF2_MAX_BASIS_BYTES:
+        raise DenseLimitExceededError(
+            f"a GF(2) basis of {low} rows of {low + n + 1} bits exceeds the limit of "
+            f"{GF2_MAX_BASIS_BYTES} bytes"
+        )
     if m < n - 1:
         # The rank stays below n - 1, so a feasible answer needs the input
         # order's basis anyway: eliminate in that order from the start.
@@ -362,9 +362,7 @@ def spectrum_contains(
     quoted to exactly abs_tol decimal digits still passes after the
     decimal-to-binary round trip.
     """
-    real = isinstance(abs_tol, Real) and isinstance(rel_tol, Real)
-    if not (real and 0 < abs_tol < np.inf and 0 < rel_tol < np.inf):  # NaN fails too
-        raise InvalidValueError("tolerances must be finite and positive")
+    abs_tol, rel_tol = check_tolerance(abs_tol, "abs_tol"), check_tolerance(rel_tol, "rel_tol")
     values = _finite_array(spectrum, 1, "1-d spectrum")
     if not (isinstance(target, Real) and math.isfinite(target)):
         raise InvalidValueError("expected a finite real target")

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrientedHypergraph, SignedHypergraph, uniform_edge_size
-from .errors import DenseLimitExceededError, NotConnectedError, NotUniformError
+from .errors import (
+    DenseLimitExceededError,
+    NotConnectedError,
+    NotUniformError,
+    check_tolerance,
+)
 from .linalg import (
     MEMBERSHIP_ABS_TOL,
     MEMBERSHIP_REL_TOL,
@@ -176,8 +181,10 @@ def spectral_balance_tests(
 
     Edgeless (hence single-vertex) instances have no singular values to
     test, so the incidence criterion degenerates to a trivially positive
-    report with zero margin.
+    report with zero margin.  The tolerances are checked first, whether or
+    not a criterion reads them.
     """
+    abs_tol, rel_tol = check_tolerance(abs_tol, "abs_tol"), check_tolerance(rel_tol, "rel_tol")
     if not is_connected(g):
         raise NotConnectedError(
             "the spectral characterization assumes a connected instance"

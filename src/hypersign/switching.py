@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrientedHypergraph, SignedHypergraph, structures_match
-from .errors import InternalCheckError, StructureMismatchError
+from .errors import InternalCheckError, StructureMismatchError, check_integer
 from .linalg import GF2Infeasible, _gf2_eliminate
 from .walks import Walk, _propagate_labels
 
@@ -45,6 +45,16 @@ __all__ = [
 ]
 
 
+def _ids(values, what: str) -> tuple[int, ...]:
+    """The distinct ids among values, ascending, each an integer
+    (errors.check_integer); plain ints, which meet its rule, skip the
+    Python call per value."""
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):
+        values = [check_integer(x, what) for x in values]
+    return tuple(sorted(set(values)))
+
+
 @dataclass(frozen=True)
 class SwitchCertificate:
     """Vertex set and edge set whose switchings map source to target."""
@@ -53,8 +63,8 @@ class SwitchCertificate:
     edges: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
-        object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
+        object.__setattr__(self, "vertices", _ids(self.vertices, "vertex"))
+        object.__setattr__(self, "edges", _ids(self.edges, "edge"))
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,7 @@ class SignedSwitchCertificate:
     vertices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
+        object.__setattr__(self, "vertices", _ids(self.vertices, "vertex"))
 
 
 @dataclass(frozen=True)
@@ -82,11 +92,13 @@ class NotEquivalent:
 
 def vertex_switch(g: OrientedHypergraph, v: int) -> OrientedHypergraph:
     """Negate the orientation of every incidence at vertex v."""
+    g.check_vertex(v)
     return apply_switches(g, SwitchCertificate(vertices=(v,)))
 
 
 def edge_switch(g: OrientedHypergraph, e: int) -> OrientedHypergraph:
     """Negate the orientation of every incidence of edge e."""
+    g.check_edge(e)
     return apply_switches(g, SwitchCertificate(edges=(e,)))
 
 
@@ -107,6 +119,7 @@ def apply_switches(g: OrientedHypergraph, cert: SwitchCertificate) -> OrientedHy
 
 def signed_vertex_switch(h: SignedHypergraph, v: int) -> SignedHypergraph:
     """Negate the sign of every edge containing vertex v."""
+    h.check_vertex(v)
     return apply_signed_switches(h, SignedSwitchCertificate(vertices=(v,)))
 
 

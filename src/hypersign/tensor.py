@@ -43,7 +43,7 @@ their entry, so each member set's summed sign must match (Shao 2013).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Number, Real
+from numbers import Number
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +64,9 @@ from .errors import (
     OddUniformityError,
     StructureMismatchError,
     ZeroVectorError,
+    check_array,
+    check_budget,
+    check_tolerance,
 )
 from .switching import NotEquivalent, SignedSwitchCertificate, _parity_route
 from .walks import is_connected
@@ -111,20 +114,14 @@ def _require_even(k: int) -> None:
 
 
 def _as_vector(h, x) -> np.ndarray:
-    """x as a float64 (or, if complex, complex128) vector of length n;
-    ragged, string, object and None entries are invalid values."""
-    try:
-        arr = np.asarray(x)
-    except ValueError as exc:  # ragged nesting
-        raise InvalidValueError("expected a numeric vector") from exc
-    if arr.dtype.kind not in "biufc":
-        raise InvalidValueError(f"expected a numeric vector, got dtype {arr.dtype}")
+    """x as a float64 (or, if complex, complex128) vector of length n
+    (errors.check_array); the kernels do not write to it."""
+    arr = check_array(x, "vector", kinds="biufc")
     if arr.shape != (h.n,):
         raise DimensionMismatchError(
             f"vector of length {h.n} expected, got shape {arr.shape}"
         )
-    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    return arr.astype(dtype)
+    return arr
 
 
 def _edge_index(h: OrientedHypergraph | SignedHypergraph) -> np.ndarray:
@@ -219,18 +216,10 @@ def nqz_spectral_radius(
     return _nqz(idx, h.n, tol, max_iters, shift)
 
 
-def _check_nqz(tol: float, max_iters: int = NQZ_MAX_ITERS, shift: float = NQZ_SHIFT) -> None:
-    real = isinstance(tol, Real) and isinstance(shift, Real)
-    if not (real and 0 < tol < np.inf and 0 < shift < np.inf):  # NaN fails too
-        raise InvalidValueError("tol and shift must be finite and positive numbers")
-    # bool is a subclass of int, but True is not an iteration budget.
-    if type(max_iters) is bool or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise InvalidValueError("max_iters must be an integer of at least 1")
-
-
 def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
     """The iteration itself, for callers that checked connectivity."""
-    _check_nqz(tol, max_iters, shift)
+    tol, shift = check_tolerance(tol, "tol"), check_tolerance(shift, "shift")
+    max_iters = check_budget(max_iters, "max_iters")
     m, k = idx.shape
     structure = np.ones(m, dtype=np.int64)  # every edge sign +1
     x = np.ones(n, dtype=np.float64)
@@ -387,7 +376,7 @@ def h_eigen_minus_rho(
     vector on the switched set, which is then verified to satisfy the
     eigen-relation to within 10x the iteration tolerance.
     """
-    _check_nqz(tol)
+    tol = check_tolerance(tol, "tol")
     idx, outcome = _solve_parity(h, "this criterion assumes a connected instance")
     return _minus_rho_certificate(h, idx, outcome, tol)
 
@@ -519,7 +508,7 @@ def theorem_battery_even(
     into those of the all -1 signing.  seed is accepted and unused (the
     check draws nothing); it stays for callers that still pass it.
     """
-    _check_nqz(tol)
+    tol = check_tolerance(tol, "tol")
     idx, outcome = _solve_parity(h, "the equivalence battery assumes connectivity")
     statement_6 = isinstance(outcome, SignedSwitchCertificate)
     eigen_outcome = _minus_rho_certificate(h, idx, outcome, tol)

@@ -29,6 +29,8 @@ from .errors import (
     NotAdjacentError,
     UnknownEdgeError,
     UnknownVertexError,
+    check_budget,
+    is_integer,
 )
 
 __all__ = [
@@ -70,15 +72,8 @@ _KINDS = (VERTEX, EDGE)
 
 
 def _element(el) -> Element:
-    """el with its id as a Python int; ids follow the vertex and edge id
-    contract (an integer, numpy integers included, and not a bool)."""
-    if (
-        isinstance(el, tuple)
-        and len(el) == 2
-        and el[0] in _KINDS
-        and type(el[1]) is not bool
-        and isinstance(el[1], (int, np.integer))
-    ):
+    """el with its id as a Python int; ids follow errors.is_integer."""
+    if isinstance(el, tuple) and len(el) == 2 and el[0] in _KINDS and is_integer(el[1]):
         return (el[0], int(el[1]))
     raise InvalidWalkError(f"malformed element {el!r}")
 
@@ -99,6 +94,8 @@ class Walk:
         elements = self.elements
         if len(elements) == 0:
             raise InvalidWalkError("a walk has at least one element")
+        # errors.is_integer's rule, inlined per element for the plain ints
+        # that a walk stores; any other id goes through _element.
         if not all(
             type(el) is tuple and len(el) == 2 and el[0] in _KINDS and type(el[1]) is int
             for el in elements
@@ -268,6 +265,8 @@ def node_element(n: int, node: int) -> Element:
 
 
 def _element_node(h, el: Element) -> int:
+    if not (isinstance(el, tuple) and len(el) == 2 and el[0] in _KINDS):
+        raise InvalidWalkError(f"malformed element {el!r:.40}")
     kind, ident = el
     if kind == VERTEX:
         h.check_vertex(ident)
@@ -470,9 +469,10 @@ def enumerate_cycles(
 
     Each cycle is found once, from its smallest node and in the direction
     of its smaller second node.  Exponential in the worst case; intended
-    as a test oracle for small instances.  Truncation at max_count is
-    flagged, not raised.
+    as a test oracle for small instances.  Truncation at max_count, an
+    integer of at least 1 (errors.check_budget), is flagged, not raised.
     """
+    max_count = check_budget(max_count, "max_count")
     core = g.incidence_core
     indptr, indices, steps = _rows(core, core.signs)
     out = []
@@ -506,8 +506,10 @@ def paths_sign_consistent(
     Stops early with consistent=False once two paths of opposite sign
     are seen; flags truncation when max_paths same-signed paths were
     enumerated without exhausting the search.  Raises DisconnectedPairError
-    when no path joins a to b.
+    when no path joins a to b.  max_paths is an integer of at least 1
+    (errors.check_budget).
     """
+    max_paths = check_budget(max_paths, "max_paths")
     source = _element_node(g, a)
     target = _element_node(g, b)
     if source == target:

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 
+import numpy as np
 import pytest
 
 import hypersign as hs
@@ -174,3 +176,13 @@ def test_labeling_search_refuses_more_than_63_nodes():
     g = hs.build(60, [[(1, 1), (2, 1)]] * 4)
     with pytest.raises(OracleBudgetExceededError):
         balance._labeling_exists(g, max_nodes=100)
+
+
+def test_oracle_budgets_are_integers_of_at_least_one():
+    # NaN and inf would leave the oracles with no budget at all.
+    for bad in (math.nan, math.inf, True, 0, -1, 1.5, "20"):
+        for field in ("max_nodes", "max_cycles", "max_paths"):
+            with pytest.raises(hs.InvalidValueError):
+                hs.OracleLimits(**{field: bad})
+    limits = hs.OracleLimits(max_cycles=np.int64(7))
+    assert limits.max_cycles == 7 and type(limits.max_cycles) is int

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hypersign as hs
-from hypersign import core
+from hypersign import core, linalg
 from hypersign.cli import main, run_battery
 
 
@@ -355,3 +355,11 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] in ban
     codes, imported = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(runs)
     assert imported == []
+
+
+def test_tensor_refuses_a_parity_basis_past_its_limit(monkeypatch, capsys, ex_path):
+    monkeypatch.setattr(linalg, "GF2_MAX_BASIS_BYTES", 3)
+    assert main(["tensor", "--json", ex_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a GF(2) basis of 3 rows of 10 bits exceeds")
+    assert "Traceback" not in captured.err

@@ -293,6 +293,13 @@ def test_bad_parameters_are_invalid_values(ex):
         lambda: hs.nqz_spectral_radius(ex, shift="1"),
         lambda: hs.h_eigen_minus_rho(sex, tol="1e-8"),
         lambda: hs.theorem_battery_even(sex, tol="1e-8"),
+        # A tolerance is never a bool.
+        lambda: hs.spectrum_contains([0.0], 0.0, abs_tol=True),
+        lambda: hs.spectral_balance_tests(ex, rel_tol=True),
+        lambda: hs.nqz_spectral_radius(ex, tol=True),
+        lambda: hs.nqz_spectral_radius(ex, shift=np.bool_(True)),
+        lambda: hs.h_eigen_minus_rho(sex, tol=True),
+        lambda: hs.theorem_battery_even(sex, tol=True),
     ):
         with pytest.raises(InvalidValueError):
             call()

@@ -1,6 +1,7 @@
 import importlib
 import random
 
+import numpy as np
 import pytest
 
 import hypersign as hs
@@ -128,3 +129,30 @@ def test_connected_draw_matches_pool_rebuild(monkeypatch):
     nonempty = [size for size, count in draws if count]
     assert sum(size <= 21 for size in nonempty) >= 20
     assert sum(size > 21 for size in nonempty) >= 20
+
+
+@pytest.mark.parametrize("field", ["n", "m", "k", "p_neg", "seed"])
+@pytest.mark.parametrize("bad", [True, 1.5, "1", None, 1 + 0j, []])
+def test_generate_parameters_follow_the_input_contract(field, bad):
+    # Integers that are not bools, and a real p_neg: anything else is an
+    # invalid value, refused before anything is drawn.  A p_neg of 1.5 is
+    # a real outside [0, 1], and k=None asks for size_range instead.
+    params = dict(n=4, m=2, k=2, p_neg=0.5, seed=1)
+    params[field] = bad
+    valid = (field, bad) in (("p_neg", 1.5), ("k", None))
+    with pytest.raises(InfeasibleParametersError if valid else hs.InvalidValueError):
+        hs.generate(**params)
+    with pytest.raises(hs.InvalidValueError):
+        hs.generate(4, 2, size_range=(2, bad))
+
+
+def test_generate_refuses_sizes_past_its_limits_before_drawing():
+    with pytest.raises(hs.VertexLimitExceededError):
+        hs.generate(2**63, 1, k=1, connected=True)
+    with pytest.raises(InfeasibleParametersError, match="incidences"):
+        hs.generate(3, 2**63, k=2)
+    assert hs.generate(3, 2, k=2, seed=np.int64(5)) == hs.generate(3, 2, k=2, seed=5)
+    with pytest.raises(InfeasibleParametersError):
+        hs.random_connected(random.Random(1), n_max=1)
+    with pytest.raises(InfeasibleParametersError):
+        hs.random_connected_uniform(random.Random(1), 2**63)

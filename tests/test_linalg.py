@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypersign as hs
-from hypersign import switching
+from hypersign import linalg, switching
 from hypersign.errors import EmptySpectrumError
 from hypersign.linalg import (
     GF2Infeasible,
@@ -481,3 +481,23 @@ def test_gf2_late_conflict_witness_comes_from_the_reduction():
     res = gf2_solve(GF2System(4, rows))
     assert res == gf2_solve_by_reduction(GF2System(4, rows))
     assert res == GF2Infeasible((0, 1, 2, 5))
+
+
+def test_parity_route_refuses_a_basis_past_its_limit(monkeypatch, ex):
+    # ex has n = 6 vertices and m = 3 edges, so its basis may hold
+    # min(m, n) * (min(m, n) + n + 1) = 30 bits: 3.75 bytes.
+    h = hs.induced_signed(ex)
+    routes = (lambda: hs.signed_switch_equivalent(h, h), lambda: hs.odd_bipartite(ex))
+    monkeypatch.setattr(linalg, "GF2_MAX_BASIS_BYTES", 3)
+    for route in routes:
+        with pytest.raises(hs.DenseLimitExceededError, match="exceeds the limit of 3 bytes"):
+            route()
+    monkeypatch.setattr(linalg, "GF2_MAX_BASIS_BYTES", 4)
+    assert [route() for route in routes] == [hs.SignedSwitchCertificate(), hs.odd_bipartite(ex)]
+
+
+def test_gf2_variable_count_is_bounded_before_any_mask_is_built():
+    # 1 << 2**63 would ask for 2**60 bytes.
+    for make in (lambda: GF2System(2**63, ()), lambda: GF2System.from_sets(2**63, [((2**62,), 1)])):
+        with pytest.raises(hs.VertexLimitExceededError):
+            make()

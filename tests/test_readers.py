@@ -255,9 +255,12 @@ def test_complex_labels_and_bool_vertices_are_refused():
         _assert_raises(expected, construct)
     assert VertexOutOfRangeError(0, "3", 3).args == ("edge 0 references vertex '3', outside 1..3",)
     assert VertexOutOfRangeError(0, 4, 3).args == ("edge 0 references vertex 4, outside 1..3",)
-    # build turns True into the int 1, which the file formats can hold.
-    g = hs.build(2, [[(True, 1), (2, True)]])
-    assert g.edges == (((1, 1), (2, 1)),) and type(g.edges[0][0][0]) is int
+    # build and build_signed refuse a bool vertex, as the constructors do:
+    # True is not an id.  A bool orientation equals 1, a real label.
+    for bad in (True, np.bool_(True)):
+        _assert_raises(VertexOutOfRangeError(0, bad, 2), lambda: hs.build(2, [[(bad, 1), (2, 1)]]))
+        _assert_raises(VertexOutOfRangeError(0, bad, 2), lambda: hs.build_signed(2, [[bad, 2]], [1]))
+    g = hs.build(2, [[(1, 1), (2, True)]])
     assert hs.parse(hs.serialize(g)) == g
 
 
@@ -271,6 +274,13 @@ def test_vertex_counts_that_are_not_plain_ints_are_refused(n):
         lambda: hs.SignedHypergraph(n, ((1,),), (1,)),
     ):
         _assert_raises(expected, construct)
+
+
+def test_vertex_counts_take_numpy_integers():
+    for n in (np.int64(3), np.uint8(3)):
+        for g in (hs.build(n, [[(1, 1)]]), hs.build_signed(n, [[1]], [1]),
+                  hs.OrientedHypergraph(n, (((1, 1),),)), hs.SignedHypergraph(n, ((1,),), (1,))):
+            assert g.n == 3 and type(g.n) is int
 
 
 NOT_A_PAIR = "every incidence must be a (vertex, orientation) pair"

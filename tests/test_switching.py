@@ -176,3 +176,15 @@ def test_signed_equivalence_structure_mismatch():
     b = hs.build_signed(3, [(1, 2)], [1])
     with pytest.raises(StructureMismatchError):
         hs.signed_switch_equivalent(a, b)
+
+
+def test_certificate_ids_are_integers():
+    for bad in ([1], True, 1.5, None):
+        for make in (lambda: hs.SwitchCertificate(vertices=(1, bad)),
+                     lambda: hs.SwitchCertificate(edges=(bad,)),
+                     lambda: hs.SignedSwitchCertificate(vertices=(bad,))):
+            with pytest.raises(hs.InvalidValueError):
+                make()
+    cert = hs.SwitchCertificate(vertices=(np.int64(3), 1, 3), edges=(np.uint8(2),))
+    assert cert == hs.SwitchCertificate(vertices=(1, 3), edges=(2,))
+    assert {type(i) for i in cert.vertices + cert.edges} == {int}

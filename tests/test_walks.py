@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -401,3 +402,16 @@ def test_canonical_cycle_of_a_long_loose_cycle():
     walk = Walk(rotated + (rotated[0],))
     assert hs.canonical_cycle(walk) == verdict.cycle
     assert verdict.cycle.elements == canonical_cycle_by_rotations(walk)
+
+
+def test_oracle_budgets_are_checked(triangle):
+    for bad in (True, 0, 1.5):
+        with pytest.raises(hs.InvalidValueError):
+            hs.enumerate_cycles(triangle, max_count=bad)
+    for bad in (math.nan, math.inf, True, 0):
+        with pytest.raises(hs.InvalidValueError):
+            hs.paths_sign_consistent(triangle, ("v", 1), ("v", 2), max_paths=bad)
+    # An element that is not a (kind, id) pair is malformed, not an edge.
+    for bad in (1, ("x", 1), [("v", 1)]):
+        with pytest.raises(InvalidWalkError):
+            hs.paths_sign_consistent(triangle, bad, ("v", 2))
