@@ -43,6 +43,7 @@ from .walks import (
 __all__ = [
     "Balanced",
     "Unbalanced",
+    "BalanceVerdict",
     "incidence_balance",
     "verify_bipartition",
     "OracleLimits",

@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import __version__
-from .balance import Balanced, OracleLimits, equivalence_battery, incidence_balance
+from .balance import Balanced, equivalence_battery, incidence_balance
 from .core import induced_signed, uniform_edge_size
 from .errors import (
     HypersignError,
@@ -73,14 +73,14 @@ def _tolerances(abs_tol: float, nqz_tol: float) -> dict:
     }
 
 
-def _base_report(command: str, g, abs_tol: float, nqz_tol: float, seed=None) -> dict:
+def _base_report(command: str, g, abs_tol: float, nqz_tol: float) -> dict:
     return {
         "tool": "hypersign",
         "version": __version__,
         "command": command,
         "summary": _summary(g),
         "tolerances": _tolerances(abs_tol, nqz_tol),
-        "seed": seed,
+        "seed": None,
     }
 
 
@@ -162,7 +162,7 @@ def _emit(args, report: dict, human_lines: list[str]) -> None:
 def _cmd_check(args) -> int:
     g = load(args.instance)
     verdict = incidence_balance(g)
-    report = _base_report("check", g, args.tol, NQZ_TOL)
+    report = _base_report("check", g, MEMBERSHIP_ABS_TOL, NQZ_TOL)
     report["verdict"] = _verdict_json(verdict)
     if isinstance(verdict, Balanced):
         lines = [
@@ -205,7 +205,7 @@ def _cmd_tensor(args) -> int:
     radius = nqz_spectral_radius(g, tol=args.tol)
     bipartition = odd_bipartite(g)
     battery = theorem_battery_even(signed, tol=args.tol)
-    report = _base_report("tensor", g, MEMBERSHIP_ABS_TOL, args.tol, seed=args.seed)
+    report = _base_report("tensor", g, MEMBERSHIP_ABS_TOL, args.tol)
     report["rho"] = radius.rho
     report["nqz_iterations"] = radius.iterations
     report["odd_bipartite"] = _parity_json(bipartition, "part_one", "part_two")
@@ -255,13 +255,7 @@ def _cmd_gen(args) -> int:
     return _write_instance(args, g)
 
 
-def run_battery(
-    instances: int = 40,
-    seed: int = 0,
-    tol: float = NQZ_TOL,
-    max_cycles: int = 20_000,
-    inject_fault: bool = False,
-) -> dict:
+def run_battery(instances: int = 40, seed: int = 0, inject_fault: bool = False) -> dict:
     """Cross-validate the structural, spectral and tensor routes on
     generated ensembles; any disagreement is recorded.
 
@@ -270,16 +264,14 @@ def run_battery(
     instances lies in 0..10^6, and seed is an integer.
     """
     instances, seed = check_integer(instances, "instances"), check_integer(seed, "seed")
-    tol = check_tolerance(tol, "tol")
     if not 0 <= instances <= _MAX_INSTANCES:
         raise InvalidValueError(f"instances must lie in 0..{_MAX_INSTANCES}, got {instances}")
     rng = random.Random(seed)
-    limits = OracleLimits(max_nodes=16, max_cycles=max_cycles, max_paths=max_cycles)
     disagreements: list[dict] = []
 
     for i in range(instances):
         g = random_connected(rng, n_max=6, m_max=4)
-        outcome = equivalence_battery(g, limits)
+        outcome = equivalence_battery(g)
         values = list(outcome.values())
         note = None
         if inject_fault and i == 0:
@@ -296,7 +288,7 @@ def run_battery(
         g = random_connected_uniform(rng, k, n_max=6, m_max=4)
         signed = induced_signed(g)
         rng.randrange(2**32)  # discarded: `battery --seed S` draws the same ensembles
-        outcome = theorem_battery_even(signed, tol=tol)
+        outcome = theorem_battery_even(signed)
         values = list(outcome.values())
         if len(set(values)) != 1:
             disagreements.append(
@@ -341,13 +333,7 @@ def run_battery(
 
 
 def _cmd_battery(args) -> int:
-    outcome = run_battery(
-        instances=args.instances,
-        seed=args.seed,
-        tol=args.tol,
-        max_cycles=args.max_cycles,
-        inject_fault=args.inject_fault,
-    )
+    outcome = run_battery(args.instances, args.seed, args.inject_fault)
     if args.json:
         print(json.dumps(outcome, indent=2))
     else:
@@ -398,24 +384,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default: float) -> None:
+    def json_flag(p) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--tol", type=_tolerance, default=tol_default)
 
     p = sub.add_parser("check", help="structural balance verdict with certificate")
     p.add_argument("instance")
-    common(p, MEMBERSHIP_ABS_TOL)
+    json_flag(p)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("spectra", help="matrix spectra and the three spectral tests")
     p.add_argument("instance")
-    common(p, MEMBERSHIP_ABS_TOL)
+    json_flag(p)
+    p.add_argument("--tol", type=_tolerance, default=MEMBERSHIP_ABS_TOL)
     p.set_defaults(handler=_cmd_spectra)
 
     p = sub.add_parser("tensor", help="tensor criteria for even-uniform instances")
     p.add_argument("instance")
-    common(p, NQZ_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    json_flag(p)
+    p.add_argument("--tol", type=_tolerance, default=NQZ_TOL)
     p.set_defaults(handler=_cmd_tensor)
 
     p = sub.add_parser("switch", help="apply a switching certificate")
@@ -440,9 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("battery", help="cross-validation suites on random ensembles")
     p.add_argument("--instances", type=int, default=40)
-    p.add_argument("--max-cycles", type=int, default=20_000, dest="max_cycles")
     p.add_argument("--inject-fault", action="store_true", dest="inject_fault")
-    common(p, NQZ_TOL)
+    json_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_battery)
     return parser

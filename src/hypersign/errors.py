@@ -11,25 +11,28 @@ doing any work; the command line reports it and exits 2.
   is no integer or out of range, and a constructor VertexOutOfRangeError
   for such a vertex.  A vertex count (and nvars) lies in
   0..core.MAX_VERTICES, with VertexLimitExceededError above it.
-- Budgets (max_iters, max_count, max_paths, OracleLimits) are integers
-  of at least 1.
-- Tolerances (tol, abs_tol, rel_tol, and the NQZ shift) are finite reals
-  above 0, never bool.
+- Budgets (max_count, max_paths, OracleLimits) are integers of at least 1.
+- Tolerances (tol, abs_tol) are finite reals above 0, never bool.
 - Labels (orientations and edge signs) are real numbers equal to +1 or -1.
 - Numeric arrays hold booleans, integers or floats (complex numbers where
   a vector may be complex), not strings, objects or ragged rows.
+- Content (parse, parse_text) and bundled names are str.  Paths (load,
+  save) are str or os.PathLike, never an integer, which open() would
+  take for a file descriptor and close.
 - A size whose memory would pass a fixed budget is refused before
   anything is allocated: DenseLimitExceededError for a dense matrix or a
   GF(2) basis.
 
 Any other violation raises InvalidValueError.  is_integer, check_integer,
-check_budget, check_tolerance and check_array state these rules once;
+check_budget, check_tolerance, check_array, check_text and check_path
+state these rules once;
 every module calls them, or inlines is_integer's rule, saying so, where
 it runs once per incidence and a call would cost too much.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from numbers import Real
 
@@ -223,3 +226,17 @@ def check_array(value, what: str, kinds: str = "biuf") -> np.ndarray:
     if arr.dtype.kind not in kinds:
         raise InvalidValueError(f"expected a numeric {what}, got dtype {arr.dtype}")
     return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
+
+
+def check_text(value, name: str) -> str:
+    """value if it is a str, else InvalidValueError naming the parameter."""
+    if not isinstance(value, str):
+        raise InvalidValueError(f"{name} must be a str, got {value!r:.40}")
+    return value
+
+
+def check_path(value):
+    """value if it is a str or an os.PathLike, else InvalidValueError."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise InvalidValueError(f"path must be a str or os.PathLike, got {value!r:.40}")
+    return value

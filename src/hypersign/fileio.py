@@ -13,13 +13,15 @@ JSON integers, and edge names only as distinct, non-empty strings free
 of whitespace, the names the text format can hold.  Serialization is
 canonical — incidences sorted by vertex, edges kept in order — so
 parse(serialize(g)) is g and serialize(parse(text)) canonicalizes text.
+
+parse, parse_text and from_json_dict read content, load and save a file
+named by a str or os.PathLike, and load_bundled an instance shipped with
+the package, by name.
 """
 
 from __future__ import annotations
 
-import errno
 import json
-import os
 import re
 from importlib import resources
 from itertools import islice
@@ -27,7 +29,7 @@ from itertools import islice
 import numpy as np
 
 from .core import OrientedHypergraph, _by_edge
-from .errors import InvalidValueError, ParseError
+from .errors import InvalidValueError, ParseError, check_path, check_text
 
 __all__ = [
     "parse",
@@ -63,6 +65,7 @@ def _check_incidence_tokens(lineno: int, tokens: list[str]) -> None:
 
 def parse_text(text: str) -> OrientedHypergraph:
     """Parse the text format; syntax problems carry a 1-based line number."""
+    check_text(text, "text")
     n: int | None = None
     chunks: list[str] = []  # each edge's incidence tokens, blank-separated
     sizes: list[int] = []
@@ -206,25 +209,14 @@ def _parse_content(text: str) -> OrientedHypergraph:
     return parse_text(text)
 
 
-def parse(source: str) -> OrientedHypergraph:
-    """Parse a path or raw content (text or JSON, sniffed by shape).
-
-    A string without a newline that names an existing file is a path;
-    anything else is content.  A one-line string that names no file and
-    fails to parse as text names a missing file: FileNotFoundError.
-    """
-    if "\n" not in source and os.path.isfile(source):
-        return load(source)
-    try:
-        return _parse_content(source)
-    except ParseError as exc:
-        if "\n" in source or source.lstrip().startswith("{"):
-            raise
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), source) from exc
+def parse(text: str) -> OrientedHypergraph:
+    """Parse content, text or JSON, told apart by shape; load reads a file."""
+    return _parse_content(check_text(text, "text"))
 
 
 def load(path) -> OrientedHypergraph:
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read an instance file, text or JSON, named by a str or os.PathLike."""
+    with open(check_path(path), "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
@@ -233,7 +225,9 @@ def load(path) -> OrientedHypergraph:
 
 
 def save(g: OrientedHypergraph, path) -> None:
-    fmt = "json" if str(path).endswith(".json") else "ohg"
+    """Write g to a file named by a str or os.PathLike: JSON if the name
+    ends in .json, else the text format."""
+    fmt = "json" if str(check_path(path)).endswith(".json") else "ohg"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(serialize(g, fmt))
 
@@ -250,6 +244,6 @@ def bundled_names() -> list[str]:
 
 def load_bundled(name: str) -> OrientedHypergraph:
     """One of the shipped instances, by name (with or without .ohg)."""
-    filename = name if name.endswith(".ohg") else f"{name}.ohg"
+    filename = name if check_text(name, "name").endswith(".ohg") else f"{name}.ohg"
     traversable = resources.files(__package__).joinpath("data").joinpath(filename)
     return _parse_content(traversable.read_text(encoding="utf-8"))

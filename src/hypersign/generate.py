@@ -185,33 +185,26 @@ def generate(
 
 
 def random_connected(
-    rng: random.Random,
-    n_max: int = 8,
-    m_max: int = 6,
-    size_min: int = 2,
-    size_max: int = 4,
-    p_neg: float = 0.5,
+    rng: random.Random, n_max: int = 8, m_max: int = 6
 ) -> OrientedHypergraph:
-    """Connected instance with sizes drawn from the given window.
+    """Connected instance with edge sizes drawn from 2..4 (at most n) and
+    each orientation -1 with probability 1/2.
 
     Parameter combinations whose sizes cannot cover the vertices are
     redrawn, so every call succeeds (deterministically under rng).
     """
     n_max, m_max = check_integer(n_max, "n_max"), check_integer(m_max, "m_max")
-    size_min, size_max = check_integer(size_min, "size_min"), check_integer(size_max, "size_max")
     if n_max < 2 or m_max < 1:
         raise InfeasibleParametersError("n_max must be at least 2 and m_max at least 1")
     for _ in range(_ENSEMBLE_RETRIES):
         n = rng.randint(2, n_max)
         m = rng.randint(1, m_max)
-        lo = min(size_min, n)
-        hi = min(size_max, n)
         try:
             return generate(
                 n,
                 m,
-                size_range=(lo, hi),
-                p_neg=p_neg,
+                size_range=(2, min(4, n)),
+                p_neg=0.5,
                 connected=True,
                 seed=rng.randrange(2**32),
             )
@@ -221,13 +214,10 @@ def random_connected(
 
 
 def random_connected_uniform(
-    rng: random.Random,
-    k: int,
-    n_max: int = 8,
-    m_max: int = 6,
-    p_neg: float = 0.5,
+    rng: random.Random, k: int, n_max: int = 8, m_max: int = 6
 ) -> OrientedHypergraph:
-    """Connected k-uniform instance (vertex count drawn from k..n_max)."""
+    """Connected k-uniform instance (vertex count drawn from k..n_max),
+    each orientation -1 with probability 1/2."""
     k = check_integer(k, "k")
     n_max, m_max = check_integer(n_max, "n_max"), check_integer(m_max, "m_max")
     if not 1 <= k <= n_max or m_max < 1:
@@ -238,7 +228,7 @@ def random_connected_uniform(
         if n > m * (k - 1) + 1:
             continue
         return generate(
-            n, m, k=k, p_neg=p_neg, connected=True, seed=rng.randrange(2**32)
+            n, m, k=k, p_neg=0.5, connected=True, seed=rng.randrange(2**32)
         )
     raise InfeasibleParametersError(
         f"could not draw a connected {k}-uniform instance"

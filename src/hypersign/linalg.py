@@ -64,10 +64,8 @@ span the same row space and have the same solutions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -351,22 +349,19 @@ def gf2_solve(system: GF2System) -> GF2Solution | GF2Infeasible:
 
 
 def spectrum_contains(
-    spectrum: Sequence[float],
-    target: float,
-    abs_tol: float = MEMBERSHIP_ABS_TOL,
-    rel_tol: float = MEMBERSHIP_REL_TOL,
+    spectrum: Sequence[float], target: float, abs_tol: float = MEMBERSHIP_ABS_TOL
 ) -> tuple[bool, float]:
     """(membership, margin): nearest spectrum point within the tolerances.
 
-    The absolute and relative tolerances combine additively, so a value
-    quoted to exactly abs_tol decimal digits still passes after the
-    decimal-to-binary round trip.
+    abs_tol and the relative tolerance MEMBERSHIP_REL_TOL combine
+    additively, so a value quoted to exactly abs_tol decimal digits still
+    passes after the decimal-to-binary round trip.  The target is checked
+    like the spectrum, as a finite real 0-d array (a bool reads as 0 or 1).
     """
-    abs_tol, rel_tol = check_tolerance(abs_tol, "abs_tol"), check_tolerance(rel_tol, "rel_tol")
+    abs_tol = check_tolerance(abs_tol, "abs_tol")
     values = _finite_array(spectrum, 1, "1-d spectrum")
-    if not (isinstance(target, Real) and math.isfinite(target)):
-        raise InvalidValueError("expected a finite real target")
+    target = float(_finite_array(target, 0, "0-d target"))
     if not values.size:
         raise EmptySpectrumError("membership test against an empty spectrum")
     margin = float(np.abs(values - target).min())
-    return margin <= abs_tol + rel_tol * abs(target), margin
+    return margin <= abs_tol + MEMBERSHIP_REL_TOL * abs(target), margin

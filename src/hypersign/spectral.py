@@ -8,6 +8,8 @@ connected instance, balance is equivalent to each of three spectral
 memberships: the largest singular value of the all-positive incidence
 matrix appearing among the singular values, and the spectral radii of
 the all-positive Laplacian/adjacency appearing among the eigenvalues.
+Membership is a tolerance test: within abs_tol (MEMBERSHIP_ABS_TOL by
+default) plus the constant MEMBERSHIP_REL_TOL times the target.
 """
 
 from __future__ import annotations
@@ -173,31 +175,30 @@ class SpectralTestSuite:
 
 
 def spectral_balance_tests(
-    g: OrientedHypergraph,
-    abs_tol: float = MEMBERSHIP_ABS_TOL,
-    rel_tol: float = MEMBERSHIP_REL_TOL,
+    g: OrientedHypergraph, abs_tol: float = MEMBERSHIP_ABS_TOL
 ) -> SpectralTestSuite:
     """Run the three spectral balance criteria on a connected instance.
 
+    Membership takes abs_tol plus MEMBERSHIP_REL_TOL times the target.
     Edgeless (hence single-vertex) instances have no singular values to
     test, so the incidence criterion degenerates to a trivially positive
-    report with zero margin.  The tolerances are checked first, whether or
-    not a criterion reads them.
+    report with zero margin.  The tolerance is checked first, whether or
+    not a criterion reads it.
     """
-    abs_tol, rel_tol = check_tolerance(abs_tol, "abs_tol"), check_tolerance(rel_tol, "rel_tol")
+    abs_tol = check_tolerance(abs_tol, "abs_tol")
     if not is_connected(g):
         raise NotConnectedError(
             "the spectral characterization assumes a connected instance"
         )
 
     def report(criterion: str, spectrum: list[float], target: float) -> SpectralReport:
-        decision, margin = spectrum_contains(spectrum, target, abs_tol, rel_tol)
+        decision, margin = spectrum_contains(spectrum, target, abs_tol)
         return SpectralReport(
-            criterion, target, tuple(spectrum), decision, margin, abs_tol, rel_tol
+            criterion, target, tuple(spectrum), decision, margin, abs_tol, MEMBERSHIP_REL_TOL
         )
 
     def trivial(criterion: str) -> SpectralReport:
-        return SpectralReport(criterion, 0.0, (), True, 0.0, abs_tol, rel_tol)
+        return SpectralReport(criterion, 0.0, (), True, 0.0, abs_tol, MEMBERSHIP_REL_TOL)
 
     # One incidence build: the all-positive variant's incidence matrix is
     # |M|, and the Laplacian and adjacency matrices follow from each.

@@ -21,6 +21,10 @@ the Laplacian zero-eigenvalue check stays in exact integer arithmetic.
 The tensors are reached only through adj_apply and lap_apply; a form
 T x^k is x . (T x^{k-1}), which lap_form computes for the Laplacian.
 
+The NQZ power iteration takes a tolerance (NQZ_TOL by default); its
+budget NQZ_MAX_ITERS and its diagonal shift NQZ_SHIFT are constants,
+read at each call.
+
 For even k and a connected instance, the negated structural spectral
 radius is an H-eigenvalue exactly when a parity system over the vertices
 is solvable: positive edges must meet the switched set an odd number of
@@ -65,7 +69,6 @@ from .errors import (
     StructureMismatchError,
     ZeroVectorError,
     check_array,
-    check_budget,
     check_tolerance,
 )
 from .switching import NotEquivalent, SignedSwitchCertificate, _parity_route
@@ -196,30 +199,29 @@ class NQZResult:
 
 
 def nqz_spectral_radius(
-    h: OrientedHypergraph | SignedHypergraph,
-    tol: float = NQZ_TOL,
-    max_iters: int = NQZ_MAX_ITERS,
-    shift: float = NQZ_SHIFT,
+    h: OrientedHypergraph | SignedHypergraph, tol: float = NQZ_TOL
 ) -> NQZResult:
     """Spectral radius of the structural (all-positive) adjacency tensor.
 
-    Power iteration on the diagonally shifted nonnegative tensor: the
-    per-coordinate growth ratios bracket the shifted radius from both
+    Power iteration on the tensor shifted by NQZ_SHIFT on the diagonal:
+    the per-coordinate growth ratios bracket the shifted radius from both
     sides and the bracket shrinks monotonically; the positive shift
     guarantees convergence on connected structures.  Returns the radius,
     the positive max-normalized iterate (an eigenvector to residual
-    below tol), and the bracket history.
+    below tol), and the bracket history, or raises NoConvergenceError
+    after NQZ_MAX_ITERS iterations.
     """
     idx = _edge_index(h)
     if not is_connected(h):
         raise NotConnectedError("the iteration needs a connected structure")
-    return _nqz(idx, h.n, tol, max_iters, shift)
+    return _nqz(idx, h.n, tol)
 
 
-def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
-    """The iteration itself, for callers that checked connectivity."""
-    tol, shift = check_tolerance(tol, "tol"), check_tolerance(shift, "shift")
-    max_iters = check_budget(max_iters, "max_iters")
+def _nqz(idx, n: int, tol: float) -> NQZResult:
+    """The iteration itself, for callers that checked connectivity.  The
+    budget and the shift are read here, at each call."""
+    tol = check_tolerance(tol, "tol")
+    max_iters, shift = NQZ_MAX_ITERS, NQZ_SHIFT
     m, k = idx.shape
     structure = np.ones(m, dtype=np.int64)  # every edge sign +1
     x = np.ones(n, dtype=np.float64)
@@ -330,7 +332,7 @@ def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotEquiv
     if isinstance(outcome, NotEquivalent):
         return outcome
     signs = _signs_from_support(h.n, outcome.vertices)
-    radius = _nqz(idx, h.n, tol, NQZ_MAX_ITERS, NQZ_SHIFT)
+    radius = _nqz(idx, h.n, tol)
     vector = np.array(signs, dtype=np.float64) * np.array(radius.vector)
     residual = eigenpair_residual(h, -radius.rho, vector)
     if residual > 10.0 * tol:
@@ -367,18 +369,15 @@ def _zero_certificate(h, idx, outcome) -> ParityCertificate | NotEquivalent:
     )
 
 
-def h_eigen_minus_rho(
-    h: SignedHypergraph, tol: float = NQZ_TOL
-) -> ParityCertificate | NotEquivalent:
+def h_eigen_minus_rho(h: SignedHypergraph) -> ParityCertificate | NotEquivalent:
     """Is the negated structural spectral radius an H-eigenvalue?
 
     Decided by the parity system; a feasible solution flips the Perron
     vector on the switched set, which is then verified to satisfy the
-    eigen-relation to within 10x the iteration tolerance.
+    eigen-relation to within 10x the iteration tolerance NQZ_TOL.
     """
-    tol = check_tolerance(tol, "tol")
     idx, outcome = _solve_parity(h, "this criterion assumes a connected instance")
-    return _minus_rho_certificate(h, idx, outcome, tol)
+    return _minus_rho_certificate(h, idx, outcome, NQZ_TOL)
 
 
 def lap_zero_h_eigen(h: SignedHypergraph) -> ParityCertificate | NotEquivalent:

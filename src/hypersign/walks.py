@@ -45,7 +45,6 @@ __all__ = [
     "incidence_sign_of",
     "adjacency_sign_of",
     "canonical_cycle",
-    "fundamental_cycle",
     "is_connected",
     "connected_components",
     "CycleEnumeration",
@@ -71,9 +70,15 @@ def edge_node(e: int) -> Element:
 _KINDS = (VERTEX, EDGE)
 
 
+def _is_kind(kind) -> bool:
+    """Whether kind is "v" or "e"; a str first, since ``in`` on an array
+    compares it elementwise."""
+    return type(kind) is str and kind in _KINDS
+
+
 def _element(el) -> Element:
     """el with its id as a Python int; ids follow errors.is_integer."""
-    if isinstance(el, tuple) and len(el) == 2 and el[0] in _KINDS and is_integer(el[1]):
+    if isinstance(el, tuple) and len(el) == 2 and _is_kind(el[0]) and is_integer(el[1]):
         return (el[0], int(el[1]))
     raise InvalidWalkError(f"malformed element {el!r}")
 
@@ -97,7 +102,8 @@ class Walk:
         # errors.is_integer's rule, inlined per element for the plain ints
         # that a walk stores; any other id goes through _element.
         if not all(
-            type(el) is tuple and len(el) == 2 and el[0] in _KINDS and type(el[1]) is int
+            type(el) is tuple and len(el) == 2 and type(el[0]) is str
+            and el[0] in _KINDS and type(el[1]) is int
             for el in elements
         ):
             elements = tuple(map(_element, elements))
@@ -192,7 +198,7 @@ def _canonical_walk(seq: list[Element]) -> Walk:
     return Walk(best + (best[0],))
 
 
-def fundamental_cycle(n: int, parent: list[int], x: int, y: int) -> Walk:
+def _fundamental_cycle(n: int, parent: list[int], x: int, y: int) -> Walk:
     """Closed walk through the tree paths to nodes x and y plus the step x-y.
 
     ``parent`` maps incidence-structure node ids to their search-tree
@@ -248,7 +254,7 @@ def _conflict_cycle(core: IncidenceCore, values: np.ndarray, root: int) -> Walk:
                 parent[y] = x
                 queue.append(y)
             elif label[y] != want:
-                return fundamental_cycle(n, parent, x, y)
+                return _fundamental_cycle(n, parent, x, y)
     raise InternalCheckError(
         f"internal check failed: no conflicting label in the component of node {root}"
     )
@@ -265,7 +271,7 @@ def node_element(n: int, node: int) -> Element:
 
 
 def _element_node(h, el: Element) -> int:
-    if not (isinstance(el, tuple) and len(el) == 2 and el[0] in _KINDS):
+    if not (isinstance(el, tuple) and len(el) == 2 and _is_kind(el[0])):
         raise InvalidWalkError(f"malformed element {el!r:.40}")
     kind, ident = el
     if kind == VERTEX:

@@ -16,7 +16,7 @@ from math import factorial
 import numpy as np
 
 import hypersign as hs
-from hypersign.walks import fundamental_cycle
+from hypersign.walks import _fundamental_cycle
 
 
 def dense_adj_tensor(h: hs.SignedHypergraph) -> np.ndarray:
@@ -350,7 +350,7 @@ def propagate_labels_by_dict(n: int, m: int, incidences):
     rebuilt from (edge j, vertex v, value) triples; a list of labels
     (vertices first, then edges) or the fundamental cycle of the first
     conflict.  Each component is rooted at its smallest node.  The cycle
-    is closed by the package's fundamental_cycle: what this referees is
+    is closed by the package's _fundamental_cycle: what this referees is
     the search, which decides the parents and the conflicting step."""
     adj = [[] for _ in range(n + m)]
     value = {}
@@ -375,7 +375,7 @@ def propagate_labels_by_dict(n: int, m: int, incidences):
                     parent[y] = x
                     queue.append(y)
                 elif label[y] != want:
-                    return fundamental_cycle(n, parent, x, y)
+                    return _fundamental_cycle(n, parent, x, y)
     return label
 
 

@@ -60,7 +60,7 @@ def test_criterion_2_five_way_equivalence_suite():
 
     rng = random.Random(2024)
     for i in range(200):
-        g = hs.random_connected(rng, n_max=8, m_max=6, size_min=2, size_max=4)
+        g = hs.random_connected(rng, n_max=8, m_max=6)
         report = hs.equivalence_battery(g, limits)
         assert report.agree, (i, report.values())
 
@@ -73,11 +73,11 @@ def test_criterion_2_five_way_equivalence_suite():
 
 
 def test_criterion_3_spectral_suite_tracks_structure():
-    abs_tol, rel_tol = 1e-7, 1e-9
+    abs_tol = 1e-7
 
     def check(g):
         structural = bool(hs.incidence_balance(g))
-        suite = hs.spectral_balance_tests(g, abs_tol=abs_tol, rel_tol=rel_tol)
+        suite = hs.spectral_balance_tests(g, abs_tol=abs_tol)
         assert suite.decisions == (structural,) * 3, suite.classify(structural)
         m = hs.incidence_matrix(g)
         lap = hs.laplacian_matrix(g)
@@ -90,7 +90,7 @@ def test_criterion_3_spectral_suite_tracks_structure():
 
     rng = random.Random(2024)
     for _ in range(200):
-        check(hs.random_connected(rng, n_max=8, m_max=6, size_min=2, size_max=4))
+        check(hs.random_connected(rng, n_max=8, m_max=6))
     for g in _sweep_orientations([[1, 2, 3], [3, 4], [1, 4, 5]], 5):
         check(g)
 
@@ -197,7 +197,7 @@ def test_criterion_7_numerical_kernels():
 def test_criterion_8_switching_invariance():
     rng = random.Random(88)
     for i in range(100):
-        g = hs.random_connected(rng, n_max=8, m_max=6, size_min=2, size_max=4)
+        g = hs.random_connected(rng, n_max=8, m_max=6)
         cert = hs.SwitchCertificate(
             vertices=tuple(v for v in range(1, g.n + 1) if rng.random() < 0.4),
             edges=tuple(j for j in range(g.m) if rng.random() < 0.4),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hypersign as hs
-from hypersign import core, linalg
+from hypersign import cli, core, linalg
 from hypersign.cli import main, run_battery
 
 
@@ -159,11 +160,48 @@ def test_tensor_on_bundled_example(ex_path, capsys):
 
 
 def test_seed_only_where_it_is_read(ex_path, capsys):
-    # check and spectra draw nothing, so they take no --seed.
-    assert main(["check", "--seed", "1", ex_path]) == 2
-    assert main(["spectra", "--seed", "1", ex_path]) == 2
-    assert main(["tensor", "--seed", "1", "--json", ex_path]) == 0
+    # check, spectra and tensor draw nothing, so they take no --seed, and
+    # their reports give the seed as null; battery draws its ensembles.
+    for command in ("check", "spectra", "tensor"):
+        assert main([command, "--seed", "1", ex_path]) == 2
+        capsys.readouterr()
+        assert main([command, "--json", ex_path]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] is None
+    assert main(["battery", "--json", "--instances", "1", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 1
+
+
+def test_each_subcommand_takes_its_listed_options():
+    parser = cli._build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [a.option_strings for a in sub._actions if a.option_strings and a.dest != "help"]
+        for name, sub in subcommands.choices.items()
+    }
+    assert options == {
+        "check": [["--json"]],
+        "spectra": [["--json"], ["--tol"]],
+        "tensor": [["--json"], ["--tol"]],
+        "switch": [["--vertices"], ["--edges"], ["-o", "--output"], ["--json"]],
+        "gen": [["--k"], ["--sizes"], ["--p-neg"], ["--connected"], ["--seed"],
+                ["-o", "--output"], ["--json"]],
+        "battery": [["--instances"], ["--inject-fault"], ["--json"], ["--seed"]],
+    }
+    assert sum(map(len, options.values())) == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "INSTANCE", "--tol", "1e-6"],
+    ["tensor", "INSTANCE", "--seed", "1"],
+    ["battery", "--instances", "1", "--tol", "1e-6"],
+    ["battery", "--instances", "1", "--max-cycles", "100"],
+])
+def test_removed_flags_are_usage_errors(argv, ex_path, capsys):
+    assert main([ex_path if arg == "INSTANCE" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_tensor_rejects_odd_uniformity(tmp_path, capsys):
@@ -285,8 +323,7 @@ def test_malformed_json_files_are_input_errors(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1e-9", "inf", "-inf", "tiny"])
 def test_tolerance_must_be_finite_and_positive(tol, ex_path, capsys):
-    for command in (["check", ex_path], ["spectra", ex_path], ["tensor", ex_path],
-                    ["battery", "--instances", "1"]):
+    for command in (["spectra", ex_path], ["tensor", ex_path]):
         assert main([*command, "--json", f"--tol={tol}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,5 +1,8 @@
 import json
+import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypersign as hs
@@ -146,17 +149,43 @@ def test_save_and_load(tmp_path, ex):
     assert hs.load(json_path) == ex
 
 
-def test_parse_accepts_path_or_content(tmp_path, ex):
-    p = tmp_path / "x.ohg"
-    hs.save(ex, p)
-    assert hs.parse(str(p)) == ex
-
-
-def test_parse_reads_a_path_that_starts_like_content(tmp_path, monkeypatch, e1):
-    name = "vertices_e1.ohg"
-    hs.save(e1, tmp_path / name)
+def test_parse_takes_content_and_load_takes_a_path(tmp_path, monkeypatch, ex, e1):
     monkeypatch.chdir(tmp_path)
-    assert hs.parse(name) == hs.load(name) == e1
+    hs.save(ex, tmp_path / "x.ohg")
+    hs.save(e1, "vertices_e1.ohg")
+    for name, g in ((str(tmp_path / "x.ohg"), ex), ("vertices_e1.ohg", e1)):
+        assert hs.load(name) == hs.load(Path(name)) == g
+        # The name is content to parse, and it is no instance.
+        with pytest.raises(ParseError, match="line 1: unknown directive"):
+            hs.parse(name)
+    with pytest.raises(FileNotFoundError):
+        hs.load("missing.ohg")
+
+
+@pytest.mark.parametrize("value", [5, None, b"vertices 3\n", 1.5, ["vertices 3"]])
+def test_content_and_names_must_be_str(value):
+    for read, name in ((hs.parse, "text"), (hs.parse_text, "text"),
+                       (hs.load_bundled, "name")):
+        with pytest.raises(InvalidValueError, match=f"^{name} must be a str"):
+            read(value)
+
+
+def test_a_file_descriptor_is_no_path(ex):
+    # open() would read an integer as a file descriptor and close it when
+    # done, so the descriptor here is a pipe's, never a standard stream's.
+    # Its write end is closed first, so a read of it cannot block.
+    read, write = os.pipe()
+    os.write(write, hs.serialize(ex).encode())
+    os.close(write)
+    try:
+        for path in (read, np.int64(read), b"x.ohg"):
+            with pytest.raises(InvalidValueError, match="path must be a str or os.PathLike"):
+                hs.load(path)
+            with pytest.raises(InvalidValueError, match="path must be a str or os.PathLike"):
+                hs.save(ex, path)
+        assert os.read(read, 100).startswith(b"vertices 6\n")  # still open, and unread
+    finally:
+        os.close(read)
 
 
 def test_bundled_fixtures_parse(ex, e1, triangle):
@@ -182,15 +211,6 @@ def test_round_trip_random_instances():
         )
         assert hs.parse(hs.serialize(g, "ohg")) == g
         assert hs.parse(hs.serialize(g, "json")) == g
-
-
-def test_parse_missing_one_line_path_is_file_not_found(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    for name in ("missing.ohg", "vertices_e1.ohg"):
-        with pytest.raises(FileNotFoundError) as caught:
-            hs.parse(name)
-        assert caught.value.filename == name
-        assert name in str(caught.value)
 
 
 def test_parse_one_line_content(tmp_path, monkeypatch):

@@ -72,7 +72,7 @@ def test_generate_edgeless():
 def test_random_connected_stays_in_bounds():
     rng = random.Random(77)
     for _ in range(30):
-        g = hs.random_connected(rng, n_max=8, m_max=6, size_min=2, size_max=4)
+        g = hs.random_connected(rng, n_max=8, m_max=6)
         assert 1 <= g.n <= 8
         assert 1 <= g.m <= 6
         assert all(2 <= len(g.members(j)) <= 4 for j in range(g.m))

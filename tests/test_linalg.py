@@ -136,7 +136,7 @@ def test_singular_values_empty():
 
 
 def test_spectrum_contains_boundary():
-    member, margin = spectrum_contains([1.9999999], 2.0, abs_tol=1e-7, rel_tol=1e-9)
+    member, margin = spectrum_contains([1.9999999], 2.0, abs_tol=1e-7)
     assert member
     assert margin == pytest.approx(1e-7, rel=1e-6)
 
@@ -151,9 +151,20 @@ def test_spectrum_contains_basic():
     with pytest.raises(ValueError):
         spectrum_contains([1.0], 1.0, abs_tol=0.0)
     for value in (math.nan, math.inf, -1.0):
-        for name in ("abs_tol", "rel_tol"):
-            with pytest.raises(ValueError, match="finite and positive"):
-                spectrum_contains([1.0], 1.0, **{name: value})
+        with pytest.raises(ValueError, match="finite and positive"):
+            spectrum_contains([1.0], 1.0, abs_tol=value)
+
+
+def test_spectrum_contains_checks_its_target_like_the_spectrum():
+    # A finite real 0-d array-like: Python and numpy bools alike read as
+    # 0 or 1, as they do in a spectrum.
+    for target in (True, np.True_):
+        assert spectrum_contains([1.0], target) == (True, 0.0)
+    assert spectrum_contains([0.0], np.float32(0.5)) == (False, 0.5)
+    assert spectrum_contains([2.0], np.array(2)) == (True, 0.0)
+    for target in (10**400, math.inf, -math.inf, math.nan, "1", None, 1j, [0.0], object()):
+        with pytest.raises(hs.InvalidValueError, match="target"):
+            spectrum_contains([0.0], target)
 
 
 # ---------------------------------------------------------------------------

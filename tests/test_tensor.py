@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hypersign as hs
+from hypersign import tensor
 from hypersign.errors import (
     DimensionMismatchError,
     InternalCheckError,
@@ -299,26 +300,25 @@ def test_nqz_requires_connected_uniform():
         hs.nqz_spectral_radius(hs.build(3, [[(1, 1), (2, 1)], [(1, 1), (2, 1), (3, 1)]]))
 
 
-def test_nqz_budget_exhausted_names_the_bracket_width():
+def test_nqz_budget_exhausted_names_the_bracket_width(monkeypatch):
     path = hs.build(3, [[(1, 1), (2, 1)], [(2, 1), (3, 1)]])
     # From x = 1 the growth ratios are 1, 2, 1 (shift removed): width 1.
     message = r"still 1\.000e\+00 wide after 1 iterations"
-    with pytest.raises(NoConvergenceError, match=message):
-        hs.nqz_spectral_radius(path, max_iters=1)
+    with monkeypatch.context() as patched:
+        patched.setattr(tensor, "NQZ_MAX_ITERS", 1)
+        with pytest.raises(NoConvergenceError, match=message):
+            hs.nqz_spectral_radius(path)
     assert hs.nqz_spectral_radius(path).rho == pytest.approx(math.sqrt(2), abs=1e-8)
 
 
-def test_nqz_refuses_nan_and_inf_like_zero_and_an_empty_budget(ex):
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        for tol, shift in ((bad, 1.0), (1e-8, bad)):
-            with pytest.raises(ValueError, match="finite and positive"):
-                hs.nqz_spectral_radius(ex, tol=tol, shift=shift)
+def test_nqz_refuses_nan_and_inf_like_zero(ex):
     sex = hs.induced_signed(ex).with_gamma((-1,) * ex.m)
-    with pytest.raises(ValueError, match="finite and positive"):
-        # inf would pass the first bracket and its residual check alike
-        hs.h_eigen_minus_rho(sex, tol=math.inf)
-    with pytest.raises(ValueError, match="at least 1"):
-        hs.nqz_spectral_radius(ex, max_iters=0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            hs.nqz_spectral_radius(ex, tol=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            # inf would pass the first bracket and its residual check alike
+            hs.theorem_battery_even(sex, tol=bad)
 
 
 def test_nqz_vector_is_an_eigenvector(ex):

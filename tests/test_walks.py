@@ -39,6 +39,20 @@ def test_walk_validation():
         Walk((("x", 1),))
 
 
+def test_element_kinds_are_the_strings_v_and_e(triangle):
+    # An array as the kind would be compared elementwise by ``in``; it is
+    # a malformed element, as is any kind that is not the str "v" or "e".
+    for kind in (np.array(["v", "e"]), np.array("v"), np.str_("v"), b"v", None):
+        with pytest.raises(InvalidWalkError, match="malformed element"):
+            Walk(((kind, 1),))
+        with pytest.raises(InvalidWalkError, match="malformed element"):
+            Walk(((VERTEX, 2), (EDGE, 0), (kind, 1), (EDGE, 1), (VERTEX, 2)))
+        with pytest.raises(InvalidWalkError, match="malformed element"):
+            hs.paths_sign_consistent(triangle, (kind, 1), (VERTEX, 2))
+        with pytest.raises(InvalidWalkError, match="malformed element"):
+            hs.paths_sign_consistent(triangle, (VERTEX, 2), (kind, 1))
+
+
 def test_walk_ids_follow_the_id_contract(triangle):
     # A bool is not an id, as for every vertex and edge lookup; a numpy
     # integer is one, and is stored as a Python int.
