@@ -5,7 +5,8 @@ Vertices carry dense integer ids 1..n.  An edge is an ordered tuple of
 incidence.  Edges keep insertion order so certificates are reproducible.
 Parallel edges (repeated vertex sets) are allowed; a vertex appears at
 most once within an edge.  All values are immutable after construction
-and safe to share across threads.
+and safe to share across threads; the one store that fills in later, a
+core's structure-only results, is described below.
 
 An instance is validated once, when it is constructed from outside
 data.  The constructors check the stored edges value by value, and the
@@ -19,6 +20,15 @@ but the signs.  Every structural question reads the incidence core.
 only its core, and builds ``edges`` from it the first time it is read
 (``members``, ``edge_sign``, equality), then keeps it.  Serialization
 reads whichever of the two an instance has.
+
+A core also keeps the results that read no sign: the connectivity
+roots (walks) and the NQZ spectral radius (tensor), each computed at
+most once per structure and key, on first use, and kept as long as the
+core.  Derived copies share this store along with the arrays, so an
+instance, its induced signing and its switched copies compute each of
+these once between them; two instances read or built apart do not share
+it, whatever their structure.  Concurrent first calls may both compute a
+result; they store equal values, and later calls read one of them.
 """
 
 from __future__ import annotations
@@ -112,6 +122,17 @@ class IncidenceCore:
     slot: np.ndarray
     signs: np.ndarray | None
     edge_ids: np.ndarray
+    # Results that read no sign, by key; shared with the cores of derived copies.
+    _results: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _once(self, key, compute):
+        """compute(), run the first time key is asked of this structure and
+        stored; the stored result thereafter.  Only for immutable results
+        that read no sign.  An exception stores nothing."""
+        result = self._results.get(key)
+        if result is None:
+            result = self._results[key] = compute()
+        return result
 
     @property
     def size(self) -> int:
@@ -222,9 +243,11 @@ class _IncidenceStructure:
     @classmethod
     def _derived(cls, parent, signs: np.ndarray | None, **fields):
         """A cls over parent's members with new valid labels ``fields``, unchecked;
-        its core is parent's with ``signs`` (read-only; None for a signed copy)."""
+        its core is parent's with ``signs`` (read-only; None for a signed copy),
+        and shares parent's arrays and store of structure-only results."""
         copy, c = object.__new__(cls), parent.incidence_core
         core = IncidenceCore(c.n, c.indptr, c.indices, c.slot, signs, c.edge_ids)
+        object.__setattr__(core, "_results", c._results)
         vars(copy).update(n=parent.n, names=parent.names, incidence_core=core, **fields)
         return copy
 

@@ -243,7 +243,13 @@ def bundled_names() -> list[str]:
 
 
 def load_bundled(name: str) -> OrientedHypergraph:
-    """One of the shipped instances, by name (with or without .ohg)."""
-    filename = name if check_text(name, "name").endswith(".ohg") else f"{name}.ohg"
-    traversable = resources.files(__package__).joinpath("data").joinpath(filename)
+    """One of the shipped instances, by name (with or without .ohg).  Any
+    other name raises InvalidValueError listing the shipped names, so no
+    name reaches a file outside the data folder."""
+    stem, names = check_text(name, "name").removesuffix(".ohg"), bundled_names()
+    if stem not in names:
+        raise InvalidValueError(
+            f"no bundled instance named {name!r:.40}; shipped: {', '.join(names)}"
+        )
+    traversable = resources.files(__package__).joinpath("data").joinpath(f"{stem}.ohg")
     return _parse_content(traversable.read_text(encoding="utf-8"))

@@ -23,7 +23,11 @@ T x^k is x . (T x^{k-1}), which lap_form computes for the Laplacian.
 
 The NQZ power iteration takes a tolerance (NQZ_TOL by default); its
 budget NQZ_MAX_ITERS and its diagonal shift NQZ_SHIFT are constants,
-read at each call.
+read at each call.  The radius reads no sign, so it is computed once per
+structure and (tolerance, budget, shift), and kept in the incidence
+core's store for the core's life: an instance, its induced signing and
+its switched copies share it, and nqz_spectral_radius and the -rho
+criterion read the same result.  A run that raises stores nothing.
 
 For even k and a connected instance, the negated structural spectral
 radius is an H-eigenvalue exactly when a parity system over the vertices
@@ -214,14 +218,23 @@ def nqz_spectral_radius(
     idx = _edge_index(h)
     if not is_connected(h):
         raise NotConnectedError("the iteration needs a connected structure")
-    return _nqz(idx, h.n, tol)
+    return _radius(h, idx, tol)
 
 
-def _nqz(idx, n: int, tol: float) -> NQZResult:
-    """The iteration itself, for callers that checked connectivity.  The
-    budget and the shift are read here, at each call."""
+def _radius(h, idx, tol: float) -> NQZResult:
+    """The iteration's result on h's structure, for callers that checked
+    connectivity.  The budget and the shift are read here, at each call;
+    the iteration runs once per structure and (tol, budget, shift), and
+    later calls read its result from the core's store."""
     tol = check_tolerance(tol, "tol")
     max_iters, shift = NQZ_MAX_ITERS, NQZ_SHIFT
+    return h.incidence_core._once(
+        ("nqz", tol, max_iters, shift), lambda: _nqz(idx, h.n, tol, max_iters, shift)
+    )
+
+
+def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
+    """The iteration itself."""
     m, k = idx.shape
     structure = np.ones(m, dtype=np.int64)  # every edge sign +1
     x = np.ones(n, dtype=np.float64)
@@ -332,7 +345,7 @@ def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotEquiv
     if isinstance(outcome, NotEquivalent):
         return outcome
     signs = _signs_from_support(h.n, outcome.vertices)
-    radius = _nqz(idx, h.n, tol)
+    radius = _radius(h, idx, tol)
     vector = np.array(signs, dtype=np.float64) * np.array(radius.vector)
     residual = eigenpair_residual(h, -radius.rho, vector)
     if residual > 10.0 * tol:

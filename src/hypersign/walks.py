@@ -8,10 +8,13 @@ orientations along it; the adjacency sign additionally carries a factor
 Every search here reads the instance's incidence core.  One
 hook-and-compress kernel runs in O(log n) rounds of array operations: it
 decides connectivity, and with one parity bit per vertex it labels nodes
-for balance and oriented switching.  A breadth-first search runs only to
-name the negative cycle when no labels exist.  One depth-first
-simple-path search serves the cycle and path oracles, which are meant for
-small instances (a few dozen nodes).
+for balance and oriented switching.  Connectivity reads no sign, so its
+roots are computed once per structure and kept, read-only, in the
+core's store for the core's life, shared by derived copies; the labels
+depend on the signs and are computed at each call.  A breadth-first
+search runs only to name the negative cycle when no labels exist.  One
+depth-first simple-path search serves the cycle and path oracles, which
+are meant for small instances (a few dozen nodes).
 """
 
 from __future__ import annotations
@@ -362,6 +365,18 @@ def _component_roots(
     )
 
 
+def _roots(core: IncidenceCore) -> tuple[np.ndarray, np.ndarray]:
+    """_component_roots(core), read-only, computed once per structure."""
+
+    def compute():
+        roots = _component_roots(core)
+        for arr in roots:
+            arr.setflags(write=False)
+        return roots
+
+    return core._once("component_roots", compute)
+
+
 def _propagate_labels(core: IncidenceCore, values: np.ndarray) -> np.ndarray | Walk:
     """+-1 node labels, in an array (vertices first, then edges), whose
     product across every incidence equals that incidence's entry of
@@ -395,7 +410,7 @@ def connected_components(h: OrientedHypergraph | SignedHypergraph) -> list[list[
     Nodes are grouped by their component's smallest vertex, in one
     stable sort.
     """
-    node_roots = np.concatenate(_component_roots(h.incidence_core))
+    node_roots = np.concatenate(_roots(h.incidence_core))
     counts = np.bincount(node_roots)
     ends = np.add.accumulate(counts[counts.nonzero()]).tolist()
     nodes = node_roots.argsort(kind="stable").tolist()
@@ -417,7 +432,7 @@ def is_connected(h: OrientedHypergraph | SignedHypergraph) -> bool:
         return True
     if np.count_nonzero(indptr[1 : n + 1] == indptr[:n]):
         return False
-    return not np.count_nonzero(_component_roots(core)[0])
+    return not np.count_nonzero(_roots(core)[0])
 
 
 # ---------------------------------------------------------------------------

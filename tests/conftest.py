@@ -1,8 +1,10 @@
 import re
+from collections import Counter
 
 import pytest
 
 import hypersign as hs
+from hypersign import tensor, walks
 
 # Pass/fail ledger for the acceptance suite, printed as one line per
 # criterion after the normal summary.
@@ -57,3 +59,23 @@ def ex():
             [(3, -1), (4, 1), (5, 1), (6, 1)],
         ],
     )
+
+
+@pytest.fixture
+def structure_runs(monkeypatch) -> Counter:
+    """Counts of the NQZ iterations ("nqz") and the connectivity kernels
+    without flips ("kernel") run while the test runs."""
+    calls = Counter()
+    nqz, roots = tensor._nqz, walks._component_roots
+
+    def counting_nqz(*args):
+        calls["nqz"] += 1
+        return nqz(*args)
+
+    def counting_roots(core, flips=None):
+        calls["kernel"] += flips is None
+        return roots(core, flips)
+
+    monkeypatch.setattr(tensor, "_nqz", counting_nqz)
+    monkeypatch.setattr(walks, "_component_roots", counting_roots)
+    return calls

@@ -204,6 +204,27 @@ def test_removed_flags_are_usage_errors(argv, ex_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_tensor_runs_nqz_and_the_connectivity_kernel_once(
+    monkeypatch, structure_runs, tmp_path, capsys
+):
+    # Every orientation +1 on a connected 4-uniform structure makes every
+    # edge negative, so the battery is feasible and certifies -rho from the
+    # radius that the report prints.
+    path = tmp_path / "k4.ohg"
+    hs.save(hs.generate(12, 20, k=4, connected=True, seed=1), path)
+    assert main(["tensor", "--json", str(path)]) == 0
+    stored = capsys.readouterr().out
+    assert structure_runs == {"nqz": 1, "kernel": 1}
+    assert json.loads(stored)["minus_rho_h_eigen"]["decision"] is True
+    # With every lookup computed afresh, the same calls run the iteration
+    # twice and the kernel three times, and print the same report.
+    monkeypatch.setattr(core.IncidenceCore, "_once", lambda self, key, compute: compute())
+    structure_runs.clear()
+    assert main(["tensor", "--json", str(path)]) == 0
+    assert structure_runs == {"nqz": 2, "kernel": 3}
+    assert capsys.readouterr().out == stored
+
+
 def test_tensor_rejects_odd_uniformity(tmp_path, capsys):
     p = tmp_path / "odd.ohg"
     hs.save(hs.build(3, [[(1, 1), (2, 1), (3, 1)]]), p)

@@ -296,8 +296,8 @@ def test_hostile_values_give_a_result_or_a_typed_error(pair):
         call(value)
     except hs.HypersignError:
         return
-    except OSError:  # a path or a bundled name that names no file
-        if role not in ("path", "text") or not ADMITS[role](value):
+    except OSError:  # a path that names no file
+        if role != "path" or not ADMITS[role](value):
             raise
         return
     assert ADMITS[role](value), f"{key} answered for {value!r}, which the contract refuses"

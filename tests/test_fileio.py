@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,13 @@ def test_bundled_fixtures_parse(ex, e1, triangle):
     assert hs.load_bundled("ex_c3_42").edges == ex.edges
     assert hs.load_bundled("e1.ohg").edges == e1.edges
     assert hs.load_bundled("triangle_one_negative").edges == triangle.edges
+
+
+def test_load_bundled_refuses_names_it_does_not_ship():
+    shipped = re.escape(", ".join(hs.bundled_names()))
+    for name in ("nope", "../__init__", "../data/e1", "e1.ohg.ohg", "E1", ""):
+        with pytest.raises(InvalidValueError, match=f"no bundled instance .*; shipped: {shipped}$"):
+            hs.load_bundled(name)
 
 
 def test_round_trip_random_instances():

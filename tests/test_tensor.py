@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -700,6 +702,99 @@ def test_battery_certificates_equal_the_public_calls():
         assert rep.switch_certificate == hs.signed_switch_equivalent(h, all_negative)
         assert rep.eigen_certificate == hs.h_eigen_minus_rho(h)
         assert rep.laplacian_certificate == hs.lap_zero_h_eigen(h)
+
+
+# ---------------------------------------------------------------------------
+# The core's store of structure-only results.
+
+
+def test_instances_read_apart_run_their_own_nqz(structure_runs, tmp_path, ex):
+    path = tmp_path / "ex.ohg"
+    hs.save(ex, path)
+    first, second = hs.load(path), hs.load(path)
+    assert hs.structures_match(first, second)
+    radii = [hs.nqz_spectral_radius(g) for g in (first, second, first, second)]
+    assert structure_runs == {"nqz": 2, "kernel": 2}
+    assert radii[0] == radii[1] and radii[0] is radii[2] and radii[1] is radii[3]
+
+
+def test_derived_copies_reuse_their_parents_results(structure_runs, ex):
+    radius = hs.nqz_spectral_radius(ex)
+    switched = hs.apply_switches(ex, hs.SwitchCertificate(vertices=(1, 4), edges=(2,)))
+    plus = hs.all_positive_variant(ex)
+    copies = [hs.induced_signed(ex), switched, plus, hs.induced_signed(plus),
+              hs.signed_vertex_switch(hs.induced_signed(switched), 5)]
+    for copy in copies:
+        assert hs.nqz_spectral_radius(copy) is radius
+        assert hs.is_connected(copy)
+        assert hs.connected_components(copy) == [list(range(ex.n + ex.m))]
+    assert structure_runs == {"nqz": 1, "kernel": 1}
+    assert hs.nqz_spectral_radius(ex, tol=1e-6) is not radius  # another tolerance
+    assert structure_runs == {"nqz": 2, "kernel": 1}
+
+
+def test_battery_eigenvector_is_the_signed_perron_vector_bit_for_bit():
+    # Every orientation +1 on a 4-uniform structure makes every edge
+    # negative; switching two vertices keeps the battery feasible and makes
+    # the certificate flip the Perron vector on them.
+    g = hs.generate(12, 20, k=4, connected=True, seed=1)
+    g = hs.apply_switches(g, hs.SwitchCertificate(vertices=(2, 7)))
+    report = hs.theorem_battery_even(hs.induced_signed(g))
+    cert = report.eigen_certificate
+    assert report.all_true and set(cert.vertices) in ({2, 7}, set(range(1, 13)) - {2, 7})
+    radius = hs.nqz_spectral_radius(g)
+    flipped = np.array(cert.signs, dtype=np.float64) * np.array(radius.vector)
+    assert np.array(cert.eigenvector).tobytes() == flipped.tobytes()
+    assert cert.eigenvalue == -radius.rho
+    apart = hs.nqz_spectral_radius(hs.parse(hs.serialize(g)))
+    assert apart == radius and apart is not radius
+
+
+def test_a_run_that_raises_stores_nothing(monkeypatch, structure_runs):
+    path = hs.build(3, [[(1, 1), (2, 1)], [(2, 1), (3, 1)]])
+    radius = hs.nqz_spectral_radius(path)
+    stored = dict(path.incidence_core._results)
+    with monkeypatch.context() as patched:
+        patched.setattr(tensor, "NQZ_MAX_ITERS", 1)
+        for _ in range(2):
+            with pytest.raises(NoConvergenceError, match="after 1 iterations"):
+                hs.nqz_spectral_radius(path)
+    assert structure_runs["nqz"] == 3 and path.incidence_core._results == stored
+    assert hs.nqz_spectral_radius(path) is radius
+    assert structure_runs["nqz"] == 3
+
+
+def test_concurrent_first_calls_store_equal_results():
+    # Eight threads ask a fresh instance and its derived copies at once,
+    # with the interpreter switching threads as often as it can.  Threads
+    # that race on the store both compute; each answer must still equal
+    # the radius of the same structure read apart.
+    g = hs.generate(40, 80, k=4, connected=True, seed=3)
+    expected = hs.nqz_spectral_radius(hs.parse(hs.serialize(g)))
+    copies = [g, hs.induced_signed(g), hs.all_positive_variant(g),
+              hs.apply_switches(g, hs.SwitchCertificate(vertices=(1,)))] * 2
+    results, errors = [None] * len(copies), []
+
+    def ask(i):
+        try:
+            results[i] = (hs.nqz_spectral_radius(copies[i]), hs.connected_components(copies[i]))
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(copies))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    components = [list(range(g.n + g.m))]
+    assert all(r == (expected, components) for r in results)
+    assert len(g.incidence_core._results) == 2  # the roots and one radius
 
 
 def test_structural_radius_dominates_signed_h_eigenvalues():

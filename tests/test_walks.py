@@ -16,6 +16,7 @@ from hypersign.walks import (
     _conflict_cycle,
     _least_rotation,
     _propagate_labels,
+    _roots,
     edge_node,
     vertex_node,
 )
@@ -243,6 +244,17 @@ def test_components_of_a_long_path_with_decreasing_labels():
     assert hs.connected_components(cut) == [
         list(range(n - 1)) + list(range(n, 2 * n - 2)), [n - 1]
     ]
+
+
+def test_connected_components_are_fresh_lists_over_read_only_roots():
+    g = hs.build(5, [[(1, 1), (2, -1)], [(3, 1), (4, 1), (5, -1)]])
+    first = hs.connected_components(g)
+    expected = [list(part) for part in first]
+    first[0].append(99)
+    first[1].clear()
+    first.pop()
+    assert hs.connected_components(g) == expected == [[0, 1, 5], [2, 3, 4, 6]]
+    assert not any(roots.flags.writeable for roots in _roots(g.incidence_core))
 
 
 def test_round_guard_stops_a_search_that_does_not_settle():
