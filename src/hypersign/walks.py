@@ -6,13 +6,15 @@ orientations along it; the adjacency sign additionally carries a factor
 (-1)^floor(t/2) for a walk of t incidences.
 
 Every search here reads the instance's incidence core.  One
-hook-and-compress kernel runs in O(log n) rounds of array operations: it
-decides connectivity, and with one parity bit per vertex it labels nodes
-for balance and oriented switching.  Connectivity reads no sign, so its
-roots are computed once per structure and kept, read-only, in the
-core's store for the core's life, shared by derived copies; the labels
-depend on the signs and are computed at each call.  A breadth-first
-search runs only to name the negative cycle when no labels exist.  One
+hook-and-compress kernel, in O(log n) rounds of array operations, labels
+the nodes with +-1 labels that reproduce one flip bit per incidence:
+for balance and oriented switching the flips come from the signs, and
+connectivity is the same run with no flip set, since the components are
+its roots whatever the flips.  Connectivity reads no sign, so its roots
+are computed once per structure and kept, read-only, in the core's
+store for the core's life, shared by derived copies; the labels depend
+on the signs and are computed at each call.  A breadth-first search
+runs only to name the negative cycle when no labels exist.  One
 depth-first simple-path search serves the cycle and path oracles, which
 are meant for small instances (a few dozen nodes).
 """
@@ -285,25 +287,37 @@ def _element_node(h, el: Element) -> int:
 
 
 def _component_roots(
-    core: IncidenceCore, flips: np.ndarray | None = None
+    core: IncidenceCore, flips: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest vertex node of each vertex's component (vertex v at
-    position v - 1), and of each edge's component.
+    """Every vertex's root * 2 + parity (vertex v at position v - 1), and
+    every edge's least key, for +-1 labels whose product across an
+    incidence is -1 where ``flips`` (one bool per incidence, in edge-major
+    order) is set.  A root is the smallest vertex node of its component;
+    a node's parity is its label relative to its root's.  The root
+    halves (``>> 1``) name the components whatever the flips.
 
-    Hook-and-compress connectivity (Shiloach and Vishkin, J. Algorithms 3,
+    Hook-and-compress labelling (Shiloach and Vishkin, J. Algorithms 3,
     1982; Liu and Tarjan, SOSA 2019) on the core's edge-major arrays.  A
-    forest over the vertices starts with every vertex a root, and each
-    round, with every vertex pointing at its root:
+    forest over the vertices starts with every vertex a root of parity 0.
+    Incidence (e, v) keys edge e by v's root and the parity that v gives
+    e, v's parity XOR the flip, and each round, with every vertex
+    pointing at its root:
 
-    - the least root among each edge's members is read;
-    - every root hooks onto the least root across its edges, if smaller;
-      hooks only go to smaller roots, so no cycle forms;
-    - pointer jumping makes every vertex point at its root again.
+    - each edge takes the least of its members' keys, so its least root
+      first;
+    - every root hooks onto the least root q across its edges, if
+      smaller, taking the parity across the edge (the XOR of the parities
+      the edge has relative to q and to it): the key passed to
+      np.minimum.at is q * 2 + bit.  Hooks only go to smaller roots, so
+      no cycle forms; a parity bit only orders keys of one root, so the
+      roots do not depend on the flips;
+    - pointer jumping makes every vertex point at its root again, each
+      jump XORing in the parent's parity.
 
     A round in which no root hooks leaves every edge with one root, its
     least, so each tree is a whole component, rooted at its smallest
-    vertex.  When every edge's least root is 0, the vertices with an edge
-    all join 0 at once.
+    vertex.  Members that give their edge different parities leave it
+    unlabellable; reading them is the caller's part.
 
     Round bound.  Call a tree active while its component holds other
     trees.  In a round, an active tree that neither hooks nor is hooked
@@ -315,61 +329,35 @@ def _component_roots(
     rounds, and one more round hooks nothing.  The loop allows
     2 * ceil(log2(n + 1)) + 2 rounds and raises InternalCheckError past
     them.
-
-    Parity.  Given ``flips`` (one bool per incidence, in edge-major order,
-    for +-1 labels whose product across an incidence is -1 where it is
-    set), every entry is root * 2 + parity instead, the parity being the
-    node's label relative to its root's.  Incidence (e, v) keys edge e by
-    v's root and the parity that v gives e: v's parity XOR the flip.  An
-    edge takes the least of its members' keys.  A root hooking onto the
-    edge's least root q takes the parity across the edge, the XOR of the
-    two parities the edge has relative to q and to it; so the key passed
-    to np.minimum.at is q * 2 + bit, and the hooks and the round bound
-    stand as they are.  Each pointer jump XORs in the parent's parity.
-    Members that give their edge different parities leave it
-    unlabellable; reading them is the caller's part.
     """
     n, total = core.n, core.size
     members, edges = core.indices[total:], core.edge_ids
     starts = core.indptr[n:-1] - total
-    if flips is None:
-        parent, keys = np.arange(n), members
-    else:
-        parent, keys = np.arange(0, 2 * n, 2), (members << 1) ^ flips
+    parent, keys = np.arange(0, 2 * n, 2), (members << 1) ^ flips
     bound = 2 * n.bit_length() + 2  # bit_length is ceil(log2(n + 1))
     for _ in range(bound):
         least = np.minimum.reduceat(keys, starts)
-        if flips is None:
-            if not np.count_nonzero(least):
-                parent[keys] = 0
-                return parent[parent], least
-            hooks = least[edges]
-            if not np.count_nonzero(hooks != keys):
-                return parent, least
-            np.minimum.at(parent, keys, hooks)
-            grand = parent[parent]
-            while np.count_nonzero(grand != parent):
-                parent, grand = grand, grand[grand]
-            keys = parent[members]
-        else:
-            hooks = least[edges] ^ (keys & 1)
-            if not np.count_nonzero((hooks ^ keys) > 1):
-                return parent, least
-            np.minimum.at(parent, keys >> 1, hooks)
-            grand = parent[parent >> 1] ^ (parent & 1)
-            while np.count_nonzero(grand != parent):
-                parent, grand = grand, grand[grand >> 1] ^ (grand & 1)
-            keys = parent[members] ^ flips
+        hooks = least[edges] ^ (keys & 1)
+        if not np.count_nonzero((hooks ^ keys) > 1):
+            return parent, least
+        np.minimum.at(parent, keys >> 1, hooks)
+        grand = parent[parent >> 1] ^ (parent & 1)
+        while np.count_nonzero(grand != parent):
+            parent, grand = grand, grand[grand >> 1] ^ (grand & 1)
+        keys = parent[members] ^ flips
     raise InternalCheckError(
         f"internal check failed: components of {n} vertices unsettled after {bound} rounds"
     )
 
 
 def _roots(core: IncidenceCore) -> tuple[np.ndarray, np.ndarray]:
-    """_component_roots(core), read-only, computed once per structure."""
+    """The smallest vertex node of each vertex's component (vertex v at
+    position v - 1), and of each edge's: the labelling kernel's root
+    halves with no flip set, read-only, computed once per structure."""
 
     def compute():
-        roots = _component_roots(core)
+        codes, least = _component_roots(core, np.zeros(core.size, dtype=bool))
+        roots = codes >> 1, least >> 1
         for arr in roots:
             arr.setflags(write=False)
         return roots
@@ -421,18 +409,11 @@ def is_connected(h: OrientedHypergraph | SignedHypergraph) -> bool:
     """True iff any two elements of the vertex/edge node set are joined.
 
     Isolated vertices disconnect the structure; a single element (or the
-    empty structure) counts as connected.  Both are read off the row
-    pointers (with two nodes or more and no edge, every vertex is
-    isolated); past them, connected means every vertex's component root
-    is vertex node 0.
+    empty structure) counts as connected.  Connected means every vertex's
+    component root is vertex node 0, which decides both: an isolated
+    vertex is its own root, and an edge always holds a vertex.
     """
-    core = h.incidence_core
-    n, indptr = core.n, core.indptr
-    if indptr.size <= 2:
-        return True
-    if np.count_nonzero(indptr[1 : n + 1] == indptr[:n]):
-        return False
-    return not np.count_nonzero(_roots(core)[0])
+    return not np.count_nonzero(_roots(h.incidence_core)[0])
 
 
 # ---------------------------------------------------------------------------

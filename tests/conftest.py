@@ -1,6 +1,7 @@
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import hypersign as hs
@@ -63,8 +64,9 @@ def ex():
 
 @pytest.fixture
 def structure_runs(monkeypatch) -> Counter:
-    """Counts of the NQZ iterations ("nqz") and the connectivity kernels
-    without flips ("kernel") run while the test runs."""
+    """Counts of the NQZ iterations ("nqz") and the connectivity runs of
+    the labelling kernel ("kernel", a run with no flip set) while the
+    test runs."""
     calls = Counter()
     nqz, roots = tensor._nqz, walks._component_roots
 
@@ -72,8 +74,8 @@ def structure_runs(monkeypatch) -> Counter:
         calls["nqz"] += 1
         return nqz(*args)
 
-    def counting_roots(core, flips=None):
-        calls["kernel"] += flips is None
+    def counting_roots(core, flips):
+        calls["kernel"] += not np.count_nonzero(flips)
         return roots(core, flips)
 
     monkeypatch.setattr(tensor, "_nqz", counting_nqz)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hypersign as hs
-from hypersign import balance, core
+from hypersign import balance, core, walks
 from hypersign.cli import main
 from hypersign.errors import NotAdjacentError, UnknownEdgeError, UnknownVertexError
 
@@ -128,6 +128,20 @@ def test_components_match_depth_first_search(instances):
         for h in (g, hs.induced_signed(g)):
             assert hs.connected_components(h) == expected
             assert hs.is_connected(h) == (len(expected) <= 1)
+
+
+def test_labelling_roots_do_not_depend_on_the_flips(instances):
+    # Connectivity is the labelling kernel with no flip set, so its roots
+    # (checked against depth-first search above) are the root halves of a
+    # run with any flips, unbalanced ones included.
+    rng = np.random.default_rng(2013)
+    for g in instances:
+        core = g.incidence_core
+        vertex_roots, edge_roots = walks._roots(core)
+        for _ in range(4):
+            codes, least = walks._component_roots(core, rng.random(core.size) < 0.5)
+            assert np.array_equal(codes >> 1, vertex_roots)
+            assert np.array_equal(least >> 1, edge_roots)
 
 
 def test_lookups_match_the_stored_edges(instances):

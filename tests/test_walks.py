@@ -265,7 +265,7 @@ def test_round_guard_stops_a_search_that_does_not_settle():
     indices = np.array([2, 3, 0, 1])
     core = IncidenceCore(2, indptr, indices, np.arange(4), None, np.array([1, 1]))
     with pytest.raises(InternalCheckError, match="rounds"):
-        _component_roots(core)
+        _component_roots(core, np.zeros(2, dtype=bool))
     for values in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
         with pytest.raises(InternalCheckError, match="rounds"):
             _propagate_labels(core, np.array(values))
