@@ -22,13 +22,19 @@ only its core, and builds ``edges`` from it the first time it is read
 reads whichever of the two an instance has.
 
 A core also keeps the results that read no sign: the connectivity
-roots (walks) and the NQZ spectral radius (tensor), each computed at
+roots (walks), the NQZ spectral radius (tensor) and the GF(2) reduction
+of the full edge system's left-hand side (switching), each computed at
 most once per structure and key, on first use, and kept as long as the
-core.  Derived copies share this store along with the arrays, so an
+core.  The reduction is the largest: it is bounded by
+linalg.GF2_MAX_BASIS_BYTES per structure, the same bound as during a
+call.  Derived copies share this store along with the arrays, so an
 instance, its induced signing and its switched copies compute each of
 these once between them; two instances read or built apart do not share
 it, whatever their structure.  Concurrent first calls may both compute a
-result; they store equal values, and later calls read one of them.
+result; they store equal values, and later calls read one of them.  A
+stored reduction is carried as far as the signing that built it needed,
+so two racing first calls may store reductions carried to different
+rows; either gives every later signing the same answer.
 """
 
 from __future__ import annotations

@@ -20,35 +20,51 @@ eliminator may pivot in any order that reaches them exactly:
   j - 1), it is the least solution, and it does not depend on the order
   of the rows.
 
-The kernel takes a system as two flat arrays: the variables of every row
-in row order, and one count per row.  The parity route cuts them from
-the incidence core; gf2_solve reads them off its masks.  The first pass
-keeps the rows in input order but ranks the columns in ascending order
-of (occurrences among the first min(m, n) rows, total occurrences,
+The work is split in two.  A reduction (_GF2Reduction) reduces a
+system's left-hand side alone, and a solve reads one right-hand side (a
+signing) against it.  Every signing of one left-hand side meets the same
+greedy rows, so a reduction that one solve has carried to some row
+serves the next signing up to that row, and the parity route keeps the
+reduction of a structure's full edge system for later signings.
+
+The reduction takes a system as two flat arrays: the variables of every
+row in row order, and one count per row.  The parity route cuts them
+from the incidence core; gf2_solve reads them off its masks.  It keeps
+the rows in input order but ranks the columns in ascending order of
+(occurrences among the first min(m, n) rows, total occurrences,
 variable index), a deterministic O(incidences) order: two
 ``np.bincount`` calls count the occurrences and one stable
 ``np.lexsort`` ranks them.  It pivots each row on its first column in
 that order.  The rarely used columns are eliminated first, so fill-in
 stays low: on the structural benchmark's systems (n = 2,000, m = 4,000)
 this halves the XORs.  A row is one int: one bit per basis slot at the
-bottom (the rank is at most min(m, n)), then the right-hand side, then
-the variables, the first in the order highest; one ``tolist`` of the
-gathered column positions gives every row's variable bits.  The pivot is
-then the highest set bit, which ``int.bit_length`` finds without
-building another int, and one XOR moves the variables, the right-hand
-side and the slots.  A basis row holds the slots of the greedy rows it
-is a sum of, so a row that reduces to 0 = 1 names its witness in its
-slot bits.  The greedy rows, their slots and the first inconsistent row
-do not depend on the column order, so neither does the witness.
+bottom (the rank is at most min(m, n)), then the variables, the first in
+the order highest; one ``tolist`` of the gathered column positions gives
+every row's variable bits.  The pivot is the highest set bit, and the
+basis is indexed by ``int.bit_length``, with zeros at and below the slot
+bits, so the inner loop is ``while entry := basis[row.bit_length()]:
+row ^= entry``, and one XOR moves the variables and the slots.  A basis
+row holds the slots of the greedy rows it is a sum of, so a row that
+reduces to its slot bits alone names the greedy rows it is the sum of.
+Under a signing, those rows' right-hand sides, one bit per slot, decide
+at once whether it reduces to 0 = 0 or to 0 = 1, and in the second case
+the slots are the witness.  The greedy rows, their slots and the first
+inconsistent row do not depend on the column order, so neither does the
+witness.
 
 Once the rank reaches n - 1, one vector z spans the null space of the
 rows seen so far (z = 0 at full rank), and a row a lies in their row
 space exactly when a . z = 0; such a row would reduce to 0 = b + a . x
-for any solution x of those rows.  So a row with a . z = 0 and
-a . x = b is skipped, which is what its reduction would have concluded.
-Connected parity systems of even uniform hypergraphs reach rank n - 1
-early, since the all-ones vector lies in the kernel of their rows, and
-most of their rows come after.
+for any solution x of those rows.  So a solve reduces no more rows
+there: one array pass finds the first later row with a . z = 1, the
+only one that raises the rank, and one pass against x finds the first
+row with a . x != b.  Only those rows are reduced.  Connected parity
+systems of even uniform hypergraphs reach rank n - 1 early, since the
+all-ones vector lies in the kernel of their rows, and most of their rows
+come after.  When fewer than _GF2_PASS_ROWS rows are left, they are
+reduced one at a time, which costs less than the passes.  A solve that
+resumes a reduction decides the rows it had reached by the same pass
+against a solution of its greedy rows.
 
 The canonical solution is then recovered in the input order.  At rank
 n - 1 the one free column of the input order is the highest set bit of
@@ -56,7 +72,7 @@ z in that order (every other column is the lowest bit of a vector
 orthogonal to z), so the canonical solution is x, or x + z when x has
 that bit; at full rank it is x.  A system of fewer than n - 1 rows
 never reaches that rank, and its canonical solution needs a basis in
-the input order, so it is eliminated in the input order from the start
+the input order, so it is reduced in the input order from the start
 and back-substituted.  A longer system that stays below rank n - 1 is
 solved again from its greedy rows alone, which are fewer than n - 1,
 span the same row space and have the same solutions.
@@ -66,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -218,107 +234,222 @@ def _ones(value: int) -> list[int]:
     return out
 
 
-def _back_substitute(basis: list[int], low: int, vec: int, rhs: int) -> int:
+def _back_substitute(basis: list[int], low: int, vec: int) -> int:
     """Set the pivot bits of vec, lowest pivot first, so that every basis
-    row's parity with vec equals its right-hand side (rhs=1) or 0 (rhs=0);
-    the other bits of vec stay as given.  basis[p] is 0 or a row whose
-    highest bit is p > low, with its right-hand side at bit low and only
-    bookkeeping below it; vec has no bits at or below low."""
-    for pivot in range(low + 1, len(basis)):
-        row = basis[pivot]
-        if row and ((row & vec).bit_count() ^ (row >> low & rhs)) & 1:
-            vec |= 1 << pivot
+    row meets vec evenly: the row's slot bits meet vec's bits below low (a
+    right-hand side per slot), and its variable bits meet the rest.  The
+    other bits of vec stay as given."""
+    for length in range(low + 1, len(basis)):
+        row = basis[length]
+        if row and (row & vec).bit_count() & 1:
+            vec |= 1 << length - 1
     return vec
 
 
-def _saturation(basis: list[int], low: int) -> tuple[int, int]:
-    """(z, x) for a basis of rank >= n - 1: z spans its null space (0 at
-    full rank) and x solves it, both zero on the free column."""
-    free = sum(1 << p for p in range(low + 1, len(basis)) if not basis[p])
-    null = _back_substitute(basis, low, free, 0) if free else 0
-    return null, _back_substitute(basis, low, 0, 1)
+# Rows left at rank n - 1 below which reducing them one at a time costs less
+# than deciding them with the two array passes: on systems of at most six
+# variables the passes took about 20 us, a row about 1 us.
+_GF2_PASS_ROWS = 16
 
 
-def _gf2_eliminate(
-    nvars: int, members: np.ndarray, sizes: np.ndarray, rhs: Sequence[int]
-) -> GF2Solution | GF2Infeasible:
-    """Solve, for every row i, the sum of x[v] over its members = rhs[i]
-    over GF(2).  members holds the variables (1..nvars, at most once in a
-    row) of every row in row order and sizes the number of each row's, both
-    intp arrays.  Refuses, before building anything, a system whose basis
-    could pass GF2_MAX_BASIS_BYTES.  See gf2_solve."""
-    n, m, lshift = nvars, sizes.size, (1).__lshift__
-    # Bits 0..low-1 are basis slots (the rank is at most low), bit low is
-    # the right-hand side, and the variables sit above it, the first in
-    # the order highest, since a row's pivot is its highest bit.
-    low = min(m, n)
-    if low * (low + n + 1) > 8 * GF2_MAX_BASIS_BYTES:
-        raise DenseLimitExceededError(
-            f"a GF(2) basis of {low} rows of {low + n + 1} bits exceeds the limit of "
-            f"{GF2_MAX_BASIS_BYTES} bytes"
-        )
-    if m < n - 1:
-        # The rank stays below n - 1, so a feasible answer needs the input
-        # order's basis anyway: eliminate in that order from the start.
-        order = range(1, n + 1)
-        column = np.arange(low + n + 1, low, -1)
-    else:
-        # Ascending (occurrences among the first min(m, n) rows, total
-        # occurrences, index): the sort is stable, so the index breaks ties.
-        total = np.bincount(members, minlength=n + 1)[1:]
-        head = total if m <= n else np.bincount(members[: sizes[:n].sum()], minlength=n + 1)[1:]
-        order = np.lexsort((total, head)) + 1
-        column = np.zeros(n + 1, dtype=np.intp)
-        column[order] = np.arange(low + n, low, -1)
-        order = order.tolist()
-    positions = iter(column[members].tolist())
-    top = 1 << low
-    basis = [0] * (low + n + 1)
-    greedy: list[int] = []  # the input row that filled each basis slot
-    saturated: tuple[int, int] | None = None  # (z, x) while the rank is >= n - 1
-    for idx, (size, bit) in enumerate(zip(sizes.tolist(), rhs)):
-        row = sum(map(lshift, islice(positions, size)), top if bit else 0)
-        if len(greedy) >= n - 1:
-            if saturated is None:
-                saturated = _saturation(basis, low)
-            z, x = saturated
-            if not ((row & z).bit_count() | ((row & x).bit_count() ^ bit)) & 1:
-                continue
-        while True:
-            pivot = row.bit_length() - 1
-            if pivot <= low:
-                if pivot == low:  # 0 = 1: the slot bits name the greedy rows it came from
-                    witness = [greedy[s] for s in _ones(row ^ top)]
-                    return GF2Infeasible((*witness, idx))
-                break  # 0 = 0
-            entry = basis[pivot]
-            if not entry:
-                basis[pivot] = row | 1 << len(greedy)
-                greedy.append(idx)
-                saturated = None
-                break
+class _GF2Reduction:
+    """The left-hand side of a GF(2) system, reduced up to row ``reached``.
+
+    Built from nvars and the flat arrays: members holds the variables
+    (0..nvars-1, at most once in a row) of every row in row order and sizes
+    the number of each row's.  Bits 0..low-1 of a row are basis slots (the
+    rank is at most low = min(m, n)); the variables sit above them, the
+    first in the column order highest, and ``positions`` holds the bit of
+    every member.  basis[length] is 0 or the row whose highest bit is
+    length - 1; the entries at and below low stay 0, so a row reduced to
+    its slot bits stops the loop too.  greedy lists the rows that raised
+    the rank, in input order, one per slot; every row below ``reached`` is
+    one of them or a sum of earlier ones.  null spans the null space once
+    the rank is n - 1 or more (0 at full rank).  No right-hand side goes
+    into the rows, so one reduction serves every signing; solve never
+    changes the reduction it is called on.
+    """
+
+    def __init__(self, nvars: int, members: np.ndarray, sizes: np.ndarray) -> None:
+        """Refuses, before building anything, a system whose basis could pass
+        GF2_MAX_BASIS_BYTES."""
+        n, m = nvars, sizes.size
+        low = min(m, n)
+        if low * (low + n + 1) > 8 * GF2_MAX_BASIS_BYTES:
+            raise DenseLimitExceededError(
+                f"a GF(2) basis of {low} rows of {low + n + 1} bits exceeds the limit of "
+                f"{GF2_MAX_BASIS_BYTES} bytes"
+            )
+        if m < n - 1:
+            # The rank stays below n - 1, so a feasible answer needs the input
+            # order's basis anyway: reduce in that order from the start.
+            order = np.arange(n)
+        else:
+            # Ascending (occurrences among the first min(m, n) rows, total
+            # occurrences, index): the sort is stable, so the index breaks ties.
+            total = np.bincount(members, minlength=n)
+            head = total if m <= n else np.bincount(members[: sizes[:n].sum()], minlength=n)
+            order = np.lexsort((total, head))
+        column = np.empty(n, dtype=np.intp)
+        column[order] = np.arange(low + n - 1, low - 1, -1)
+        self.nvars, self.low, self.members, self.sizes = n, low, members, sizes
+        self.ends, self.positions, self.order = sizes.cumsum(), column[members], order.tolist()
+        self.basis, self.greedy, self.reached, self.null = [0] * (low + n + 1), [], 0, None
+
+    def _copy(self) -> "_GF2Reduction":
+        """A copy to extend: the basis list is new, its rows are shared."""
+        copy = object.__new__(_GF2Reduction)
+        copy.__dict__.update(vars(self), basis=self.basis.copy(), greedy=self.greedy.copy())
+        return copy
+
+    def _rows(self, start: int) -> tuple[Iterator[int], list[int]]:
+        """The bit positions of rows start.. in one iterator, and their sizes."""
+        begin = self.ends[start - 1] if start else 0
+        return iter(self.positions[begin:].tolist()), self.sizes[start:].tolist()
+
+    def _row(self, i: int) -> int:
+        """Row i reduced by the basis: its slot bits alone if the rows before
+        it span it, and they name the greedy rows it is the sum of."""
+        positions, (size, *_) = self._rows(i)
+        row = sum(map((1).__lshift__, islice(positions, size)))
+        basis = self.basis
+        while entry := basis[row.bit_length()]:
             row ^= entry
-    if len(greedy) >= n - 1:
-        z, x = saturated or _saturation(basis, low)
-    elif m >= n - 1:
-        # Fewer than n - 1 greedy rows span the row space and have the
-        # same solutions: solve them alone, in the input order.
-        keep = np.zeros(m, dtype=bool)
-        keep[greedy] = True
-        return _gf2_eliminate(
-            n, members[keep.repeat(sizes)], sizes[keep], [rhs[i] for i in greedy]
-        )
-    else:
-        z, x = 0, _back_substitute(basis, low, 0, 1)
-    solution = [0] * n
-    for p in _ones(x):
-        solution[order[low + n - p] - 1] = 1
-    if z:  # in the input order the one free column is z's highest bit
-        null = [order[low + n - p] - 1 for p in _ones(z)]
-        if solution[max(null)]:
-            for j in null:
-                solution[j] ^= 1
-    return GF2Solution(n, tuple(solution))
+        return row
+
+    def _witness(self, i: int) -> GF2Infeasible:
+        """Row i, which contradicts the rows before it, with the greedy rows
+        it is the sum of."""
+        return GF2Infeasible((*(self.greedy[s] for s in _ones(self._row(i))), i))
+
+    def _slots(self, rhs: np.ndarray) -> int:
+        """The right-hand side of greedy row s at bit s."""
+        if not self.greedy:
+            return 0
+        packed = np.packbits(rhs[self.greedy], bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
+    def _null(self) -> int:
+        """The vector spanning the null space at rank n - 1 (0 at rank n):
+        the one free column, completed by back-substitution."""
+        free = self.basis[self.low + 1 :]
+        if all(free):
+            return 0
+        return _back_substitute(self.basis, self.low, 1 << self.low + free.index(0))
+
+    def _parities(self, vec: int, start: int, stop: int) -> np.ndarray:
+        """Each row's parity with vec, for rows start..stop-1, as bools; a
+        row with no variables has parity 0.  One array pass."""
+        raw = vec.to_bytes((self.low + self.nvars + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        begin = self.ends[start - 1] if start else 0
+        ends = self.ends[start:stop] - begin
+        hits = np.zeros(ends[-1] + 1, dtype=np.intp)
+        np.cumsum(bits[self.positions[begin : begin + ends[-1]]], out=hits[1:])
+        return ((hits[ends] - hits[ends - self.sizes[start:stop]]) & 1).astype(bool)
+
+    def _extend(self, rhs: np.ndarray, slots: int) -> tuple[GF2Infeasible | None, int]:
+        """Reduce rows from ``reached`` on, in place, until the rows run out
+        or the rank is n - 1 with _GF2_PASS_ROWS rows or more left; or stop
+        at the first row that reduces to 0 = 1 under rhs and return it with
+        its witness.  slots holds the greedy rows' right-hand sides (see
+        _slots), and is returned with the new greedy rows'."""
+        n, m, low, basis, greedy = self.nvars, self.sizes.size, self.low, self.basis, self.greedy
+        start = self.reached
+        positions, sizes = self._rows(start)
+        lshift = (1).__lshift__
+        for idx, size, bit in zip(range(start, m), sizes, rhs[start:].tolist()):
+            if len(greedy) >= n - 1 and m - idx >= _GF2_PASS_ROWS:
+                self.reached = idx
+                return None, slots
+            row = sum(map(lshift, islice(positions, size)))
+            while entry := basis[row.bit_length()]:
+                row ^= entry
+            length = row.bit_length()
+            if length > low:
+                basis[length] = row | 1 << len(greedy)
+                slots |= bit << len(greedy)
+                greedy.append(idx)
+                self.null = None  # of the rows before
+            elif ((row & slots).bit_count() ^ bit) & 1:
+                self.reached = idx + 1
+                return GF2Infeasible((*(greedy[s] for s in _ones(row)), idx)), slots
+        self.reached = m
+        return None, slots
+
+    def solve(self, rhs: np.ndarray) -> tuple[GF2Solution | GF2Infeasible, "_GF2Reduction"]:
+        """The system with right-hand sides rhs (one bool per row), and a
+        copy of the reduction extended as far as this solve reduced it.
+
+        (a) The rows below ``reached`` are decided by one array pass against
+        a solution of the greedy rows.  (b) Reduction resumes at ``reached``
+        and stops at the first row that reduces to 0 = 1.  (c) Once the rank
+        is n - 1, the remaining rows are decided by array passes against
+        null and then against a solution: rows before the first one that
+        meets null oddly lie in the row space, that one raises the rank to
+        n, and every row after it is dependent.  Only that row, or the
+        first inconsistent one, is reduced.
+        """
+        n, m = self.nvars, self.sizes.size
+        state, slots = self._copy(), self._slots(rhs)
+        if state.reached > len(state.greedy):
+            x = _back_substitute(state.basis, state.low, slots)
+            bad = np.flatnonzero(state._parities(x, 0, state.reached) != rhs[: state.reached])
+            if bad.size:
+                return state._witness(int(bad[0])), state
+        if state.reached < m:
+            found, slots = state._extend(rhs, slots)
+            if found is not None:
+                return found, state
+        if len(state.greedy) < n - 1 <= m:
+            # Fewer than n - 1 greedy rows span the row space and have the
+            # same solutions: solve them alone, in the input order.
+            keep = np.zeros(m, dtype=bool)
+            keep[state.greedy] = True
+            sub = _GF2Reduction(n, self.members[keep.repeat(self.sizes)], self.sizes[keep])
+            _, sub_slots = sub._extend(rhs[keep], 0)  # independent rows: never 0 = 1
+            return sub._canonical(_back_substitute(sub.basis, sub.low, sub_slots), 0), state
+        if len(state.greedy) >= n - 1 and state.null is None:
+            state.null = state._null()
+        x = _back_substitute(state.basis, state.low, slots)
+        if state.reached < m:
+            z, start = state.null, state.reached
+            miss = state._parities(x, start, m) != rhs[start:]
+            lift = state._parities(z, start, m) if z else np.zeros(m - start, dtype=bool)
+            stop = start + int(lift.argmax()) if lift.any() else m
+            state.reached = stop
+            bad = np.flatnonzero(miss[: stop - start])
+            if bad.size:
+                return state._witness(start + int(bad[0])), state
+            if stop < m:
+                row = state._row(stop)
+                state.basis[row.bit_length()] = row | 1 << len(state.greedy)
+                state.greedy.append(stop)
+                state.reached, state.null = m, 0
+                if miss[stop - start]:  # z meets row stop oddly: x + z solves it
+                    x ^= z
+                    miss ^= lift
+                bad = np.flatnonzero(miss[stop - start + 1 :])
+                if bad.size:
+                    return state._witness(stop + 1 + int(bad[0])), state
+        return state._canonical(x, state.null or 0), state
+
+    def _canonical(self, x: int, z: int) -> GF2Solution:
+        """The solution zero on the free columns of the input order, from a
+        solution x and the null vector z (0 at full rank, and below rank
+        n - 1, where the column order is the input order).  At rank n - 1
+        the one free column of the input order is the last variable of z,
+        and one of x and x + z is zero there."""
+        n, low, order = self.nvars, self.low, self.order
+        solution = [0] * n
+        for p in _ones(x >> low):
+            solution[order[n - 1 - p]] = 1
+        if z:
+            null = [order[n - 1 - p] for p in _ones(z >> low)]
+            if solution[max(null)]:
+                for j in null:
+                    solution[j] ^= 1
+        return GF2Solution(n, tuple(solution))
 
 
 def gf2_solve(system: GF2System) -> GF2Solution | GF2Infeasible:
@@ -332,20 +463,16 @@ def gf2_solve(system: GF2System) -> GF2Solution | GF2Infeasible:
     raised the rank before it and sum with it to 0 = 1; that set is
     unique.  Both answers are fixed by the system alone.
 
-    The elimination pivots in a fill-reducing column order (ascending
-    occurrences among the first min(m, n) rows, then total occurrences,
-    then index), and each row carries one bit per basis slot, so the
-    witness is read off the row that reduces to 0 = 1.  Neither answer
-    depends on that order; the canonical solution is recovered in the
-    input order, as the module docstring says.  The masks are first
-    turned into the kernel's two arrays, every row's variables in row
-    order and one count per row; the parity route cuts the same two
-    arrays from the incidence core and hands them to the kernel directly.
+    The masks are turned into the two flat arrays of a reduction (every
+    row's variables in row order and one count per row), which is solved
+    once and then dropped; the parity route cuts the same arrays from the
+    incidence core.  See the module docstring.
     """
     rows = [_ones(mask) for mask, _ in system.rows]
-    members = np.fromiter(chain.from_iterable(rows), dtype=np.intp) + 1
+    members = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
     sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    return _gf2_eliminate(system.nvars, members, sizes, [rhs for _, rhs in system.rows])
+    rhs = np.array([rhs for _, rhs in system.rows], dtype=bool)
+    return _GF2Reduction(system.nvars, members, sizes).solve(rhs)[0]
 
 
 def spectrum_contains(

@@ -16,8 +16,16 @@ the signing -gamma1*gamma2; the tensor module about the all-+1 signing
 (odd_bipartite), about h's own (the even-k parity criteria) and about
 the first edge of each member set (signed_tensor_similarity).  Each
 caller hands it the incidence core's edge-major arrays, or a masked cut
-of them, and the route hands them to the GF(2) kernel and checks its
-answer with array reductions; no per-edge tuple is built.
+of them, and the route solves the signing on a GF(2) reduction of their
+left-hand side (linalg) and checks its answer with array reductions; no
+per-edge tuple is built.  The left-hand side of a structure's full edge
+system reads no sign, so its reduction is kept in the incidence core's
+store: the first signing asked of the structure, or of a derived copy,
+reduces the rows it needs, and later signings resume from there on a
+private copy, so that odd_bipartite, the even-k criteria, the battery
+and signed_switch_equivalent reduce those rows once between them.  The
+leader rows of signed_tensor_similarity get a reduction that is not
+kept.
 """
 
 from __future__ import annotations
@@ -26,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrientedHypergraph, SignedHypergraph, structures_match
+from .core import IncidenceCore, OrientedHypergraph, SignedHypergraph, structures_match
 from .errors import InternalCheckError, StructureMismatchError, check_integer
-from .linalg import GF2Infeasible, _gf2_eliminate
+from .linalg import GF2Infeasible, _GF2Reduction
 from .walks import Walk, _propagate_labels
 
 __all__ = [
@@ -180,27 +188,39 @@ def signed_switch_equivalent(
         raise StructureMismatchError(
             "switching equivalence needs identical underlying structures"
         )
-    signing = tuple(-a * b for a, b in zip(first.gamma, second.gamma))
-    core = first.incidence_core
-    return _parity_route(first.n, core.edge_major()[1], core.edge_sizes(), signing)
+    return _edge_parity(first, tuple(-a * b for a, b in zip(first.gamma, second.gamma)))
 
 
 def _parity_route(
-    n: int, members: np.ndarray, sizes: np.ndarray, signing
+    n: int, members: np.ndarray, sizes: np.ndarray, signing, core: IncidenceCore | None = None
 ) -> SignedSwitchCertificate | NotEquivalent:
     """Vertices meeting every +1 edge oddly and every -1 edge evenly.
 
     members holds the vertex nodes (vertex v is v - 1) of every edge in
     edge order, as the incidence core's edge-major arrays do, and sizes
     the number of each edge's; signing has one sign per edge.  One
-    equation per edge, in edge order, solved once: the canonical solution
-    (free variables zero), or edges whose equations XOR to 0 = 1.  Either
-    answer is checked on the arrays before it is returned: every vertex
-    lies in an even number of a witness's edges, and an odd number of them
-    are +1; a solution meets every edge with the parity its sign asks.
+    equation per edge, in edge order: the canonical solution (free
+    variables zero), or edges whose equations XOR to 0 = 1.  When the
+    arrays are every edge of ``core``, the reduction of their left-hand
+    side is kept in core's store: the first signing asked reduces it, and
+    later ones resume it (linalg._GF2Reduction.solve).  Either answer is
+    checked on the arrays before it is returned: every vertex lies in an
+    even number of a witness's edges, and an odd number of them are +1; a
+    solution meets every edge with the parity its sign asks.
     """
     odd = np.array(signing) == 1  # by comparison: a sign may be 1.0
-    outcome = _gf2_eliminate(n, members + 1, sizes, odd.tolist())
+    if core is None:
+        outcome = _GF2Reduction(n, members, sizes).solve(odd)[0]
+    else:
+        first = []
+
+        def reduce():
+            outcome, reduced = _GF2Reduction(n, members, sizes).solve(odd)
+            first.append(outcome)
+            return reduced
+
+        reduced = core._once("parity_rows", reduce)
+        outcome = first[0] if first else reduced.solve(odd)[0]
     if isinstance(outcome, GF2Infeasible):
         witness = outcome.witness_rows
         chosen = np.zeros(sizes.size, dtype=bool)
@@ -222,3 +242,9 @@ def _parity_route(
             "with the wrong parity"
         )
     return SignedSwitchCertificate(vertices=outcome.support)
+
+
+def _edge_parity(h: SignedHypergraph | OrientedHypergraph, signing):
+    """The parity route over every edge of h, on the reduction its core keeps."""
+    core = h.incidence_core
+    return _parity_route(h.n, core.edge_major()[1], core.edge_sizes(), signing, core)

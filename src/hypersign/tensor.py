@@ -75,7 +75,7 @@ from .errors import (
     check_array,
     check_tolerance,
 )
-from .switching import NotEquivalent, SignedSwitchCertificate, _parity_route
+from .switching import NotEquivalent, SignedSwitchCertificate, _edge_parity, _parity_route
 from .walks import is_connected
 
 __all__ = [
@@ -299,7 +299,7 @@ def odd_bipartite(
     """
     idx = _edge_index(h)
     _require_even(idx.shape[1])
-    outcome = _parity_route(h.n, idx.ravel(), h.incidence_core.edge_sizes(), (1,) * h.m)
+    outcome = _edge_parity(h, (1,) * h.m)
     if isinstance(outcome, NotEquivalent):
         return outcome
     inside = set(outcome.vertices)
@@ -338,7 +338,7 @@ def _solve_parity(h: SignedHypergraph, message: str):
     _require_even(idx.shape[1])
     if not is_connected(h):
         raise NotConnectedError(message)
-    return idx, _parity_route(h.n, idx.ravel(), h.incidence_core.edge_sizes(), h.gamma)
+    return idx, _edge_parity(h, h.gamma)
 
 
 def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotEquivalent:

@@ -350,19 +350,25 @@ def _component_roots(
     )
 
 
+def _root_halves(codes: np.ndarray, least: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root halves of a labelling run's result, read-only."""
+    roots = codes >> 1, least >> 1
+    for arr in roots:
+        arr.setflags(write=False)
+    return roots
+
+
+def _connectivity_roots(core: IncidenceCore) -> tuple[np.ndarray, np.ndarray]:
+    """The labelling kernel's root halves with no flip set."""
+    return _root_halves(*_component_roots(core, np.zeros(core.size, dtype=bool)))
+
+
 def _roots(core: IncidenceCore) -> tuple[np.ndarray, np.ndarray]:
     """The smallest vertex node of each vertex's component (vertex v at
-    position v - 1), and of each edge's: the labelling kernel's root
-    halves with no flip set, read-only, computed once per structure."""
-
-    def compute():
-        codes, least = _component_roots(core, np.zeros(core.size, dtype=bool))
-        roots = codes >> 1, least >> 1
-        for arr in roots:
-            arr.setflags(write=False)
-        return roots
-
-    return core._once("component_roots", compute)
+    position v - 1), and of each edge's, read-only, computed once per
+    structure: by a labelling run with no flip set, unless a labelling
+    run (_propagate_labels) has stored its own first."""
+    return core._once("component_roots", lambda: _connectivity_roots(core))
 
 
 def _propagate_labels(core: IncidenceCore, values: np.ndarray) -> np.ndarray | Walk:
@@ -383,6 +389,8 @@ def _propagate_labels(core: IncidenceCore, values: np.ndarray) -> np.ndarray | W
     n, total = core.n, core.size
     flips = np.asarray(values) < 0
     codes, least = _component_roots(core, flips)
+    # The root halves do not depend on the flips: keep them for _roots.
+    core._once("component_roots", lambda: _root_halves(codes, least))
     keys = codes[core.indices[total:]] ^ flips
     most = np.maximum.reduceat(keys, core.indptr[n:-1] - total)
     split = least != most  # members that give their edge different labels

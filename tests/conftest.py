@@ -1,11 +1,10 @@
 import re
 from collections import Counter
 
-import numpy as np
 import pytest
 
 import hypersign as hs
-from hypersign import tensor, walks
+from hypersign import linalg, tensor, walks
 
 # Pass/fail ledger for the acceptance suite, printed as one line per
 # criterion after the normal summary.
@@ -64,20 +63,25 @@ def ex():
 
 @pytest.fixture
 def structure_runs(monkeypatch) -> Counter:
-    """Counts of the NQZ iterations ("nqz") and the connectivity runs of
-    the labelling kernel ("kernel", a run with no flip set) while the
-    test runs."""
+    """Counts of the NQZ iterations ("nqz"), the connectivity roots
+    computed by a labelling run with no flip set ("kernel") and the GF(2)
+    reductions built ("parity") while the test runs."""
     calls = Counter()
-    nqz, roots = tensor._nqz, walks._component_roots
+    nqz, roots, reduction = tensor._nqz, walks._connectivity_roots, linalg._GF2Reduction.__init__
 
     def counting_nqz(*args):
         calls["nqz"] += 1
         return nqz(*args)
 
-    def counting_roots(core, flips):
-        calls["kernel"] += not np.count_nonzero(flips)
-        return roots(core, flips)
+    def counting_roots(core):
+        calls["kernel"] += 1
+        return roots(core)
+
+    def counting_reduction(self, *args):
+        calls["parity"] += 1
+        reduction(self, *args)
 
     monkeypatch.setattr(tensor, "_nqz", counting_nqz)
-    monkeypatch.setattr(walks, "_component_roots", counting_roots)
+    monkeypatch.setattr(walks, "_connectivity_roots", counting_roots)
+    monkeypatch.setattr(linalg._GF2Reduction, "__init__", counting_reduction)
     return calls

@@ -209,19 +209,24 @@ def test_tensor_runs_nqz_and_the_connectivity_kernel_once(
 ):
     # Every orientation +1 on a connected 4-uniform structure makes every
     # edge negative, so the battery is feasible and certifies -rho from the
-    # radius that the report prints.
+    # radius that the report prints.  The all-+1 signing of odd_bipartite
+    # is infeasible, and the battery resumes the parity reduction that
+    # odd_bipartite left in the store.
     path = tmp_path / "k4.ohg"
     hs.save(hs.generate(12, 20, k=4, connected=True, seed=1), path)
     assert main(["tensor", "--json", str(path)]) == 0
     stored = capsys.readouterr().out
-    assert structure_runs == {"nqz": 1, "kernel": 1}
-    assert json.loads(stored)["minus_rho_h_eigen"]["decision"] is True
+    assert structure_runs == {"nqz": 1, "kernel": 1, "parity": 1}
+    report = json.loads(stored)
+    assert report["minus_rho_h_eigen"]["decision"] is True
+    assert report["odd_bipartite"]["decision"] is False
     # With every lookup computed afresh, the same calls run the iteration
-    # twice and the kernel three times, and print the same report.
+    # twice and the kernel three times, build two parity reductions, and
+    # print the same report.
     monkeypatch.setattr(core.IncidenceCore, "_once", lambda self, key, compute: compute())
     structure_runs.clear()
     assert main(["tensor", "--json", str(path)]) == 0
-    assert structure_runs == {"nqz": 2, "kernel": 3}
+    assert structure_runs == {"nqz": 2, "kernel": 3, "parity": 2}
     assert capsys.readouterr().out == stored
 
 
@@ -301,15 +306,15 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
 def test_corrupted_parity_witness_exits_three(monkeypatch, ex_path, capsys):
     # The bundled example's parity systems are infeasible; a witness with
     # one row dropped no longer sums to 0 = 1, and the route must notice.
-    solve = hs.switching._gf2_eliminate
+    solve = hs.linalg._GF2Reduction.solve
 
-    def drop_first_witness_row(*args):
-        outcome = solve(*args)
+    def drop_first_witness_row(reduction, rhs):
+        outcome, reduced = solve(reduction, rhs)
         if isinstance(outcome, hs.GF2Infeasible):
-            return hs.GF2Infeasible(outcome.witness_rows[1:])
-        return outcome
+            return hs.GF2Infeasible(outcome.witness_rows[1:]), reduced
+        return outcome, reduced
 
-    monkeypatch.setattr(hs.switching, "_gf2_eliminate", drop_first_witness_row)
+    monkeypatch.setattr(hs.linalg._GF2Reduction, "solve", drop_first_witness_row)
     assert main(["tensor", ex_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: internal check failed")

@@ -144,6 +144,26 @@ def test_labelling_roots_do_not_depend_on_the_flips(instances):
             assert np.array_equal(least >> 1, edge_roots)
 
 
+def test_a_labelling_run_leaves_the_components_to_read(monkeypatch, instances):
+    # incidence_balance's labelling run stores its root halves, so the
+    # components asked next, on fresh copies whose store is empty, run no
+    # kernel of their own.
+    runs = Counter()
+    kernel = walks._component_roots
+
+    def counting(core, flips):
+        runs["kernel"] += 1
+        return kernel(core, flips)
+
+    monkeypatch.setattr(walks, "_component_roots", counting)
+    for g in instances:
+        fresh = hs.build(g.n, g.edges)
+        runs.clear()
+        hs.incidence_balance(fresh)
+        assert hs.connected_components(fresh) == connected_components_by_dfs(g)
+        assert runs["kernel"] == 1
+
+
 def test_lookups_match_the_stored_edges(instances):
     for g in instances:
         table = orientation_table(g)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypersign.linalg import (
     GF2Infeasible,
     GF2Solution,
     GF2System,
-    _gf2_eliminate,
+    _GF2Reduction,
+    _ones,
     gf2_solve,
     singular_values,
     spectrum_contains,
@@ -318,13 +320,15 @@ def _flat(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_systems(call, *args) -> list[GF2System]:
-    """The systems the parity route hands the kernel while call(*args) runs."""
-    with mock.patch.object(switching, "_gf2_eliminate", wraps=_gf2_eliminate) as solve:
+    """The systems the parity route solves while call(*args) runs, whether
+    on a reduction it builds or on one its structure keeps."""
+    with mock.patch.object(_GF2Reduction, "solve", autospec=True,
+                           side_effect=_GF2Reduction.solve) as solve:
         call(*args)
     systems = []
-    for (nvars, members, sizes, rhs), _ in solve.call_args_list:
-        rows = np.split(members, np.cumsum(sizes)[:-1])
-        systems.append(GF2System.from_sets(nvars, zip((r.tolist() for r in rows), rhs)))
+    for (reduction, rhs), _ in solve.call_args_list:
+        rows = np.split(reduction.members + 1, np.cumsum(reduction.sizes)[:-1])
+        systems.append(GF2System.from_sets(reduction.nvars, zip((r.tolist() for r in rows), rhs)))
     return systems
 
 
@@ -481,6 +485,54 @@ def test_kernel_matches_reduction_referee_at_scale():
         ("empty", "GF2Infeasible", None),
     } <= seen
     assert {kind for kind, name, _ in seen if name == "GF2Infeasible"} >= {"twin"}
+
+
+def _signing_cases(rng: random.Random):
+    """(n, member lists, right-hand sides) of every referee system and every
+    scale system, and of the even-k scale systems with empty rows inserted,
+    one of them last."""
+    for system in _referee_systems():
+        rows = [[j + 1 for j in _ones(mask)] for mask, _ in system.rows]
+        yield system.nvars, rows, [rhs for _, rhs in system.rows]
+    for kind, n, edges, signing in _scale_systems():
+        rows, bits = [list(e) for e in edges], [(1 + s) // 2 for s in signing]
+        yield n, rows, bits
+        if kind == "even-k":
+            for _ in range(20):
+                at = rng.randint(0, len(rows))
+                rows, bits = [*rows[:at], [], *rows[at:]], [*bits[:at], 1, *bits[at:]]
+            yield n, [*rows, []], [*bits, 0]
+
+
+def test_several_signings_resume_one_reduction():
+    # Three signings of each left-hand side, its own, all ones and a seeded
+    # random one, in two orders: each solved on the reduction the solve
+    # before it returned, or each on the reduction the first solve
+    # returned, as the parity route keeps it.  A solve never changes the
+    # reduction it starts from.
+    rng = random.Random(25)
+    seen = Counter()
+    for n, rows, own in _signing_cases(rng):
+        signings = [own, [1] * len(rows), [rng.randint(0, 1) for _ in rows]]
+        want = [gf2_solve_by_reduction(GF2System.from_sets(n, zip(rows, bits)))
+                for bits in signings]
+        members, sizes = _flat(rows)
+        for order in ((0, 1, 2), (2, 1, 0)):
+            for chained in (True, False):
+                reduction = _GF2Reduction(n, members, sizes)
+                for position, i in enumerate(order):
+                    before = (reduction.reached, reduction.basis.copy(), reduction.greedy.copy())
+                    got, extended = reduction.solve(np.array(signings[i], dtype=bool))
+                    assert got == want[i]
+                    assert (reduction.reached, reduction.basis, reduction.greedy) == before
+                    seen[position > 0, 0 < reduction.reached < len(rows), type(got).__name__] += 1
+                    if chained or position == 0:
+                        reduction = extended
+    assert {key for key, count in seen.items() if count} == {
+        (resumed, partial, name)
+        for resumed in (False, True) for partial in (False, True)
+        for name in ("GF2Solution", "GF2Infeasible")
+    } - {(False, True, "GF2Solution"), (False, True, "GF2Infeasible")}
 
 
 def test_gf2_late_conflict_witness_comes_from_the_reduction():

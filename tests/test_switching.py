@@ -136,20 +136,20 @@ def test_signed_equivalence_infeasible(ex):
 def test_corrupted_parity_solution_is_caught(monkeypatch):
     # With one bit of every solution flipped, the route's own check of the
     # solution must refuse it, on both sides of the package.
-    solve = hs.switching._gf2_eliminate
+    solve = hs.linalg._GF2Reduction.solve
 
-    def flip_first_bit(*args):
-        outcome = solve(*args)
+    def flip_first_bit(reduction, rhs):
+        outcome, reduced = solve(reduction, rhs)
         if isinstance(outcome, hs.GF2Solution):
             bits = outcome.assignment
-            return hs.GF2Solution(outcome.nvars, (1 - bits[0], *bits[1:]))
-        return outcome
+            return hs.GF2Solution(outcome.nvars, (1 - bits[0], *bits[1:])), reduced
+        return outcome, reduced
 
     h = hs.build_signed(5, [(1, 2), (2, 3), (3, 4, 5)], [1, -1, 1])
     target = hs.apply_signed_switches(h, hs.SignedSwitchCertificate(vertices=(2, 4)))
     bipartite = hs.build_signed(6, [(1, 2, 3, 4), (3, 4, 5, 6)], [1, 1])
     assert hs.signed_switch_equivalent(h, target) and hs.odd_bipartite(bipartite)
-    monkeypatch.setattr(hs.switching, "_gf2_eliminate", flip_first_bit)
+    monkeypatch.setattr(hs.linalg._GF2Reduction, "solve", flip_first_bit)
     with pytest.raises(InternalCheckError, match="wrong parity"):
         hs.signed_switch_equivalent(h, target)
     with pytest.raises(InternalCheckError, match="wrong parity"):
@@ -166,7 +166,8 @@ def test_forged_parity_witness_is_caught(monkeypatch, witness):
     # leaves its members unpaired, so each half of the check must refuse.
     h = hs.build_signed(4, [(1, 2, 3, 4), (4, 3, 2, 1)], [1, 1])
     assert hs.odd_bipartite(h)
-    monkeypatch.setattr(hs.switching, "_gf2_eliminate", lambda *args: hs.GF2Infeasible(witness))
+    monkeypatch.setattr(hs.linalg._GF2Reduction, "solve",
+                        lambda reduction, rhs: (hs.GF2Infeasible(witness), reduction))
     with pytest.raises(InternalCheckError, match="do not sum to 0 = 1"):
         hs.odd_bipartite(h)
 

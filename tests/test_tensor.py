@@ -673,7 +673,7 @@ def test_one_parity_solve_and_one_connectivity_check_per_call(monkeypatch, sex):
 
         return wrapper
 
-    for module, name in ((hs.switching, "_gf2_eliminate"), (hs.tensor, "is_connected")):
+    for module, name in ((hs.linalg._GF2Reduction, "solve"), (hs.tensor, "is_connected")):
         monkeypatch.setattr(module, name, counting(module, name))
     feasible = hs.build_signed(6, [(1, 2, 3, 4), (3, 4, 5, 6)], [-1, -1])
     assert hs.theorem_battery_even(feasible).all_true
@@ -687,12 +687,12 @@ def test_one_parity_solve_and_one_connectivity_check_per_call(monkeypatch, sex):
         ):
             calls.clear()
             call(h)
-            assert (calls["is_connected"], calls["_gf2_eliminate"]) == (1, solves)
+            assert (calls["is_connected"], calls["solve"]) == (1, solves)
         twin = h.with_gamma((-1,) * h.m)
         for call, args in ((hs.odd_bipartite, (h,)), (hs.signed_switch_equivalent, (h, twin))):
             calls.clear()
             call(*args)
-            assert calls["_gf2_eliminate"] == 1
+            assert calls["solve"] == 1
 
 
 def test_battery_certificates_equal_the_public_calls():
@@ -764,20 +764,43 @@ def test_a_run_that_raises_stores_nothing(monkeypatch, structure_runs):
     assert structure_runs["nqz"] == 3
 
 
+def _store_copies(g):
+    """g and copies derived from it, which share its store, each twice."""
+    return [g, hs.induced_signed(g), hs.all_positive_variant(g),
+            hs.apply_switches(g, hs.SwitchCertificate(vertices=(1,)))] * 2
+
+
+def _store_answers(i, h):
+    """The structure-only results, then the three parity questions on one
+    signing each, asked of copy i: switching equivalence to a switched copy
+    (even i) or to seeded random signs (odd i)."""
+    signed = h if isinstance(h, hs.SignedHypergraph) else hs.induced_signed(h)
+    draw = random.Random(i)
+    if i % 2:
+        other = signed.with_gamma(tuple(draw.choice((-1, 1)) for _ in range(h.m)))
+    else:
+        switched = [v for v in range(1, h.n + 1) if draw.random() < 0.5]
+        other = hs.apply_signed_switches(signed, hs.SignedSwitchCertificate(switched))
+    return (hs.nqz_spectral_radius(h), hs.connected_components(h), hs.odd_bipartite(h),
+            hs.theorem_battery_even(signed), hs.signed_switch_equivalent(signed, other))
+
+
 def test_concurrent_first_calls_store_equal_results():
     # Eight threads ask a fresh instance and its derived copies at once,
     # with the interpreter switching threads as often as it can.  Threads
     # that race on the store both compute; each answer must still equal
-    # the radius of the same structure read apart.
+    # the one asked serially of the same structure read apart.  The parity
+    # questions race on the stored GF(2) reduction: the first to store it
+    # wins, and the others resume it.
     g = hs.generate(40, 80, k=4, connected=True, seed=3)
-    expected = hs.nqz_spectral_radius(hs.parse(hs.serialize(g)))
-    copies = [g, hs.induced_signed(g), hs.all_positive_variant(g),
-              hs.apply_switches(g, hs.SwitchCertificate(vertices=(1,)))] * 2
+    apart = _store_copies(hs.parse(hs.serialize(g)))
+    expected = [_store_answers(i, h) for i, h in enumerate(apart)]
+    copies = _store_copies(g)
     results, errors = [None] * len(copies), []
 
     def ask(i):
         try:
-            results[i] = (hs.nqz_spectral_radius(copies[i]), hs.connected_components(copies[i]))
+            results[i] = _store_answers(i, copies[i])
         except Exception as exc:  # reported below, from the main thread
             errors.append(exc)
 
@@ -792,9 +815,12 @@ def test_concurrent_first_calls_store_equal_results():
     finally:
         sys.setswitchinterval(interval)
     assert not errors and not any(thread.is_alive() for thread in threads)
-    components = [list(range(g.n + g.m))]
-    assert all(r == (expected, components) for r in results)
-    assert len(g.incidence_core._results) == 2  # the roots and one radius
+    assert results == expected
+    assert {type(r[2]).__name__ for r in results} == {"NotEquivalent"}
+    assert {r[3].all_true for r in results} == {True}
+    assert {bool(r[4]) for r in results} == {True, False}
+    # The roots, one radius and one parity reduction.
+    assert len(g.incidence_core._results) == 3
 
 
 def test_structural_radius_dominates_signed_h_eigenvalues():
