@@ -160,6 +160,25 @@ def _by_edge(items: Iterable, sizes: list[int]) -> tuple[tuple, ...]:
     return tuple(map(tuple, map(islice, repeat(iter(items)), sizes)))
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """keys.argsort(kind="stable") for integer keys in [0, bound).
+
+    Computed by least-significant-digit passes over 16-bit digits, since
+    numpy radix-sorts uint16 keys: one pass while bound <= 2**16, one more
+    per further 16 bits.  Each pass is stable, so it orders by its digit
+    and keeps the order of the passes before it among equal digits (Knuth,
+    TAOCP vol. 3, 5.2.5).  Keys outside the range are cut to their low
+    bits, so the caller checks the range first.
+    """
+    order = keys.astype(np.uint16).argsort(kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[digit.argsort(kind="stable")]
+        shift += 16
+    return order
+
+
 def _checked_core(
     h: OrientedHypergraph | SignedHypergraph,
     sizes: np.ndarray,
@@ -167,21 +186,23 @@ def _checked_core(
     signs: np.ndarray | None,
 ) -> IncidenceCore | None:
     """The incidence core of h from its edge sizes, members and orientations
-    (None for a signed hypergraph), or None if they hold a fault.
+    (intp arrays; signs None for a signed hypergraph), or None if they hold
+    a fault.
 
-    The checks are a few passes over the arrays.  The stable by-vertex sort
-    that the core needs anyway orders the incidences by vertex and, within
-    a vertex, by edge: its ends are the least and greatest member, and the
-    (vertex, edge) keys in that order rise strictly unless an edge repeats
-    a vertex.  Which edge is at fault, and how, is for the constructor's
-    value check to say.
+    The checks are a few passes over the arrays.  The members are checked
+    against 1..n first, because the by-vertex order that the core needs
+    anyway is a radix sort that reads only their low bits.  That order is
+    stable: it lists the incidences by vertex and, within a vertex, by edge,
+    so the (vertex, edge) keys in that order rise strictly unless an edge
+    repeats a vertex.  Which edge is at fault, and how, is for the
+    constructor's value check to say.
     """
     n, m, total = h.n, sizes.size, members.size
-    edge_ids = np.arange(m).repeat(sizes)
-    by_vertex = members.argsort(kind="stable")
-    ordered, vertex_edges = members[by_vertex], edge_ids[by_vertex]
-    if np.count_nonzero(sizes) < m or total and not (1 <= ordered[0] and ordered[-1] <= n):
+    if np.count_nonzero(sizes) < m or total and not (1 <= members.min() and members.max() <= n):
         return None
+    edge_ids = np.arange(m).repeat(sizes)
+    by_vertex = _stable_order(members, n + 1)
+    ordered, vertex_edges = members[by_vertex], edge_ids[by_vertex]
     keys = ordered * m + vertex_edges  # within int64: members are in range
     if np.count_nonzero(keys[1:] - keys[:-1]) < total - 1 or (
         signs is not None and np.count_nonzero(np.abs(signs) - 1)
@@ -307,23 +328,24 @@ class OrientedHypergraph(_IncidenceStructure):
     def _read(
         cls,
         n: int,
-        sizes: list[int],
+        sizes: np.ndarray,
         members: np.ndarray,
         signs: np.ndarray,
         names: tuple[str, ...],
     ) -> "OrientedHypergraph":
-        """Validated construction from a file reader: the size of each edge,
-        intp arrays of the vertex and the orientation of each incidence in
-        edge-major order, and one name per edge, which the reader has
+        """Validated construction from a file reader: intp arrays of the size
+        of each edge and of the vertex and the orientation of each incidence
+        in edge-major order, and one name per edge, which the reader has
         checked as the constructor would.  The edges are checked on the
         incidence core built from these arrays, which the instance keeps;
         if they hold a fault, the constructor's value check names it."""
         n = _check_vertex_count(n)
         h = object.__new__(cls)
         vars(h).update(n=n, names=names)
-        core = _checked_core(h, np.array(sizes, dtype=np.intp), members, signs)
+        core = _checked_core(h, sizes, members, signs)
         if core is None:
-            return cls(n, _by_edge(zip(members.tolist(), signs.tolist()), sizes), names)
+            edges = _by_edge(zip(members.tolist(), signs.tolist()), sizes.tolist())
+            return cls(n, edges, names)
         vars(h)["incidence_core"] = core
         return h
 

@@ -17,6 +17,18 @@ parse(serialize(g)) is g and serialize(parse(text)) canonicalizes text.
 parse, parse_text and from_json_dict read content, load and save a file
 named by a str or os.PathLike, and load_bundled an instance shipped with
 the package, by name.
+
+parse_text reads the layout that serialize writes (and so save and
+``hypersign gen``) in one pass over the whole text: the vertices line,
+then one edge line per edge, with one blank before the name and before
+each incidence, at most 18 digits per number, a newline after every line
+and distinct names.  One regular-expression split cuts such a text into
+names and incidence chunks, and one numpy conversion reads the chunks.
+Every other text goes through a line loop: comments, blank lines, CRLF,
+tabs, longer numbers, and every syntax fault, which the loop reports with
+its line.  The whole-text route takes only texts that the loop reads to
+the same instance, and faults in the values (vertex 0, a vertex out of
+range or repeated within an edge) reach the same checks by either route.
 """
 
 from __future__ import annotations
@@ -24,11 +36,11 @@ from __future__ import annotations
 import json
 import re
 from importlib import resources
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
-from .core import OrientedHypergraph, _by_edge
+from .core import OrientedHypergraph, _by_edge, _stable_order
 from .errors import InvalidValueError, ParseError, check_path, check_text
 
 __all__ = [
@@ -49,6 +61,13 @@ __all__ = [
 # numpy's text reader skips.  Other lines are checked token by token.
 _INCIDENCES = re.compile(r"[+-][0-9]{1,18}(?:[ \t]+[+-][0-9]{1,18})*[ \t]*")
 
+# The layout that serialize writes, read whole: the vertices line, then
+# edge lines with one blank before the name and before each incidence, and
+# a newline after every line.  Split by _EDGE_LINE, such a text leaves the
+# vertices line, then a name, an incidence chunk and an empty gap per edge.
+_VERTICES_LINE = re.compile(r"vertices ([0-9]{1,18})\n")
+_EDGE_LINE = re.compile(r"edge (\S+)((?: [+-][0-9]{1,18})+)\n")
+
 
 def _check_incidence_tokens(lineno: int, tokens: list[str]) -> None:
     """Raise ParseError at the first token that is not +v or -v; int()
@@ -63,9 +82,41 @@ def _check_incidence_tokens(lineno: int, tokens: list[str]) -> None:
         int(token[1:])
 
 
+def _read_values(n: int, sizes: np.ndarray, blob: str, names: tuple) -> OrientedHypergraph:
+    """The instance whose incidences are the blank-separated +v/-v tokens of
+    blob, each at most 18 digits, edge by edge; ``sizes`` counts them."""
+    values = np.empty(0, np.intp)
+    if sizes.any():  # only then: numpy reads a string of blanks as [0]
+        values = np.fromstring(blob, dtype=np.intp, sep=" ")
+    return OrientedHypergraph._read(n, sizes, np.abs(values), np.sign(values), names)
+
+
+def _parse_layout(text: str) -> OrientedHypergraph | None:
+    """text read whole if it is in serialize's layout with distinct names,
+    else None.  Most texts in other layouts show it in their first or last
+    line (a header comment, CRLF, tabs, no final newline) and leave before
+    the split, which would be wasted on them."""
+    head = _VERTICES_LINE.match(text)
+    last = text.rfind("\n", 0, -1) + 1  # where the last line starts
+    if head is None or last and not _EDGE_LINE.fullmatch(text, last):
+        return None
+    parts = _EDGE_LINE.split(text)
+    names = parts[1::3]
+    if parts[0] != head[0] or any(parts[3::3]) or len(set(names)) < len(names):
+        return None
+    chunks = parts[2::3]  # each incidence follows one blank
+    sizes = np.fromiter(map(str.count, chunks, repeat(" ")), np.intp, len(chunks))
+    return _read_values(int(head[1]), sizes, "".join(chunks), tuple(names))
+
+
 def parse_text(text: str) -> OrientedHypergraph:
     """Parse the text format; syntax problems carry a 1-based line number."""
-    check_text(text, "text")
+    g = _parse_layout(check_text(text, "text"))
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_lines(text: str) -> OrientedHypergraph:
+    """Parse the text format line by line, any layout, reporting faults."""
     n: int | None = None
     chunks: list[str] = []  # each edge's incidence tokens, blank-separated
     sizes: list[int] = []
@@ -110,10 +161,7 @@ def parse_text(text: str) -> OrientedHypergraph:
     if not plain:  # numbers int64 may not hold: the constructor checks them whole
         pairs = [(abs(v), -1 if v < 0 else 1) for v in map(int, blob.split())]
         return OrientedHypergraph(n, _by_edge(pairs, sizes), tuple(names))
-    values = np.empty(0, np.intp)
-    if any(sizes):  # only then: numpy reads a string of blanks as [0]
-        values = np.fromstring(blob, dtype=np.intp, sep=" ")
-    return OrientedHypergraph._read(n, sizes, np.abs(values), np.sign(values), tuple(names))
+    return _read_values(n, np.array(sizes, dtype=np.intp), blob, tuple(names))
 
 
 def _json_int(value, field: str) -> int:
@@ -150,6 +198,7 @@ def from_json_dict(data: dict) -> OrientedHypergraph:
     except OverflowError:  # the constructor reports the value whole
         edges = _by_edge(list(zip(flat[0::2], flat[1::2])), sizes)
         return OrientedHypergraph(n, edges, tuple(names))
+    sizes = np.array(sizes, dtype=np.intp)
     return OrientedHypergraph._read(n, sizes, values[0::2], values[1::2].copy(), tuple(names))
 
 
@@ -158,13 +207,14 @@ def _signed_members(g: OrientedHypergraph) -> tuple[list[int], list[int]]:
     and by vertex within an edge, and the size of every edge.  Read from
     the stored edges of an instance that has them, else from its incidence
     core, whose vertex rows list each vertex's edges in ascending order, so
-    a stable regrouping by edge keeps every edge's members by vertex.
-    Neither representation is built from the other."""
+    a stable regrouping by edge, a radix sort of the rows' edge indices,
+    keeps every edge's members by vertex.  Neither representation is built
+    from the other."""
     if "edges" in vars(g):  # constructed, or a read instance whose edges were read
         codes = [v if s > 0 else -v for edge in g.edges for v, s in sorted(edge)]
         return codes, list(map(len, g.edges))
     core = g.incidence_core
-    slots = core.slot[: core.size][core.indices[: core.size].argsort(kind="stable")]
+    slots = core.slot[: core.size][_stable_order(core.indices[: core.size] - g.n, g.m)]
     codes = (core.edge_major()[1][slots] + 1) * core.signs[slots]
     return codes.tolist(), core.edge_sizes().tolist()
 

@@ -188,6 +188,21 @@ def test_lookups_match_the_stored_edges(instances):
             g.orientation(g.m, 1)
 
 
+@pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**21 + 1])
+def test_stable_order_is_the_stable_argsort(bound):
+    rng = np.random.default_rng(bound)
+    ties = rng.integers(0, bound, 5)  # few distinct keys: stability decides the order
+    for keys in (
+        np.empty(0, np.intp),
+        np.array([bound - 1, 0, bound - 1]),
+        rng.integers(0, bound, 70_000),
+        rng.choice(ties, 70_000),
+    ):
+        order = core._stable_order(keys.astype(np.intp), bound)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, keys.argsort(kind="stable"))
+
+
 def test_structures_match_agrees_with_sorted_members(instances):
     rng = random.Random(2015)
     matches = mismatches = 0

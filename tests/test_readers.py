@@ -1,21 +1,27 @@
 """Readers and constructors against value-by-value referees: which fault
-is reported first, how incidence tokens read, and the incidence core an
-instance is read with."""
+is reported first, how incidence tokens read, the incidence core an
+instance is read with, and the text reader's two routes."""
 
+import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypersign as hs
-from hypersign import core
+from hypersign import core, fileio
 from hypersign.cli import main
 from hypersign.errors import (
     DuplicateVertexInEdgeError,
     EmptyEdgeError,
+    HypersignError,
     InvalidValueError,
     ParseError,
     VertexLimitExceededError,
@@ -372,6 +378,23 @@ def test_vertices_beyond_int64_are_reported_whole(vertex):
     )
 
 
+@pytest.mark.parametrize("vertex", [65_538, -1, 2**40])
+def test_members_are_range_checked_before_they_are_ordered(tmp_path, vertex):
+    # The by-vertex order reads 16-bit digits: unchecked, 65,538 in an
+    # n=3 instance would pass for vertex 2, and -1 for vertex 65,535.
+    edges = [[(1, 1)], [(2, -1), (vertex, 1), (3, 1)]]
+    expected = VertexOutOfRangeError(1, vertex, 3)
+    _assert_raises(expected, lambda: hs.build(3, edges))
+    files = {"g.json": json.dumps(_json(3, edges))}
+    if vertex > 0:  # a text token holds a vertex and its orientation
+        files["g.ohg"] = _text(3, edges)
+        # The whole-text route takes the file and reports the fault itself.
+        _assert_raises(expected, lambda: fileio._parse_layout(files["g.ohg"]))
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+        _assert_raises(expected, lambda: hs.load(tmp_path / name))
+
+
 def test_minus_zero_is_vertex_zero():
     for token in ("-0", "+0", "-000"):
         _assert_raises(VertexOutOfRangeError(1, 0, 3),
@@ -534,3 +557,127 @@ def test_induced_signing_matches_the_edge_sign_rule():
                 len(h.edges[0]) if len({len(e) for e in h.edges}) == 1 else None
             )
             assert h.incidence_count == sum(map(len, h.edges))
+
+
+# ---------------------------------------------------------------------------
+# The whole-text route against the line loop.
+
+CORE_ARRAYS = ("indptr", "indices", "slot", "signs", "edge_ids")
+
+
+def _both_routes(text):
+    """What parse_text and the line loop make of text, which must agree: the
+    instance, its names and its core arrays byte for byte, or the error's
+    type and message (the message carries a ParseError's line)."""
+    outcomes = []
+    for read in (hs.parse_text, fileio._parse_lines):
+        try:
+            g = read(text)
+        except HypersignError as exc:
+            outcomes.append((type(exc), exc.args))
+        else:
+            arrays = [getattr(g.incidence_core, name) for name in CORE_ARRAYS]
+            outcomes.append((g, g.names, [(a.dtype, a.tobytes()) for a in arrays]))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def _layout_variants(text):
+    """text in other layouts of the same instance, by whether the whole-text
+    route takes them."""
+    edge_lines = re.compile(r"^edge .*$", re.M)
+    *first, last = text.splitlines(keepends=True)
+    loop = {
+        "crlf": text.replace("\n", "\r\n"),
+        "tabs": edge_lines.sub(lambda line: line[0].replace(" ", "\t"), text),
+        "header comment": "# an instance\n" + text,
+        "blank lines": text.replace("\n", "\n\n"),
+        "no final newline": text[:-1],
+        "comment holding an edge line": text.replace("\n", "\n# edge zz +1\n", 1),
+        "blank line before the last": "".join(first) + "\n" + last,
+    }
+    whole = {"leading zeros": re.sub(r"([+-]|vertices )([0-9])", r"\g<1>00\2", text)}
+    return whole, loop
+
+
+def test_every_bundled_golden_and_ensemble_file_reads_alike_by_both_routes():
+    paths = [*sorted((Path(__file__).parent / "golden").glob("*.ohg")),
+             *sorted((Path(fileio.__file__).parent / "data").glob("*.ohg"))]
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    texts += [hs.serialize(g) for g in _ensemble()]
+    whole = 0
+    for text in texts:
+        g, _, _ = _both_routes(text)
+        if text == hs.serialize(g):  # every file that serialize writes goes whole
+            assert fileio._parse_layout(text) is not None, text[:80]
+            whole += 1
+    assert whole >= 40
+
+
+def test_files_in_serialize_layout_skip_the_line_loop(monkeypatch):
+    paths = sorted((Path(__file__).parent / "golden").glob("*.ohg"))
+    expected = [fileio._parse_lines(path.read_text(encoding="utf-8")) for path in paths]
+
+    def refuse(text):
+        raise AssertionError("line loop ran")
+
+    monkeypatch.setattr(fileio, "_parse_lines", refuse)
+    assert [hs.load(path) for path in paths] == expected
+
+
+def test_most_other_layouts_leave_before_the_whole_text_is_split(monkeypatch):
+    # They show in the first or the last line; the line loop reads them.
+    class Unsplit:
+        fullmatch = fileio._EDGE_LINE.fullmatch
+
+        def split(self, text):
+            raise AssertionError("whole text split")
+
+    _, loop = _layout_variants(hs.serialize(hs.load_bundled("ex_c3_42")))
+    monkeypatch.setattr(fileio, "_EDGE_LINE", Unsplit())
+    for layout in ("crlf", "tabs", "header comment", "blank lines", "no final newline"):
+        assert fileio._parse_layout(loop[layout]) is None, layout
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 30),  # m=0 is in the ensemble above
+    sizes=st.tuples(st.integers(1, 3), st.integers(0, 3)),
+    p_neg=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generated_instances_read_alike_in_every_layout(n, m, sizes, p_neg, seed):
+    lo, extra = sizes
+    g = hs.generate(n, m, size_range=(min(lo, n), min(lo + extra, n)), p_neg=p_neg, seed=seed)
+    text = hs.serialize(g)
+    assert fileio._parse_layout(text) == g
+    read = _both_routes(text)
+    assert read[:2] == (g, g.names)
+    whole, loop = _layout_variants(text)
+    for layout, variant in {**whole, **loop}.items():
+        assert _both_routes(variant) == read, layout
+        assert (fileio._parse_layout(variant) is None) == (layout in loop), layout
+
+
+@pytest.mark.parametrize("text, whole", [
+    ("vertices 3\nedge a +1 -2\nedge a +3\n", False),  # duplicate name
+    ("edge a +1\nvertices 3\n", False),  # edge before vertices
+    ("vertices 3\nedge a +1 +x\n", False),  # bad token
+    ("vertices 3\nedge a +1\nedge b\nedge c +2\n", False),  # empty edge
+    ("vertices 3\nedge a +1 -" + "1" * 19 + "\n", False),  # past int64's digits
+    ("vertices 3\nvertices 3\nedge a +1\n", False),  # duplicate vertices line
+    ("vertices 3\nedge a +1 -0\n", True),  # vertex 0
+    ("vertices 3\nedge a +1 +4\n", True),  # vertex out of range
+    ("vertices 3\nedge a +1 -2 +1\n", True),  # vertex repeated within an edge
+    ("vertices 2097153\nedge a +1\n", True),  # vertex count past MAX_VERTICES
+])
+def test_faulty_texts_fail_alike_by_both_routes(text, whole):
+    kind, args = _both_routes(text)
+    assert issubclass(kind, HypersignError)
+    try:  # faults of the values reach the whole-text route's tail; others do not
+        taken = fileio._parse_layout(text) is not None
+    except HypersignError as exc:
+        assert (type(exc), exc.args) == (kind, args)
+        taken = True
+    assert taken == whole
