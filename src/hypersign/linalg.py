@@ -3,9 +3,10 @@
 Dense symmetric eigenvalues and singular values through LAPACK
 (``numpy.linalg``), bitset Gaussian elimination over GF(2) with
 infeasibility witnesses, and tolerance-based spectrum membership.  The
-spectral functions take plain array-likes of finite real numbers, such
-as the read-only int64 arrays of the spectral module's matrix builders,
-and refuse anything else with InvalidValueError.
+public spectral functions take outside input: plain array-likes of
+finite real numbers, such as the read-only int64 arrays of the spectral
+module's matrix builders, and refuse anything else with
+InvalidValueError.
 
 GF(2) elimination.  Both answers are fixed by the system alone, so the
 eliminator may pivot in any order that reaches them exactly:
@@ -129,7 +130,11 @@ def _finite_array(a, ndim: int, what: str) -> np.ndarray:
 
 
 def sym_eigenvalues(a) -> list[float]:
-    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``).
+
+    The matrix is outside input, so it is checked first: finite, real,
+    square and exactly symmetric.  spectral_balance_tests skips the check
+    on the matrices it builds and calls ``eigvalsh`` itself."""
     arr = _finite_array(a, 2, "2-d array")
     if arr.shape[0] != arr.shape[1] or not np.array_equal(arr, arr.T):
         raise InvalidValueError("expected an exactly symmetric square matrix")
@@ -142,6 +147,9 @@ def singular_values(m) -> list[float]:
     Golub-Kahan SVD of the matrix itself (LAPACK through
     ``numpy.linalg.svd``), not square roots of Gram-matrix eigenvalues,
     which keep only about half the digits of a singular value near zero.
+    The matrix is outside input, so it is checked first (finite, real,
+    2-d); spectral_balance_tests skips the check on the incidence
+    matrices it builds and calls ``svd`` itself.
     """
     arr = _finite_array(m, 2, "2-d array")
     if min(arr.shape) == 0:
@@ -484,11 +492,19 @@ def spectrum_contains(
     additively, so a value quoted to exactly abs_tol decimal digits still
     passes after the decimal-to-binary round trip.  The target is checked
     like the spectrum, as a finite real 0-d array (a bool reads as 0 or 1).
+    The rule itself is _membership, which spectral_balance_tests applies
+    to the spectra it computes, so it has one definition.
     """
     abs_tol = check_tolerance(abs_tol, "abs_tol")
     values = _finite_array(spectrum, 1, "1-d spectrum")
     target = float(_finite_array(target, 0, "0-d target"))
     if not values.size:
         raise EmptySpectrumError("membership test against an empty spectrum")
+    return _membership(values, target, abs_tol)
+
+
+def _membership(values: np.ndarray, target: float, abs_tol: float) -> tuple[bool, float]:
+    """The membership rule on checked input: a nonempty float64 array, a
+    finite float and a checked tolerance."""
     margin = float(np.abs(values - target).min())
     return margin <= abs_tol + MEMBERSHIP_REL_TOL * abs(target), margin

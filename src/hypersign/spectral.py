@@ -10,6 +10,14 @@ matrix appearing among the singular values, and the spectral radii of
 the all-positive Laplacian/adjacency appearing among the eigenvalues.
 Membership is a tolerance test: within abs_tol (MEMBERSHIP_ABS_TOL by
 default) plus the constant MEMBERSHIP_REL_TOL times the target.
+
+The suite does not go through the builders or the checked wrappers of
+the linalg module: it builds M once as float64 and computes exactly in
+float64 on its own copies (every entry of M, MᵀM and |M|ᵀ|M| is an
+integer below 2^53), hands them to ``numpy.linalg`` unchecked and
+applies the linalg module's membership rule.  Its reports equal, floats
+included, those composed from the builders, ``singular_values``,
+``sym_eigenvalues`` and ``spectrum_contains``.
 """
 
 from __future__ import annotations
@@ -25,13 +33,7 @@ from .errors import (
     NotUniformError,
     check_tolerance,
 )
-from .linalg import (
-    MEMBERSHIP_ABS_TOL,
-    MEMBERSHIP_REL_TOL,
-    singular_values,
-    spectrum_contains,
-    sym_eigenvalues,
-)
+from .linalg import MEMBERSHIP_ABS_TOL, MEMBERSHIP_REL_TOL, _membership
 from .walks import is_connected
 
 __all__ = [
@@ -53,9 +55,9 @@ L_CRITERION = "laplacian-eigenvalue"
 A_CRITERION = "adjacency-eigenvalue"
 
 # Largest dense matrix, in cells, that this layer builds: 2^23 int64 cells
-# are 64 MiB.  The spectral tests hold M, |M|, L, L+ and float64 copies at
-# once; at a quarter of the limit (n=1000, m=2000) they peaked 82 MB above
-# the interpreter's baseline.
+# are 64 MiB.  The spectral tests hold one float64 M (|M| in place), L and
+# L+ besides LAPACK's copy; at a quarter of the limit (n=1000, m=2000) they
+# peaked 45 MB above the interpreter's baseline.
 DENSE_MAX_CELLS = 1 << 23
 
 
@@ -67,19 +69,19 @@ def _check_dense_size(rows: int, cols: int) -> None:
         )
 
 
-def _incidence_array(g: OrientedHypergraph) -> np.ndarray:
-    """M as an int64 array; refuses input whose M or n x n Gram matrix
+def _incidence_array(g: OrientedHypergraph, dtype=np.int64) -> np.ndarray:
+    """M as an array of dtype; refuses input whose M or n x n Gram matrix
     would exceed DENSE_MAX_CELLS, before allocating either."""
     _check_dense_size(g.m, g.n)
     _check_dense_size(g.n, g.n)
-    arr = np.zeros((g.m, g.n), dtype=np.int64)
+    arr = np.zeros((g.m, g.n), dtype=dtype)
     edges, vertices = g.incidence_core.edge_major()
     arr[edges, vertices] = g.incidence_core.signs
     return arr
 
 
 def _gram(arr: np.ndarray) -> np.ndarray:
-    """MᵀM in int64.
+    """MᵀM in int64, for the builders.
 
     The product runs in float64 so that it goes through BLAS; numpy's
     integer matmul has no BLAS path and is two orders of magnitude slower
@@ -191,38 +193,46 @@ def spectral_balance_tests(
             "the spectral characterization assumes a connected instance"
         )
 
-    def report(criterion: str, spectrum: list[float], target: float) -> SpectralReport:
-        decision, margin = spectrum_contains(spectrum, target, abs_tol)
+    def report(criterion: str, spectrum: np.ndarray, target: float) -> SpectralReport:
+        decision, margin = _membership(spectrum, target, abs_tol)
         return SpectralReport(
-            criterion, target, tuple(spectrum), decision, margin, abs_tol, MEMBERSHIP_REL_TOL
+            criterion, target, tuple(spectrum.tolist()), decision, margin, abs_tol,
+            MEMBERSHIP_REL_TOL,
         )
 
     def trivial(criterion: str) -> SpectralReport:
         return SpectralReport(criterion, 0.0, (), True, 0.0, abs_tol, MEMBERSHIP_REL_TOL)
 
+    def singular(arr: np.ndarray) -> np.ndarray:
+        return np.linalg.svd(arr, compute_uv=False)[::-1]  # ascending
+
     # One incidence build: the all-positive variant's incidence matrix is
-    # |M|, and the Laplacian and adjacency matrices follow from each.
-    inc = _incidence_array(g)
-    inc_plus = np.abs(inc)
+    # |M|, taken in place once M's Laplacian and singular values are out,
+    # and the Laplacian and adjacency matrices follow from each.  A sum of
+    # signed products may come out of BLAS as -0.0; adding 0.0 makes it
+    # +0.0, as in the int64 Laplacian, so LAPACK reads the same bits.
+    inc = _incidence_array(g, np.float64)
+    lap = inc.T @ inc
+    lap += 0.0
     if g.m == 0:
         incidence_report = trivial(M_CRITERION)
     else:
-        spectrum = singular_values(inc)
-        target = max(singular_values(inc_plus))
-        incidence_report = report(M_CRITERION, spectrum, target)
+        spectrum = singular(inc)
+        np.abs(inc, out=inc)
+        incidence_report = report(M_CRITERION, spectrum, float(singular(inc).max()))
+    lap_plus = inc.T @ inc  # |M|, or no rows
+    del inc
 
     if g.n == 0:
         laplacian_report = trivial(L_CRITERION)
         adjacency_report = trivial(A_CRITERION)
     else:
-        lap = _gram(inc)
-        lap_plus = _gram(inc_plus)
-        spectrum = sym_eigenvalues(lap)
-        target = max(sym_eigenvalues(lap_plus))
-        laplacian_report = report(L_CRITERION, spectrum, target)
+        target = float(np.linalg.eigvalsh(lap_plus).max())
+        laplacian_report = report(L_CRITERION, np.linalg.eigvalsh(lap), target)
 
-        spectrum = sym_eigenvalues(_zero_diagonal(lap))
-        target = max(sym_eigenvalues(_zero_diagonal(lap_plus)))
-        adjacency_report = report(A_CRITERION, spectrum, target)
+        np.fill_diagonal(lap, 0.0)
+        np.fill_diagonal(lap_plus, 0.0)
+        target = float(np.linalg.eigvalsh(lap_plus).max())
+        adjacency_report = report(A_CRITERION, np.linalg.eigvalsh(lap), target)
 
     return SpectralTestSuite(incidence_report, laplacian_report, adjacency_report)

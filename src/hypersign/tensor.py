@@ -249,7 +249,7 @@ def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
         if upper - lower < tol:
             return NQZResult(
                 rho=(upper + lower) / 2.0,
-                vector=tuple(float(t) for t in x),
+                vector=tuple(x.tolist()),
                 iterations=iteration,
                 lower=lower,
                 upper=upper,
@@ -327,8 +327,9 @@ class ParityCertificate:
 
 
 def _signs_from_support(n: int, support: Sequence[int]) -> tuple[int, ...]:
-    inside = set(support)
-    return tuple(-1 if v in inside else 1 for v in range(1, n + 1))
+    signs = np.ones(n, dtype=np.int64)
+    signs[np.array(support, dtype=np.intp) - 1] = -1
+    return tuple(signs.tolist())
 
 
 def _solve_parity(h: SignedHypergraph, message: str):
@@ -356,7 +357,7 @@ def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotEquiv
         vertices=outcome.vertices,
         signs=signs,
         eigenvalue=-radius.rho,
-        eigenvector=tuple(float(t) for t in vector),
+        eigenvector=tuple(vector.tolist()),
         residual=residual,
     )
 

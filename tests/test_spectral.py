@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +240,47 @@ def test_decisions_match_jacobi_referee():
         ref = _referee_suite(g)
         assert suite.decisions == ref.decisions
         assert suite.classify(structural) == ref.classify(structural)
+
+
+def _public_route(g, abs_tols):
+    """The suite composed from public names alone, for each abs_tol: the
+    builders' int64 matrices of g and of its all-positive variant, their
+    spectra from singular_values and sym_eigenvalues, and spectrum_contains."""
+    plus = hs.all_positive_variant(g)
+    spectra = []
+    if g.m:
+        spectra.append((M_CRITERION, *map(hs.singular_values, map(hs.incidence_matrix, (g, plus)))))
+    if g.n:
+        for criterion, build in ((L_CRITERION, hs.laplacian_matrix), (A_CRITERION, hs.adjacency_matrix)):
+            spectra.append((criterion, *map(hs.sym_eigenvalues, map(build, (g, plus)))))
+    suites = []
+    for abs_tol in abs_tols:
+        reports = {c: hs.SpectralReport(c, 0.0, (), True, 0.0, abs_tol, MEMBERSHIP_REL_TOL)
+                   for c in (M_CRITERION, L_CRITERION, A_CRITERION)}
+        for criterion, spectrum, plus_spectrum in spectra:
+            target = max(plus_spectrum)
+            decision, margin = hs.spectrum_contains(spectrum, target, abs_tol)
+            reports[criterion] = hs.SpectralReport(
+                criterion, target, tuple(spectrum), decision, margin, abs_tol, MEMBERSHIP_REL_TOL
+            )
+        suites.append(hs.SpectralTestSuite(*reports.values()))
+    return suites
+
+
+def test_suite_equals_the_public_route_bit_for_bit():
+    golden = Path(__file__).parent / "golden"
+    instances = [hs.load(path) for path in sorted(golden.glob("*.ohg"))]
+    instances += _bundled_and_random(100, 37)
+    instances += [
+        hs.generate(n, 2 * n, size_range=(2, 4), connected=True, p_neg=p_neg, seed=3)
+        for n in (40, 320)
+        for p_neg in (0.0, 0.3)
+    ]
+    instances += [hs.build(1, []), hs.build(1, [[(1, -1)], [(1, 1)]])]
+    abs_tols = (1e-300, 1e-7, 1e3)
+    for g in instances:
+        for abs_tol, ref in zip(abs_tols, _public_route(g, abs_tols)):
+            suite = hs.spectral_balance_tests(g, abs_tol)
+            assert suite == ref
+            # repr tells -0.0 from 0.0 and prints every float to the last bit.
+            assert repr(suite) == repr(ref)
