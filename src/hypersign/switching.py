@@ -63,6 +63,15 @@ def _ids(values, what: str) -> tuple[int, ...]:
     return tuple(sorted(set(values)))
 
 
+def _check_ids(ids: tuple[int, ...], low: int, high: int, check) -> None:
+    """Every id of a certificate in [low, high].  Certificate ids are
+    sorted distinct ints (_ids), so the ends decide; if one is out, the
+    per-id check raises its typed error at the first id out of range."""
+    if ids and not low <= ids[0] <= ids[-1] <= high:
+        for i in ids:
+            check(i)
+
+
 @dataclass(frozen=True)
 class SwitchCertificate:
     """Vertex set and edge set whose switchings map source to target."""
@@ -112,10 +121,8 @@ def edge_switch(g: OrientedHypergraph, e: int) -> OrientedHypergraph:
 
 def apply_switches(g: OrientedHypergraph, cert: SwitchCertificate) -> OrientedHypergraph:
     """All switchings of the certificate at once (they commute)."""
-    for v in cert.vertices:
-        g.check_vertex(v)
-    for e in cert.edges:
-        g.check_edge(e)
+    _check_ids(cert.vertices, 1, g.n, g.check_vertex)
+    _check_ids(cert.edges, 0, g.m - 1, g.check_edge)
     core, n = g.incidence_core, g.n
     flip = np.ones(n + g.m, dtype=np.intp)
     flip[[v - 1 for v in cert.vertices] + [n + e for e in cert.edges]] = -1
@@ -135,8 +142,7 @@ def apply_signed_switches(
     h: SignedHypergraph, cert: SignedSwitchCertificate
 ) -> SignedHypergraph:
     """Negate each edge sign once per switched vertex it contains."""
-    for v in cert.vertices:
-        h.check_vertex(v)
+    _check_ids(cert.vertices, 1, h.n, h.check_vertex)
     core = h.incidence_core
     switched = np.zeros(h.n, dtype=bool)
     switched[[v - 1 for v in cert.vertices]] = True

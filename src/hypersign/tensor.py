@@ -5,21 +5,31 @@ of each edge; contracting against x therefore reduces to one product per
 edge and vertex, which is how everything here is computed — the tensor
 is never materialized.  The Laplacian adds the degrees on the diagonal.
 
-All contractions run through one kernel over the (m, k) array of
-0-based member indices: gather x at every incidence, build the exclusive
-prefix and suffix products along each row one column at a time, multiply
-them, and scatter-add the (m, k) terms onto the vertices.  The prefix
-chain starts from the edge sign gamma instead of 1.  That is exact:
-multiplying by gamma = +-1 only sets a sign bit, and IEEE gives the sign
-of a product as the XOR of its factors' signs, so every float64 term
-equals (gamma * prefix) * suffix bit for bit, signed zeros included
-(int64 arithmetic is exact anyway).  numpy multiplies complex128 arrays
-with a fused or an unfused loop depending on their memory layout, so
-complex terms agree with other evaluation orders to rounding only.  The
-kernel works unchanged for float64, complex128 and int64 vectors, so
-the Laplacian zero-eigenvalue check stays in exact integer arithmetic.
-The tensors are reached only through adj_apply and lap_apply; a form
-T x^k is x . (T x^{k-1}), which lap_form computes for the Laplacian.
+All contractions run one plan, built from the (m, k) array of 0-based
+member indices, the edge signs gamma and the vector's dtype: the members
+by position as a contiguous (k, m) array and edge-major as a flat one,
+buffers for the gathered values, the prefix and suffix chains and the
+(m, k) terms, and a fixed list of multiplies.  The NQZ iteration builds
+one plan per run and runs it at every step; every other contraction
+builds one and runs it once.  A run gathers x at every incidence and
+takes, per edge, the exclusive prefix products left to right from
+gamma, the suffix products right to left, and term j = prefix_j *
+suffix_j, the order of a per-edge loop: the loop's other factors of 1
+are dropped, and 1 * v = v exactly.  Starting from gamma instead of 1
+is exact too: multiplying by gamma = +-1 only sets a sign bit, and IEEE
+gives the sign of a product as the XOR of its factors' signs, so every
+float64 term equals (gamma * prefix) * suffix bit for bit, signed zeros
+included (int64 arithmetic is exact anyway).  The terms are added onto
+the vertices in edge-major order, each sum from 0: float64 terms by
+np.bincount, which adds its weights one by one as np.add.at does, so
+the bits are the same; int64 and complex128 terms by np.add.at, since
+bincount sums in float64 and would round int64 sums past 2^53.  numpy
+multiplies complex128 arrays with a fused or an unfused loop depending
+on their memory layout, so complex terms agree with other evaluation
+orders to rounding only.  The Laplacian zero-eigenvalue check runs the
+plan on int64 vectors and so stays in exact integer arithmetic.  The
+tensors are reached only through adj_apply and lap_apply; a form T x^k
+is x . (T x^{k-1}), which lap_form computes for the Laplacian.
 
 The NQZ power iteration takes a tolerance (NQZ_TOL by default); its
 budget NQZ_MAX_ITERS and its diagonal shift NQZ_SHIFT are constants,
@@ -137,7 +147,62 @@ def _edge_index(h: OrientedHypergraph | SignedHypergraph) -> np.ndarray:
 
 
 def _gamma(h: SignedHypergraph) -> np.ndarray:
-    return np.array(h.gamma, dtype=np.int64)
+    return np.fromiter(h.gamma, np.int64, h.m)
+
+
+class _ContractionPlan:
+    """The adjacency contraction over fixed members idx (m, k), k >= 2, and
+    edge signs gamma, for vectors of one dtype: its index arrays, its
+    buffers and its schedule of multiplies, made once and run for any
+    number of vectors.  A plan's buffers are its own, so one plan serves
+    one thread.
+
+    For member position j across all edges, vals[j] holds x there,
+    prefix[j] the product of gamma and x over positions 0..j-1 (left to
+    right), suffix[j] the product over positions k-1 down to j+1 (right
+    to left); term j of an edge is prefix[j] * suffix[j].  Three products
+    need no multiply of their own: prefix[0] is gamma, set once;
+    suffix[k-2] is vals[k-1] (the loop's 1 * x is x exactly); and term
+    k-1, prefix[k-1] * 1, is the last prefix multiply, which writes into
+    column k-1 of the edge-major (m, k) terms.  The rows of one work
+    array hold prefix[:k-1], vals, then suffix[k-3] down to suffix[0], so
+    that suffix[:k-1] is one block (read backwards, from its row of
+    suffix[0] to that of vals[k-1]) and the other terms are one multiply
+    of two blocks into columns 0..k-2.
+    """
+
+    def __init__(self, idx: np.ndarray, gamma: np.ndarray, dtype) -> None:
+        m, k = idx.shape
+        self.columns = idx.T.copy()
+        self.flat = idx.ravel()  # edge-major: the order the scatter adds in
+        terms = np.empty((m, k), dtype)
+        self.weights = terms.reshape(-1)  # the terms, edge-major
+        work = np.empty((3 * k - 3, m), dtype)
+        work[0] = gamma
+        prefix, self.vals = work[: k - 1], work[k - 1 : 2 * k - 1]
+        suffix = work[: 2 * k - 3 : -1]
+        vals, term = self.vals, terms.T  # term[j] is column j of the terms
+        self.steps = (
+            [(prefix[j - 1], vals[j - 1], prefix[j]) for j in range(1, k - 1)]
+            + [(prefix[k - 2], vals[k - 2], term[k - 1])]
+            + [(suffix[j + 1], vals[j + 1], suffix[j]) for j in range(k - 3, -1, -1)]
+            + [(prefix, suffix, term[: k - 1])]
+        )
+        # bincount adds its float64 weights one by one in index order from
+        # 0.0, as np.add.at does, but it sums in float64 whatever the
+        # weights' dtype: past 2^53 it would round int64 sums.
+        self.bincount = terms.dtype == np.float64
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """The contraction at x (of the plan's dtype), as a new array."""
+        x.take(self.columns, out=self.vals, mode="clip")  # clip: unbuffered
+        for left, right, out in self.steps:
+            np.multiply(left, right, out=out)
+        if self.bincount:
+            return np.bincount(self.flat, self.weights, x.size)
+        out = np.zeros_like(x)
+        np.add.at(out, self.flat, self.weights)
+        return out
 
 
 def _edge_products(idx: np.ndarray, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -148,18 +213,7 @@ def _edge_products(idx: np.ndarray, gamma: np.ndarray, x: np.ndarray) -> np.ndar
     left-to-right prefix (starting from gamma_e), right-to-left suffix,
     then prefix * suffix; the scatter adds terms in edge order.
     """
-    vals = x[idx]
-    terms = np.empty_like(vals)  # the prefix products, then the terms
-    suffix = np.empty_like(vals)
-    terms[:, 0] = gamma
-    suffix[:, -1] = 1
-    for j in range(1, idx.shape[1]):
-        np.multiply(terms[:, j - 1], vals[:, j - 1], out=terms[:, j])
-        np.multiply(suffix[:, -j], vals[:, -j], out=suffix[:, -j - 1])
-    np.multiply(terms, suffix, out=terms)
-    out = np.zeros_like(x)
-    np.add.at(out, idx.ravel(), terms.ravel())
-    return out
+    return _ContractionPlan(idx, gamma, x.dtype).run(x)
 
 
 def _lap_products(idx: np.ndarray, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -236,15 +290,21 @@ def _radius(h, idx, tol: float) -> NQZResult:
 def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
     """The iteration itself."""
     m, k = idx.shape
-    structure = np.ones(m, dtype=np.int64)  # every edge sign +1
+    plan = _ContractionPlan(idx, np.ones(m, dtype=np.int64), np.float64)  # signs +1
     x = np.ones(n, dtype=np.float64)
+    ratios = np.empty(n)
+    root = 1.0 / (k - 1)
     history: list[tuple[float, float]] = []
     for iteration in range(1, max_iters + 1):
+        # ** (unlike np.power on some numpy versions) takes square or sqrt
+        # for some exponents; a fresh power costs less than copy then **=.
         powered = x ** (k - 1)
-        y = _edge_products(idx, structure, x) + shift * powered
-        ratios = y / powered
-        lower = float(ratios.min()) - shift
-        upper = float(ratios.max()) - shift
+        y = plan.run(x)
+        np.multiply(shift, powered, out=ratios)  # ratios holds the shift term first
+        y += ratios
+        np.divide(y, powered, out=ratios)
+        lower = float(np.minimum.reduce(ratios)) - shift
+        upper = float(np.maximum.reduce(ratios)) - shift
         history.append((lower, upper))
         if upper - lower < tol:
             return NQZResult(
@@ -255,8 +315,9 @@ def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
                 upper=upper,
                 bounds_history=tuple(history),
             )
-        x = y ** (1.0 / (k - 1))
-        x /= x.max()
+        y **= root  # y is the plan's fresh output: the next x
+        x = y
+        x /= np.maximum.reduce(x)
     raise NoConvergenceError(
         f"spectral-radius bracket still {history[-1][1] - history[-1][0]:.3e} wide "
         f"after {max_iters} iterations"

@@ -595,6 +595,8 @@ def _layout_variants(text):
         "no final newline": text[:-1],
         "comment holding an edge line": text.replace("\n", "\n# edge zz +1\n", 1),
         "blank line before the last": "".join(first) + "\n" + last,
+        "middle comment": "".join(first[:2]) + "# a note\n" + "".join(first[2:]) + last,
+        "middle blank line": "".join(first[:2]) + "\n" + "".join(first[2:]) + last,
     }
     whole = {"leading zeros": re.sub(r"([+-]|vertices )([0-9])", r"\g<1>00\2", text)}
     return whole, loop
@@ -635,7 +637,8 @@ def test_most_other_layouts_leave_before_the_whole_text_is_split(monkeypatch):
 
     _, loop = _layout_variants(hs.serialize(hs.load_bundled("ex_c3_42")))
     monkeypatch.setattr(fileio, "_EDGE_LINE", Unsplit())
-    for layout in ("crlf", "tabs", "header comment", "blank lines", "no final newline"):
+    for layout in ("crlf", "tabs", "header comment", "blank lines", "no final newline",
+                   "middle comment", "middle blank line"):
         assert fileio._parse_layout(loop[layout]) is None, layout
 
 

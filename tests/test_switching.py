@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import hypersign as hs
-from hypersign.errors import InternalCheckError, StructureMismatchError
+from hypersign.errors import (
+    InternalCheckError,
+    StructureMismatchError,
+    UnknownEdgeError,
+    UnknownVertexError,
+)
 
 
 def same_orientations(a, b):
@@ -189,3 +194,23 @@ def test_certificate_ids_are_integers():
     cert = hs.SwitchCertificate(vertices=(np.int64(3), 1, 3), edges=(np.uint8(2),))
     assert cert == hs.SwitchCertificate(vertices=(1, 3), edges=(2,))
     assert {type(i) for i in cert.vertices + cert.edges} == {int}
+
+
+@pytest.mark.parametrize("vertices, edges, error, message", [
+    ((0, 2, 3), (), UnknownVertexError, "vertex 0 outside 1..6"),  # first out
+    ((1, 2, 7), (), UnknownVertexError, "vertex 7 outside 1..6"),  # last out
+    ((-4, 0, 9), (1,), UnknownVertexError, "vertex -4 outside 1..6"),  # both: the first
+    ((1, 6), (-1, 0), UnknownEdgeError, "edge index -1 outside 0..2"),
+    ((1, 6), (0, 2, 3), UnknownEdgeError, "edge index 3 outside 0..2"),
+    ((7,), (5,), UnknownVertexError, "vertex 7 outside 1..6"),  # vertices first
+])
+def test_apply_switches_names_the_first_id_out_of_range(ex, vertices, edges, error, message):
+    cert = hs.SwitchCertificate(vertices=vertices, edges=edges)
+    with pytest.raises(error, match=f"^{message}$"):
+        hs.apply_switches(ex, cert)
+    if not edges:
+        with pytest.raises(error, match=f"^{message}$"):
+            hs.apply_signed_switches(hs.induced_signed(ex), hs.SignedSwitchCertificate(vertices))
+    # The ends decide, so ids inside them pass without a check each.
+    inside = hs.SwitchCertificate(vertices=(1, 6), edges=(0, 2))
+    assert same_orientations(hs.apply_switches(hs.apply_switches(ex, inside), inside), ex)

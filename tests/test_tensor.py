@@ -225,6 +225,38 @@ def test_nqz_matches_edge_loop_iteration_exactly():
         assert hs.nqz_spectral_radius(g) == loop_nqz_spectral_radius(g)
 
 
+def test_nqz_matches_edge_loop_iteration_exactly_at_benchmark_size():
+    # The iteration's buffers and its contraction plan are reused for every
+    # step, across hundreds of vertices of differing degree and for a few
+    # dozen to over a hundred steps; each result must still be the loop's.
+    graphs = [hs.generate(200, 400, k=4, connected=True, seed=s) for s in (1, 2, 3)]
+    graphs += [
+        hs.generate(100, 150, k=2, connected=True, seed=1),
+        hs.generate(100, 100, k=6, connected=True, seed=1),
+    ]
+    for g in graphs:
+        radius = hs.nqz_spectral_radius(g)
+        assert radius == loop_nqz_spectral_radius(g)
+        assert radius.iterations >= 20
+
+
+def test_int64_contraction_is_exact_past_float64_integers():
+    # Products of three entries near 2^18 pass 2^54, and their sums more:
+    # float64 holds no odd integer past 2^53, so a float64 scatter (or any
+    # float64 step) would round sums that int64 holds exactly.
+    rng = np.random.default_rng(3)
+    for seed in range(3):
+        g = hs.generate(40, 80, k=4, connected=True, p_neg=0.5, seed=seed)
+        h = hs.induced_signed(g)
+        idx = np.array(h.edges, dtype=np.intp) - 1
+        ints = 2**18 - 2 * rng.integers(0, 500, h.n) - 1  # odd, near 2^18
+        got = _edge_products(idx, np.array(h.gamma, dtype=np.int64), ints)
+        want = _exact_adjacency(h, ints.tolist())
+        assert got.dtype == np.int64
+        assert max(map(abs, want)) > 2**55
+        assert got.tolist() == want
+
+
 def test_lap_form_values(sex):
     # sum over edges of (sum of x^k) + k * gamma * prod(x over the edge)
     assert hs.lap_form(sex, np.ones(6)) == pytest.approx(24.0)
