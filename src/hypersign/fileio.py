@@ -94,14 +94,11 @@ def _read_values(n: int, sizes: np.ndarray, blob: str, names: tuple) -> Oriented
 def _parse_layout(text: str) -> OrientedHypergraph | None:
     """text read whole if it is in serialize's layout with distinct names,
     else None.  Most texts in other layouts show it in their first or last
-    line (a header comment, CRLF, tabs, no final newline), or in a line
-    that starts otherwise than "edge " (a comment or blank line between
-    edge lines), and leave before the split, which would be wasted on them."""
+    line (a header comment, CRLF, tabs, no final newline) and leave before
+    the split, which would be wasted on them."""
     head = _VERTICES_LINE.match(text)
     last = text.rfind("\n", 0, -1) + 1  # where the last line starts
     if head is None or last and not _EDGE_LINE.fullmatch(text, last):
-        return None
-    if text.count("\n") - 1 != text.count("\nedge "):
         return None
     parts = _EDGE_LINE.split(text)
     names = parts[1::3]

@@ -5,31 +5,32 @@ of each edge; contracting against x therefore reduces to one product per
 edge and vertex, which is how everything here is computed — the tensor
 is never materialized.  The Laplacian adds the degrees on the diagonal.
 
-All contractions run one plan, built from the (m, k) array of 0-based
-member indices, the edge signs gamma and the vector's dtype: the members
-by position as a contiguous (k, m) array and edge-major as a flat one,
-buffers for the gathered values, the prefix and suffix chains and the
-(m, k) terms, and a fixed list of multiplies.  The NQZ iteration builds
-one plan per run and runs it at every step; every other contraction
-builds one and runs it once.  A run gathers x at every incidence and
-takes, per edge, the exclusive prefix products left to right from
-gamma, the suffix products right to left, and term j = prefix_j *
-suffix_j, the order of a per-edge loop: the loop's other factors of 1
-are dropped, and 1 * v = v exactly.  Starting from gamma instead of 1
-is exact too: multiplying by gamma = +-1 only sets a sign bit, and IEEE
-gives the sign of a product as the XOR of its factors' signs, so every
-float64 term equals (gamma * prefix) * suffix bit for bit, signed zeros
-included (int64 arithmetic is exact anyway).  The terms are added onto
-the vertices in edge-major order, each sum from 0: float64 terms by
-np.bincount, which adds its weights one by one as np.add.at does, so
-the bits are the same; int64 and complex128 terms by np.add.at, since
-bincount sums in float64 and would round int64 sums past 2^53.  numpy
-multiplies complex128 arrays with a fused or an unfused loop depending
-on their memory layout, so complex terms agree with other evaluation
-orders to rounding only.  The Laplacian zero-eigenvalue check runs the
-plan on int64 vectors and so stays in exact integer arithmetic.  The
-tensors are reached only through adj_apply and lap_apply; a form T x^k
-is x . (T x^{k-1}), which lap_form computes for the Laplacian.
+Real contractions run one plan, built from the (m, k) array of 0-based
+member indices, the edge signs gamma and the vector's dtype (float64 or
+int64): the members by position as a contiguous (k, m) array and
+edge-major as a flat one, buffers for the gathered values, the prefix
+and suffix chains and the (m, k) terms, and a fixed list of multiplies.
+The NQZ iteration builds one plan per run and runs it at every step;
+every other contraction builds one and runs it once.  A run gathers x
+at every incidence and takes, per edge, the exclusive prefix products
+left to right from gamma, the suffix products right to left, and term
+j = prefix_j * suffix_j, the order of a per-edge loop: the loop's other
+factors of 1 are dropped, and 1 * v = v exactly.  Starting from gamma
+instead of 1 is exact too: multiplying by gamma = +-1 only sets a sign
+bit, and IEEE gives the sign of a product as the XOR of its factors'
+signs, so every float64 term equals (gamma * prefix) * suffix bit for
+bit, signed zeros included (int64 arithmetic is exact anyway).  The
+terms are added onto the vertices in edge-major order, each sum from 0:
+float64 terms by np.bincount, which adds its weights one by one as
+np.add.at does, so the bits are the same; int64 terms by np.add.at,
+since bincount sums in float64 and would round sums past 2^53.  The
+Laplacian zero-eigenvalue check runs the plan on int64 vectors and so
+stays in exact integer arithmetic.  numpy multiplies complex128 arrays
+with a fused or an unfused loop depending on their memory layout, so a
+complex contraction (eigenpair_residual's) keeps the edge-major (m, k)
+layout, one strided column at a time, whose bits the printed residual
+has.  The tensors are reached only through adj_apply and lap_apply; a
+form T x^k is x . (T x^{k-1}), which lap_form computes for the Laplacian.
 
 The NQZ power iteration takes a tolerance (NQZ_TOL by default); its
 budget NQZ_MAX_ITERS and its diagonal shift NQZ_SHIFT are constants,
@@ -152,23 +153,18 @@ def _gamma(h: SignedHypergraph) -> np.ndarray:
 
 class _ContractionPlan:
     """The adjacency contraction over fixed members idx (m, k), k >= 2, and
-    edge signs gamma, for vectors of one dtype: its index arrays, its
-    buffers and its schedule of multiplies, made once and run for any
-    number of vectors.  A plan's buffers are its own, so one plan serves
-    one thread.
+    edge signs gamma, for float64 or int64 vectors of one dtype: its index
+    arrays, its buffers and its schedule of multiplies, made once and run
+    for any number of vectors.  A plan's buffers are its own, so one plan
+    serves one thread.
 
-    For member position j across all edges, vals[j] holds x there,
-    prefix[j] the product of gamma and x over positions 0..j-1 (left to
-    right), suffix[j] the product over positions k-1 down to j+1 (right
-    to left); term j of an edge is prefix[j] * suffix[j].  Three products
-    need no multiply of their own: prefix[0] is gamma, set once;
-    suffix[k-2] is vals[k-1] (the loop's 1 * x is x exactly); and term
-    k-1, prefix[k-1] * 1, is the last prefix multiply, which writes into
-    column k-1 of the edge-major (m, k) terms.  The rows of one work
-    array hold prefix[:k-1], vals, then suffix[k-3] down to suffix[0], so
-    that suffix[:k-1] is one block (read backwards, from its row of
-    suffix[0] to that of vals[k-1]) and the other terms are one multiply
-    of two blocks into columns 0..k-2.
+    Row j of vals holds x at member position j of every edge, row j of
+    prefix the product of gamma and x over positions 0..j-1 (left to
+    right), row j of suffix the product over positions k-1 down to j+1
+    (right to left); term j of an edge is prefix[j] * suffix[j], written
+    into column j of the edge-major (m, k) terms.  prefix[0] is gamma, set
+    once; suffix[k-2] is vals[k-1] itself (the loop's 1 * x is x exactly);
+    and term k-1, prefix[k-1] * 1, is the last prefix multiply.
     """
 
     def __init__(self, idx: np.ndarray, gamma: np.ndarray, dtype) -> None:
@@ -177,16 +173,16 @@ class _ContractionPlan:
         self.flat = idx.ravel()  # edge-major: the order the scatter adds in
         terms = np.empty((m, k), dtype)
         self.weights = terms.reshape(-1)  # the terms, edge-major
-        work = np.empty((3 * k - 3, m), dtype)
-        work[0] = gamma
-        prefix, self.vals = work[: k - 1], work[k - 1 : 2 * k - 1]
-        suffix = work[: 2 * k - 3 : -1]
-        vals, term = self.vals, terms.T  # term[j] is column j of the terms
+        self.vals = vals = np.empty((k, m), dtype)
+        prefix = np.empty((k - 1, m), dtype)
+        prefix[0] = gamma
+        suffix = [*np.empty((k - 2, m), dtype), vals[k - 1]]
+        term = terms.T  # term[j] is column j of the terms
         self.steps = (
             [(prefix[j - 1], vals[j - 1], prefix[j]) for j in range(1, k - 1)]
             + [(prefix[k - 2], vals[k - 2], term[k - 1])]
             + [(suffix[j + 1], vals[j + 1], suffix[j]) for j in range(k - 3, -1, -1)]
-            + [(prefix, suffix, term[: k - 1])]
+            + [(prefix[j], suffix[j], term[j]) for j in range(k - 1)]
         )
         # bincount adds its float64 weights one by one in index order from
         # 0.0, as np.add.at does, but it sums in float64 whatever the
@@ -205,6 +201,28 @@ class _ContractionPlan:
         return out
 
 
+def _complex_products(idx: np.ndarray, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The contraction at a complex128 x, in the edge-major (m, k) layout.
+
+    numpy multiplies complex arrays with a fused or an unfused loop
+    depending on their memory layout and overlap, so the bits of complex
+    terms follow the layout: these strided column chains and the one
+    contiguous prefix * suffix fix the bits that eigenpair_residual reports.
+    """
+    vals = x[idx]
+    terms = np.empty_like(vals)  # the prefix products, then the terms
+    suffix = np.empty_like(vals)
+    terms[:, 0] = gamma
+    suffix[:, -1] = 1
+    for j in range(1, idx.shape[1]):
+        np.multiply(terms[:, j - 1], vals[:, j - 1], out=terms[:, j])
+        np.multiply(suffix[:, -j], vals[:, -j], out=suffix[:, -j - 1])
+    np.multiply(terms, suffix, out=terms)
+    out = np.zeros_like(x)
+    np.add.at(out, idx.ravel(), terms.ravel())
+    return out
+
+
 def _edge_products(idx: np.ndarray, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Adjacency contraction: per vertex v, the sum over edges e holding v
     of gamma_e times the product of x over the other members of e.
@@ -213,6 +231,8 @@ def _edge_products(idx: np.ndarray, gamma: np.ndarray, x: np.ndarray) -> np.ndar
     left-to-right prefix (starting from gamma_e), right-to-left suffix,
     then prefix * suffix; the scatter adds terms in edge order.
     """
+    if x.dtype == np.complex128:
+        return _complex_products(idx, gamma, x)
     return _ContractionPlan(idx, gamma, x.dtype).run(x)
 
 

@@ -637,8 +637,7 @@ def test_most_other_layouts_leave_before_the_whole_text_is_split(monkeypatch):
 
     _, loop = _layout_variants(hs.serialize(hs.load_bundled("ex_c3_42")))
     monkeypatch.setattr(fileio, "_EDGE_LINE", Unsplit())
-    for layout in ("crlf", "tabs", "header comment", "blank lines", "no final newline",
-                   "middle comment", "middle blank line"):
+    for layout in ("crlf", "tabs", "header comment", "blank lines", "no final newline"):
         assert fileio._parse_layout(loop[layout]) is None, layout
 
 
