@@ -176,14 +176,20 @@ class _ContractionPlan:
         self.vals = vals = np.empty((k, m), dtype)
         prefix = np.empty((k - 1, m), dtype)
         prefix[0] = gamma
-        suffix = [*np.empty((k - 2, m), dtype), vals[k - 1]]
+        inner = np.empty((k - 2, m), dtype)
+        suffix = [inner[j] for j in range(k - 2)]
+        suffix.append(vals[k - 1])
         term = terms.T  # term[j] is column j of the terms
-        self.steps = (
-            [(prefix[j - 1], vals[j - 1], prefix[j]) for j in range(1, k - 1)]
-            + [(prefix[k - 2], vals[k - 2], term[k - 1])]
-            + [(suffix[j + 1], vals[j + 1], suffix[j]) for j in range(k - 3, -1, -1)]
-            + [(prefix[j], suffix[j], term[j]) for j in range(k - 1)]
-        )
+        # Plain loops: one-shot contractions pay for this build, and on
+        # Python 3.11 every comprehension costs a function call.
+        steps = self.steps = []
+        for j in range(1, k - 1):
+            steps.append((prefix[j - 1], vals[j - 1], prefix[j]))
+        steps.append((prefix[k - 2], vals[k - 2], term[k - 1]))
+        for j in range(k - 3, -1, -1):
+            steps.append((suffix[j + 1], vals[j + 1], suffix[j]))
+        for j in range(k - 1):
+            steps.append((prefix[j], suffix[j], term[j]))
         # bincount adds its float64 weights one by one in index order from
         # 0.0, as np.add.at does, but it sums in float64 whatever the
         # weights' dtype: past 2^53 it would round int64 sums.
