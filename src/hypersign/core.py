@@ -31,10 +31,12 @@ call.  Derived copies share this store along with the arrays, so an
 instance, its induced signing and its switched copies compute each of
 these once between them; two instances read or built apart do not share
 it, whatever their structure.  Concurrent first calls may both compute a
-result; they store equal values, and later calls read one of them.  A
-stored reduction is carried as far as the signing that built it needed,
-so two racing first calls may store reductions carried to different
-rows; either gives every later signing the same answer.
+result; they store equal values, and later calls read one of them.  The
+reduction alone changes after it is stored: the store holds it in a
+one-element list, and each signing replaces it with the copy its solve
+returns, carried as far as that signing needed.  Racing solves each
+store a valid reduction of the same rows, so no answer depends on which
+one is stored last.
 """
 
 from __future__ import annotations
@@ -133,8 +135,9 @@ class IncidenceCore:
 
     def _once(self, key, compute):
         """compute(), run the first time key is asked of this structure and
-        stored; the stored result thereafter.  Only for immutable results
-        that read no sign.  An exception stores nothing."""
+        stored; the stored result thereafter.  Only for results that read
+        no sign and are not changed once stored, save the entry of the
+        parity route's one-element list.  An exception stores nothing."""
         result = self._results.get(key)
         if result is None:
             result = self._results[key] = compute()

@@ -25,8 +25,10 @@ The work is split in two.  A reduction (_GF2Reduction) reduces a
 system's left-hand side alone, and a solve reads one right-hand side (a
 signing) against it.  Every signing of one left-hand side meets the same
 greedy rows, so a reduction that one solve has carried to some row
-serves the next signing up to that row, and the parity route keeps the
-reduction of a structure's full edge system for later signings.
+serves the next signing up to that row.  The parity route keeps the
+reduction of a structure's full edge system and replaces it with the
+copy each solve returns, so every signing resumes from the furthest
+recent reduction.
 
 The reduction takes a system as two flat arrays: the variables of every
 row in row order, and one count per row.  The parity route cuts them
@@ -54,18 +56,27 @@ inconsistent row do not depend on the column order, so neither does the
 witness.
 
 Once the rank reaches n - 1, one vector z spans the null space of the
-rows seen so far (z = 0 at full rank), and a row a lies in their row
-space exactly when a . z = 0; such a row would reduce to 0 = b + a . x
-for any solution x of those rows.  So a solve reduces no more rows
-there: one array pass finds the first later row with a . z = 1, the
-only one that raises the rank, and one pass against x finds the first
-row with a . x != b.  Only those rows are reduced.  Connected parity
-systems of even uniform hypergraphs reach rank n - 1 early, since the
-all-ones vector lies in the kernel of their rows, and most of their rows
-come after.  When fewer than _GF2_PASS_ROWS rows are left, they are
-reduced one at a time, which costs less than the passes.  A solve that
-resumes a reduction decides the rows it had reached by the same pass
-against a solution of its greedy rows.
+rows seen so far (z = 0 at full rank), and a later row lies in their row
+space exactly when a . z = 0.  So the reduction stops reducing rows
+there: one array pass against z finds the first later row with
+a . z = 1, the only one that raises the rank, and only that row is
+reduced, whatever the right-hand side.  Every row then counts as
+reached.  Connected parity systems of even uniform hypergraphs reach
+rank n - 1 early, since the all-ones vector lies in the kernel of their
+rows, and most of their rows come after.  When fewer than _GF2_PASS_ROWS
+rows are left, they are reduced one at a time, which costs less than
+the passes.
+
+A row reduced one at a time is checked against the signing as it is
+reduced, and the solve stops at the first 0 = 1.  When every row was
+checked so (a fresh reduction that made no pass), that answer stands.
+Otherwise some rows were not checked against this signing: the rows a
+resumed reduction had reached, or the rows after the pass.  Then one
+pass against a solution x of every greedy row, the one that raised the
+rank included, decides the rows up to the first 0 = 1 (or all of them):
+a row spanned by earlier greedy rows meets x with the parity of their
+right-hand sides, so the first row with a . x != b is the first
+inconsistent one, and only it is reduced again, for its witness.
 
 The canonical solution is then recovered in the input order.  At rank
 n - 1 the one free column of the input order is the highest set bit of
@@ -272,10 +283,11 @@ class _GF2Reduction:
     length - 1; the entries at and below low stay 0, so a row reduced to
     its slot bits stops the loop too.  greedy lists the rows that raised
     the rank, in input order, one per slot; every row below ``reached`` is
-    one of them or a sum of earlier ones.  null spans the null space once
-    the rank is n - 1 or more (0 at full rank).  No right-hand side goes
-    into the rows, so one reduction serves every signing; solve never
-    changes the reduction it is called on.
+    one of them or a sum of earlier ones.  null is None until every row is
+    reached at rank n - 1 or more, and then spans the null space (0 at
+    full rank).  No right-hand side goes into the rows, so one reduction
+    serves every signing; solve never changes the reduction it is called
+    on.
     """
 
     def __init__(self, nvars: int, members: np.ndarray, sizes: np.ndarray) -> None:
@@ -356,20 +368,32 @@ class _GF2Reduction:
         np.cumsum(bits[self.positions[begin : begin + ends[-1]]], out=hits[1:])
         return ((hits[ends] - hits[ends - self.sizes[start:stop]]) & 1).astype(bool)
 
-    def _extend(self, rhs: np.ndarray, slots: int) -> tuple[GF2Infeasible | None, int]:
-        """Reduce rows from ``reached`` on, in place, until the rows run out
-        or the rank is n - 1 with _GF2_PASS_ROWS rows or more left; or stop
-        at the first row that reduces to 0 = 1 under rhs and return it with
-        its witness.  slots holds the greedy rows' right-hand sides (see
-        _slots), and is returned with the new greedy rows'."""
+    def _extend(self, rhs: np.ndarray, slots: int) -> tuple[GF2Infeasible | None, int, int]:
+        """Reduce rows from ``reached`` on, in place, each checked against
+        rhs as it is reduced, and stop at the first that reduces to 0 = 1.
+        Once the rank is n - 1 with _GF2_PASS_ROWS rows or more left, one
+        pass against the null vector finds the one later row that raises
+        the rank, if any; only that row is reduced and added, every row
+        counts as reached, and the rows from the pass on are left
+        unchecked, whatever rhs is.  Returns the witness of the row that
+        reduced to 0 = 1 (or None), the first row left unchecked (or m), and
+        slots (see _slots) with the new greedy rows' right-hand sides."""
         n, m, low, basis, greedy = self.nvars, self.sizes.size, self.low, self.basis, self.greedy
         start = self.reached
         positions, sizes = self._rows(start)
         lshift = (1).__lshift__
         for idx, size, bit in zip(range(start, m), sizes, rhs[start:].tolist()):
             if len(greedy) >= n - 1 and m - idx >= _GF2_PASS_ROWS:
-                self.reached = idx
-                return None, slots
+                self.reached, self.null = m, self._null()
+                raising = np.flatnonzero(self._parities(self.null, idx, m))
+                if raising.size:
+                    lift = idx + int(raising[0])
+                    row = self._row(lift)
+                    basis[row.bit_length()] = row | 1 << len(greedy)
+                    slots |= int(rhs[lift]) << len(greedy)
+                    greedy.append(lift)
+                    self.null = 0
+                return None, idx, slots
             row = sum(map(lshift, islice(positions, size)))
             while entry := basis[row.bit_length()]:
                 row ^= entry
@@ -378,35 +402,36 @@ class _GF2Reduction:
                 basis[length] = row | 1 << len(greedy)
                 slots |= bit << len(greedy)
                 greedy.append(idx)
-                self.null = None  # of the rows before
             elif ((row & slots).bit_count() ^ bit) & 1:
                 self.reached = idx + 1
-                return GF2Infeasible((*(greedy[s] for s in _ones(row)), idx)), slots
+                return GF2Infeasible((*(greedy[s] for s in _ones(row)), idx)), m, slots
         self.reached = m
-        return None, slots
+        return None, m, slots
 
     def solve(self, rhs: np.ndarray) -> tuple[GF2Solution | GF2Infeasible, "_GF2Reduction"]:
         """The system with right-hand sides rhs (one bool per row), and a
         copy of the reduction extended as far as this solve reduced it.
 
-        (a) The rows below ``reached`` are decided by one array pass against
-        a solution of the greedy rows.  (b) Reduction resumes at ``reached``
-        and stops at the first row that reduces to 0 = 1.  (c) Once the rank
-        is n - 1, the remaining rows are decided by array passes against
-        null and then against a solution: rows before the first one that
-        meets null oddly lie in the row space, that one raises the rank to
-        n, and every row after it is dependent.  Only that row, or the
-        first inconsistent one, is reduced.
+        _extend resumes the reduction at ``reached`` on the copy.  When
+        every row it had reached was greedy and _extend checked every row
+        after them, its answer stands.  Otherwise one pass against x, a
+        solution of every greedy row, decides the rows up to _extend's
+        0 = 1 (or all of them): a row spanned by earlier greedy rows meets x
+        with the parity of their right-hand sides, so the first row with
+        a . x != b is the first inconsistent one.
         """
         n, m = self.nvars, self.sizes.size
-        state, slots = self._copy(), self._slots(rhs)
-        if state.reached > len(state.greedy):
-            x = _back_substitute(state.basis, state.low, slots)
-            bad = np.flatnonzero(state._parities(x, 0, state.reached) != rhs[: state.reached])
+        state = self._copy()
+        found, unchecked, slots = state._extend(rhs, self._slots(rhs))
+        checked = self.reached == len(self.greedy) and unchecked == m
+        if found is not None and checked:
+            return found, state
+        x = _back_substitute(state.basis, state.low, slots)
+        if not checked:
+            stop = found.witness_rows[-1] if found else m
+            bad = np.flatnonzero(state._parities(x, 0, stop) != rhs[:stop])
             if bad.size:
                 return state._witness(int(bad[0])), state
-        if state.reached < m:
-            found, slots = state._extend(rhs, slots)
             if found is not None:
                 return found, state
         if len(state.greedy) < n - 1 <= m:
@@ -415,31 +440,10 @@ class _GF2Reduction:
             keep = np.zeros(m, dtype=bool)
             keep[state.greedy] = True
             sub = _GF2Reduction(n, self.members[keep.repeat(self.sizes)], self.sizes[keep])
-            _, sub_slots = sub._extend(rhs[keep], 0)  # independent rows: never 0 = 1
+            _, _, sub_slots = sub._extend(rhs[keep], 0)  # independent rows: never 0 = 1
             return sub._canonical(_back_substitute(sub.basis, sub.low, sub_slots), 0), state
         if len(state.greedy) >= n - 1 and state.null is None:
             state.null = state._null()
-        x = _back_substitute(state.basis, state.low, slots)
-        if state.reached < m:
-            z, start = state.null, state.reached
-            miss = state._parities(x, start, m) != rhs[start:]
-            lift = state._parities(z, start, m) if z else np.zeros(m - start, dtype=bool)
-            stop = start + int(lift.argmax()) if lift.any() else m
-            state.reached = stop
-            bad = np.flatnonzero(miss[: stop - start])
-            if bad.size:
-                return state._witness(start + int(bad[0])), state
-            if stop < m:
-                row = state._row(stop)
-                state.basis[row.bit_length()] = row | 1 << len(state.greedy)
-                state.greedy.append(stop)
-                state.reached, state.null = m, 0
-                if miss[stop - start]:  # z meets row stop oddly: x + z solves it
-                    x ^= z
-                    miss ^= lift
-                bad = np.flatnonzero(miss[stop - start + 1 :])
-                if bad.size:
-                    return state._witness(stop + 1 + int(bad[0])), state
         return state._canonical(x, state.null or 0), state
 
     def _canonical(self, x: int, z: int) -> GF2Solution:

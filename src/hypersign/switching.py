@@ -20,12 +20,12 @@ of them, and the route solves the signing on a GF(2) reduction of their
 left-hand side (linalg) and checks its answer with array reductions; no
 per-edge tuple is built.  The left-hand side of a structure's full edge
 system reads no sign, so its reduction is kept in the incidence core's
-store: the first signing asked of the structure, or of a derived copy,
-reduces the rows it needs, and later signings resume from there on a
-private copy, so that odd_bipartite, the even-k criteria, the battery
-and signed_switch_equivalent reduce those rows once between them.  The
-leader rows of signed_tensor_similarity get a reduction that is not
-kept.
+store: each signing asked of the structure, or of a derived copy,
+resumes the kept reduction on a private copy, reduces the rows it needs
+and stores the copy in its place, so that odd_bipartite, the even-k
+criteria, the battery and signed_switch_equivalent reduce those rows
+once between them.  The leader rows of signed_tensor_similarity get a
+reduction that is not kept.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ def _parity_route(
     equation per edge, in edge order: the canonical solution (free
     variables zero), or edges whose equations XOR to 0 = 1.  When the
     arrays are every edge of ``core``, the reduction of their left-hand
-    side is kept in core's store: the first signing asked reduces it, and
-    later ones resume it (linalg._GF2Reduction.solve).  Either answer is
+    side is kept in core's store: each signing resumes it and stores the
+    copy its solve returns (linalg._GF2Reduction.solve).  Either answer is
     checked on the arrays before it is returned: every vertex lies in an
     even number of a witness's edges, and an odd number of them are +1; a
     solution meets every edge with the parity its sign asks.
@@ -218,15 +218,8 @@ def _parity_route(
     if core is None:
         outcome = _GF2Reduction(n, members, sizes).solve(odd)[0]
     else:
-        first = []
-
-        def reduce():
-            outcome, reduced = _GF2Reduction(n, members, sizes).solve(odd)
-            first.append(outcome)
-            return reduced
-
-        reduced = core._once("parity_rows", reduce)
-        outcome = first[0] if first else reduced.solve(odd)[0]
+        kept = core._once("parity_rows", lambda: [_GF2Reduction(n, members, sizes)])
+        outcome, kept[0] = kept[0].solve(odd)
     if isinstance(outcome, GF2Infeasible):
         witness = outcome.witness_rows
         chosen = np.zeros(sizes.size, dtype=bool)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hypersign as hs
-from hypersign import tensor
+from hypersign import linalg, tensor
 from hypersign.errors import (
     DimensionMismatchError,
     InternalCheckError,
@@ -796,6 +796,40 @@ def test_a_run_that_raises_stores_nothing(monkeypatch, structure_runs):
     assert structure_runs["nqz"] == 3
 
 
+def test_the_store_keeps_the_furthest_carried_parity_reduction(monkeypatch, structure_runs):
+    # An all-(+1) orientation switched at seeded vertices: its all-(+1)
+    # signing stops at a 0 = 1 before the last row, and its own signing is
+    # feasible.  The store keeps the reduction each solve returns, so the
+    # battery carries it on to every row and the switching solve resumes
+    # from there.
+    draw = random.Random(1)
+    base = hs.all_positive_variant(hs.generate(40, 80, k=4, connected=True, seed=1))
+    flips = hs.SwitchCertificate(vertices=tuple(v for v in range(1, 41) if draw.random() < 0.3))
+    g = hs.parse(hs.serialize(hs.apply_switches(base, flips)))
+    switched = hs.SignedSwitchCertificate(tuple(v for v in range(1, 41) if draw.random() < 0.5))
+    questions = (
+        hs.odd_bipartite,
+        lambda g: hs.theorem_battery_even(hs.induced_signed(g)),
+        lambda g: hs.signed_switch_equivalent(
+            hs.induced_signed(g), hs.apply_signed_switches(hs.induced_signed(g), switched)
+        ),
+    )
+    starts, solve = [], linalg._GF2Reduction.solve
+
+    def recording_solve(self, rhs):
+        starts.append(self.reached)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(linalg._GF2Reduction, "solve", recording_solve)
+    answers = [question(g) for question in questions]
+    assert structure_runs["parity"] == 1
+    assert not answers[0] and answers[1].all_true and answers[2]
+    # The rows each solve found reached: none, some, then every row.
+    assert 0 < starts[1] < g.m and starts == [0, starts[1], g.m]
+    # Each question asked alone of the structure read apart: a fresh solve.
+    assert answers == [question(hs.parse(hs.serialize(g))) for question in questions]
+
+
 def _store_copies(g):
     """g and copies derived from it, which share its store, each twice."""
     return [g, hs.induced_signed(g), hs.all_positive_variant(g),
@@ -822,8 +856,8 @@ def test_concurrent_first_calls_store_equal_results():
     # with the interpreter switching threads as often as it can.  Threads
     # that race on the store both compute; each answer must still equal
     # the one asked serially of the same structure read apart.  The parity
-    # questions race on the stored GF(2) reduction: the first to store it
-    # wins, and the others resume it.
+    # questions race on the stored GF(2) reduction: each solve stores the
+    # copy it returns, and the next resumes whichever was stored last.
     g = hs.generate(40, 80, k=4, connected=True, seed=3)
     apart = _store_copies(hs.parse(hs.serialize(g)))
     expected = [_store_answers(i, h) for i, h in enumerate(apart)]
