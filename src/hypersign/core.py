@@ -19,24 +19,28 @@ but the signs.  Every structural question reads the incidence core.
 ``edges`` is stored by the constructors; a read or derived instance keeps
 only its core, and builds ``edges`` from it the first time it is read
 (``members``, ``edge_sign``, equality), then keeps it.  Serialization
-reads whichever of the two an instance has.
+reads whichever of the two an instance has.  A signed hypergraph keeps
+its signs as a read-only int64 array too, converted from ``gamma`` the
+first time a route computes with them (induced_signed hands over the
+array it computed them in), so the routes convert them once.
 
 A core also keeps the results that read no sign: the connectivity
-roots (walks), the NQZ spectral radius (tensor) and the GF(2) reduction
-of the full edge system's left-hand side (switching), each computed at
-most once per structure and key, on first use, and kept as long as the
-core.  The reduction is the largest: it is bounded by
-linalg.GF2_MAX_BASIS_BYTES per structure, the same bound as during a
-call.  Derived copies share this store along with the arrays, so an
-instance, its induced signing and its switched copies compute each of
-these once between them; two instances read or built apart do not share
-it, whatever their structure.  Concurrent first calls may both compute a
-result; they store equal values, and later calls read one of them.  The
-reduction alone changes after it is stored: the store holds it in a
-one-element list, and each signing replaces it with the copy its solve
-returns, carried as far as that signing needed.  Racing solves each
-store a valid reduction of the same rows, so no answer depends on which
-one is stored last.
+roots (walks), the NQZ spectral radius with its vector as an array
+(tensor) and the GF(2) reduction of the full edge system's left-hand
+side (switching), each computed at most once per structure and key, on
+first use, and kept as long as the core.  The reduction is the largest:
+it is bounded by linalg.GF2_MAX_BASIS_BYTES per structure, the same
+bound as during a call.  Derived copies share this store along with the
+arrays, so an instance, its induced signing and its switched copies
+compute each of these once between them; two instances read or built
+apart do not share it, whatever their structure.  Concurrent first
+calls may both compute a result; they store equal values, and later
+calls read one of them.  The reduction alone changes after it is
+stored: the store holds it in a one-element list, and each signing
+replaces it with the reduction its solve returns, carried as far as
+that signing needed (a copy, unless the stored one had reached every
+row).  Racing solves each store a valid reduction of the same rows, so
+no answer depends on which one is stored last.
 """
 
 from __future__ import annotations
@@ -426,6 +430,14 @@ class SignedHypergraph(_IncidenceStructure):
     def with_gamma(self, gamma: tuple[int, ...]) -> "SignedHypergraph":
         return replace(self, gamma=gamma)
 
+    @cached_property
+    def _gamma_array(self) -> np.ndarray:
+        """gamma as a read-only int64 array, converted on first use and kept,
+        so that the routes that compute with the signs convert them once."""
+        gamma = np.fromiter(self.gamma, dtype=np.int64, count=len(self.gamma))
+        gamma.setflags(write=False)
+        return gamma
+
 
 def structures_match(
     a: OrientedHypergraph | SignedHypergraph,
@@ -514,8 +526,9 @@ def induced_signed(g: OrientedHypergraph) -> SignedHypergraph:
     core = g.incidence_core
     sizes = core.edge_sizes()
     negatives = np.bincount(core.edge_ids[core.signs < 0], minlength=g.m)
-    gamma = np.where((sizes - 1 + negatives) % 2, -1, 1).tolist()
-    return SignedHypergraph._derived(g, None, gamma=tuple(gamma))
+    gamma = np.where((sizes - 1 + negatives) % 2, -1, 1)
+    gamma.setflags(write=False)
+    return SignedHypergraph._derived(g, None, gamma=tuple(gamma.tolist()), _gamma_array=gamma)
 
 
 def all_positive_variant(g: OrientedHypergraph) -> OrientedHypergraph:

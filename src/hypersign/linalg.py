@@ -27,8 +27,8 @@ signing) against it.  Every signing of one left-hand side meets the same
 greedy rows, so a reduction that one solve has carried to some row
 serves the next signing up to that row.  The parity route keeps the
 reduction of a structure's full edge system and replaces it with the
-copy each solve returns, so every signing resumes from the furthest
-recent reduction.
+one each solve returns (a copy, unless the kept one had reached every
+row), so every signing resumes from the furthest recent reduction.
 
 The reduction takes a system as two flat arrays: the variables of every
 row in row order, and one count per row.  The parity route cuts them
@@ -42,8 +42,16 @@ that order.  The rarely used columns are eliminated first, so fill-in
 stays low: on the structural benchmark's systems (n = 2,000, m = 4,000)
 this halves the XORs.  A row is one int: one bit per basis slot at the
 bottom (the rank is at most min(m, n)), then the variables, the first in
-the order highest; one ``tolist`` of the gathered column positions gives
-every row's variable bits.  The pivot is the highest set bit, and the
+the order highest.  The rows a solve reduces are built a block at a
+time, in the manner of M4RI's packed rows (Albrecht, Bard & Hart, ACM
+TOMS 37, 2010): one ``np.bitwise_or.at`` sets the members' bits in the
+block's packed variable bytes, one ``tolist`` of those bytes as
+fixed-width bytes strings drops each row's zero top bytes, and
+``int.from_bytes`` and a shift past the slots make each row's int.  A
+block is as many rows as must be reduced before the rank can reach
+n - 1, at least _GF2_PASS_ROWS and at most _GF2_BLOCK_BYTES of packed
+bytes; fewer rows are summed from their bits, which costs less than the
+array calls.  The pivot is the highest set bit, and the
 basis is indexed by ``int.bit_length``, with zeros at and below the slot
 bits, so the inner loop is ``while entry := basis[row.bit_length()]:
 row ^= entry``, and one XOR moves the variables and the slots.  A basis
@@ -65,18 +73,22 @@ reached.  Connected parity systems of even uniform hypergraphs reach
 rank n - 1 early, since the all-ones vector lies in the kernel of their
 rows, and most of their rows come after.  When fewer than _GF2_PASS_ROWS
 rows are left, they are reduced one at a time, which costs less than
-the passes.
+the pass.
 
 A row reduced one at a time is checked against the signing as it is
 reduced, and the solve stops at the first 0 = 1.  When every row was
 checked so (a fresh reduction that made no pass), that answer stands.
 Otherwise some rows were not checked against this signing: the rows a
-resumed reduction had reached, or the rows after the pass.  Then one
-pass against a solution x of every greedy row, the one that raised the
-rank included, decides the rows up to the first 0 = 1 (or all of them):
-a row spanned by earlier greedy rows meets x with the parity of their
-right-hand sides, so the first row with a . x != b is the first
-inconsistent one, and only it is reduced again, for its witness.
+resumed reduction had reached, or the rows after the rank-(n - 1) step.
+Then a pass against a solution x of every greedy row decides the rows up
+to the first 0 = 1 (or all of them): a row spanned by earlier greedy
+rows meets x with the parity of their right-hand sides, so the first row
+with a . x != b is the first inconsistent one, and only it is reduced
+again, for its witness.  At the rank-(n - 1) step this is the same pass
+as the one against z: one sweep of back-substitution gives x and z, one
+array pass gives every row's parity with both, and when a row raises
+the rank, x becomes x + z if it misses that row (a . z = 1 flips a . x),
+which leaves the rows before it as they were.
 
 The canonical solution is then recovered in the input order.  At rank
 n - 1 the one free column of the input order is the highest set bit of
@@ -93,8 +105,8 @@ span the same row space and have the same solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress, count, islice, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -235,7 +247,7 @@ class GF2Solution:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(j + 1 for j, bit in enumerate(self.assignment) if bit)
+        return tuple(compress(count(1), self.assignment))
 
 
 @dataclass(frozen=True)
@@ -253,22 +265,30 @@ def _ones(value: int) -> list[int]:
     return out
 
 
-def _back_substitute(basis: list[int], low: int, vec: int) -> int:
-    """Set the pivot bits of vec, lowest pivot first, so that every basis
-    row meets vec evenly: the row's slot bits meet vec's bits below low (a
-    right-hand side per slot), and its variable bits meet the rest.  The
-    other bits of vec stay as given."""
+def _back_substitute(basis: list[int], low: int, x: int, z: int) -> tuple[int, int]:
+    """Set the pivot bits of x and of z, lowest pivot first, so that every
+    basis row meets each of them evenly: the row's slot bits meet the bits
+    below low (a right-hand side per slot, 0 in z), and its variable bits
+    meet the rest.  The other bits stay as given.  One sweep serves both."""
     for length in range(low + 1, len(basis)):
         row = basis[length]
-        if row and (row & vec).bit_count() & 1:
-            vec |= 1 << length - 1
-    return vec
+        if row:
+            if (row & x).bit_count() & 1:
+                x |= 1 << length - 1
+            if (row & z).bit_count() & 1:
+                z |= 1 << length - 1
+    return x, z
 
 
 # Rows left at rank n - 1 below which reducing them one at a time costs less
-# than deciding them with the two array passes: on systems of at most six
-# variables the passes took about 20 us, a row about 1 us.
+# than deciding them with an array pass: on systems of at most six variables
+# a pass took about 20 us, a row about 1 us.  Rows reduced one at a time are
+# also built at least this many at once.
 _GF2_PASS_ROWS = 16
+
+# Most bytes that one block of rows built at once may take: rows of w bytes
+# are built at most _GF2_BLOCK_BYTES // w (and at least one) at a time.
+_GF2_BLOCK_BYTES = 1 << 18
 
 
 class _GF2Reduction:
@@ -278,16 +298,18 @@ class _GF2Reduction:
     (0..nvars-1, at most once in a row) of every row in row order and sizes
     the number of each row's.  Bits 0..low-1 of a row are basis slots (the
     rank is at most low = min(m, n)); the variables sit above them, the
-    first in the column order highest, and ``positions`` holds the bit of
-    every member.  basis[length] is 0 or the row whose highest bit is
-    length - 1; the entries at and below low stay 0, so a row reduced to
-    its slot bits stops the loop too.  greedy lists the rows that raised
-    the rank, in input order, one per slot; every row below ``reached`` is
-    one of them or a sum of earlier ones.  null is None until every row is
-    reached at rank n - 1 or more, and then spans the null space (0 at
-    full rank).  No right-hand side goes into the rows, so one reduction
-    serves every signing; solve never changes the reduction it is called
-    on.
+    first in the column order highest: variable j at bit low + column[j],
+    and ``positions`` holds column[j] of every member j.  The variable
+    bits take ``width`` bytes.  basis[length] is 0 or the row whose highest
+    bit is length - 1; the entries at and below low stay 0, so a row
+    reduced to its slot bits stops the loop too.  greedy lists the rows
+    that raised the rank, in input order, one per slot; every row below
+    ``reached`` is one of them or a sum of earlier ones.  null is None
+    until every row is reached at rank n - 1 or more, and then spans the
+    null space (0 at full rank).  No right-hand side goes into the rows, so
+    one reduction serves every signing.  solve extends a copy; a reduction
+    that has reached every row is only read, save that the first solve to
+    need its null vector keeps it.
     """
 
     def __init__(self, nvars: int, members: np.ndarray, sizes: np.ndarray) -> None:
@@ -311,9 +333,10 @@ class _GF2Reduction:
             head = total if m <= n else np.bincount(members[: sizes[:n].sum()], minlength=n)
             order = np.lexsort((total, head))
         column = np.empty(n, dtype=np.intp)
-        column[order] = np.arange(low + n - 1, low - 1, -1)
+        column[order] = np.arange(n - 1, -1, -1)
         self.nvars, self.low, self.members, self.sizes = n, low, members, sizes
-        self.ends, self.positions, self.order = sizes.cumsum(), column[members], order.tolist()
+        self.ends, self.column, self.positions = sizes.cumsum(), column, column[members]
+        self.width = (n + 7) // 8
         self.basis, self.greedy, self.reached, self.null = [0] * (low + n + 1), [], 0, None
 
     def _copy(self) -> "_GF2Reduction":
@@ -322,17 +345,33 @@ class _GF2Reduction:
         copy.__dict__.update(vars(self), basis=self.basis.copy(), greedy=self.greedy.copy())
         return copy
 
-    def _rows(self, start: int) -> tuple[Iterator[int], list[int]]:
-        """The bit positions of rows start.. in one iterator, and their sizes."""
+    def _built(self, start: int, stop: int) -> list[int]:
+        """Rows start..stop-1 as ints, their variable bits set and their slot
+        bits 0.  From _GF2_PASS_ROWS rows on, one array pass sets each
+        member's bit in the rows' packed variable bits (little-endian,
+        ``width`` bytes a row); a row's bytes, read as a bytes string, lose
+        their trailing zero bytes, the top of the row, so each int is read
+        from its own bytes up to its highest bit and then shifted past the
+        slots.  Fewer rows would not repay the array calls, so each is
+        summed from its bits instead."""
         begin = self.ends[start - 1] if start else 0
-        return iter(self.positions[begin:].tolist()), self.sizes[start:].tolist()
+        end = self.ends[stop - 1] if stop else 0
+        bits, sizes = self.positions[begin:end], self.sizes[start:stop]
+        width, low = self.width, self.low
+        if stop - start < _GF2_PASS_ROWS or not width:
+            members, lshift = iter(bits.tolist()), (1 << low).__lshift__
+            return [sum(map(lshift, islice(members, size))) for size in sizes.tolist()]
+        at = np.repeat(np.arange(0, (stop - start) * width, width), sizes)
+        at += bits >> 3
+        packed = np.zeros((stop - start) * width, dtype=np.uint8)
+        np.bitwise_or.at(packed, at, np.left_shift(1, (bits & 7).astype(np.uint8)))
+        rows = map(int.from_bytes, packed.view(f"S{width}").tolist(), repeat("little"))
+        return list(map(low.__rlshift__, rows))
 
     def _row(self, i: int) -> int:
         """Row i reduced by the basis: its slot bits alone if the rows before
         it span it, and they name the greedy rows it is the sum of."""
-        positions, (size, *_) = self._rows(i)
-        row = sum(map((1).__lshift__, islice(positions, size)))
-        basis = self.basis
+        (row,), basis = self._built(i, i + 1), self.basis
         while entry := basis[row.bit_length()]:
             row ^= entry
         return row
@@ -344,92 +383,113 @@ class _GF2Reduction:
 
     def _slots(self, rhs: np.ndarray) -> int:
         """The right-hand side of greedy row s at bit s."""
-        if not self.greedy:
+        greedy = self.greedy
+        if not greedy:
             return 0
-        packed = np.packbits(rhs[self.greedy], bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
+        picked = rhs[np.fromiter(greedy, dtype=np.intp, count=len(greedy))]
+        return int.from_bytes(np.packbits(picked, bitorder="little").tobytes(), "little")
 
-    def _null(self) -> int:
-        """The vector spanning the null space at rank n - 1 (0 at rank n):
-        the one free column, completed by back-substitution."""
+    def _free(self) -> int:
+        """At rank n - 1, the bit of the one free column, from which
+        back-substitution completes the null vector; 0 at rank n."""
         free = self.basis[self.low + 1 :]
-        if all(free):
-            return 0
-        return _back_substitute(self.basis, self.low, 1 << self.low + free.index(0))
+        return 0 if all(free) else 1 << self.low + free.index(0)
 
-    def _parities(self, vec: int, start: int, stop: int) -> np.ndarray:
-        """Each row's parity with vec, for rows start..stop-1, as bools; a
-        row with no variables has parity 0.  One array pass."""
-        raw = vec.to_bytes((self.low + self.nvars + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        begin = self.ends[start - 1] if start else 0
-        ends = self.ends[start:stop] - begin
-        hits = np.zeros(ends[-1] + 1, dtype=np.intp)
-        np.cumsum(bits[self.positions[begin : begin + ends[-1]]], out=hits[1:])
-        return ((hits[ends] - hits[ends - self.sizes[start:stop]]) & 1).astype(bool)
+    def _bits(self, vec: int) -> np.ndarray:
+        """The variable bits of vec, one uint8 per column (see positions)."""
+        raw = np.frombuffer((vec >> self.low).to_bytes(self.width, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little")
 
-    def _extend(self, rhs: np.ndarray, slots: int) -> tuple[GF2Infeasible | None, int, int]:
+    def _parities(self, x: int, z: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each of rows 0..stop-1's parity with x and with z, as two uint8
+        arrays; a row with no variables has parity 0.  One array pass: the
+        bits of x and z go into bits 0 and 1 of one code per position, and
+        prefix XORs of the members' codes give every row's two parities."""
+        codes = self._bits(x)
+        if z:
+            codes |= self._bits(z) << 1
+        end = self.ends[stop - 1] if stop else 0
+        prefix = np.zeros(end + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate(codes[self.positions[:end]], out=prefix[1:])
+        ends = self.ends[:stop]
+        both = prefix[ends] ^ prefix[ends - self.sizes[:stop]]
+        return both & 1, both >> 1
+
+    def _extend(self, rhs: np.ndarray, slots: int) -> tuple[GF2Infeasible | None, int]:
         """Reduce rows from ``reached`` on, in place, each checked against
-        rhs as it is reduced, and stop at the first that reduces to 0 = 1.
-        Once the rank is n - 1 with _GF2_PASS_ROWS rows or more left, one
-        pass against the null vector finds the one later row that raises
-        the rank, if any; only that row is reduced and added, every row
-        counts as reached, and the rows from the pass on are left
-        unchecked, whatever rhs is.  Returns the witness of the row that
-        reduced to 0 = 1 (or None), the first row left unchecked (or m), and
-        slots (see _slots) with the new greedy rows' right-hand sides."""
+        rhs as it is reduced, and stop at the first that reduces to 0 = 1,
+        or once the rank is n - 1 with _GF2_PASS_ROWS rows or more left:
+        solve's pass decides those.  ``reached`` is then the first row not
+        reduced.  The rows are built a block at a time (_built): as many as
+        must be reduced before the rank can reach n - 1, and at least
+        _GF2_PASS_ROWS, within _GF2_BLOCK_BYTES.  Returns the witness of the
+        row that reduced to 0 = 1 (or None), and slots (see _slots) with the
+        new greedy rows' right-hand sides."""
         n, m, low, basis, greedy = self.nvars, self.sizes.size, self.low, self.basis, self.greedy
-        start = self.reached
-        positions, sizes = self._rows(start)
-        lshift = (1).__lshift__
-        for idx, size, bit in zip(range(start, m), sizes, rhs[start:].tolist()):
-            if len(greedy) >= n - 1 and m - idx >= _GF2_PASS_ROWS:
-                self.reached, self.null = m, self._null()
-                raising = np.flatnonzero(self._parities(self.null, idx, m))
-                if raising.size:
-                    lift = idx + int(raising[0])
-                    row = self._row(lift)
-                    basis[row.bit_length()] = row | 1 << len(greedy)
-                    slots |= int(rhs[lift]) << len(greedy)
-                    greedy.append(lift)
-                    self.null = 0
-                return None, idx, slots
-            row = sum(map(lshift, islice(positions, size)))
-            while entry := basis[row.bit_length()]:
-                row ^= entry
-            length = row.bit_length()
-            if length > low:
-                basis[length] = row | 1 << len(greedy)
-                slots |= bit << len(greedy)
-                greedy.append(idx)
-            elif ((row & slots).bit_count() ^ bit) & 1:
-                self.reached = idx + 1
-                return GF2Infeasible((*(greedy[s] for s in _ones(row)), idx)), m, slots
-        self.reached = m
-        return None, m, slots
+        block, idx = max(1, _GF2_BLOCK_BYTES // max(self.width, 1)), self.reached
+        while idx < m and (len(greedy) < n - 1 or m - idx < _GF2_PASS_ROWS):
+            stop = min(m, idx + min(max(n - 1 - len(greedy), _GF2_PASS_ROWS), block))
+            rows, bits = self._built(idx, stop), rhs[idx:stop].tolist()
+            for idx, row, bit in zip(range(idx, stop), rows, bits):
+                while entry := basis[row.bit_length()]:
+                    row ^= entry
+                length = row.bit_length()
+                if length > low:
+                    basis[length] = row | 1 << len(greedy)
+                    slots |= bit << len(greedy)
+                    greedy.append(idx)
+                    if len(greedy) >= n - 1 and m - idx > _GF2_PASS_ROWS:
+                        break
+                elif ((row & slots).bit_count() ^ bit) & 1:
+                    self.reached = idx + 1
+                    return GF2Infeasible((*(greedy[s] for s in _ones(row)), idx)), slots
+            idx += 1
+        self.reached = idx
+        return None, slots
 
     def solve(self, rhs: np.ndarray) -> tuple[GF2Solution | GF2Infeasible, "_GF2Reduction"]:
-        """The system with right-hand sides rhs (one bool per row), and a
-        copy of the reduction extended as far as this solve reduced it.
+        """The system with right-hand sides rhs (one bool per row), and the
+        reduction extended as far as this solve reduced it: a copy, unless
+        this one had reached every row.
 
-        _extend resumes the reduction at ``reached`` on the copy.  When
-        every row it had reached was greedy and _extend checked every row
-        after them, its answer stands.  Otherwise one pass against x, a
-        solution of every greedy row, decides the rows up to _extend's
-        0 = 1 (or all of them): a row spanned by earlier greedy rows meets x
-        with the parity of their right-hand sides, so the first row with
-        a . x != b is the first inconsistent one.
+        _extend resumes the reduction at ``reached``.  When every row it had
+        reached was greedy and _extend checked every row after them, its
+        answer stands.  Otherwise one pass against x, a solution of every
+        greedy row, decides the rows up to _extend's 0 = 1 (or all of them):
+        a row spanned by earlier greedy rows meets x with the parity of
+        their right-hand sides, so the first row with a . x != b is the first
+        inconsistent one.  When _extend stopped at rank n - 1, the same pass
+        meets every row with the null vector z too: the first row with
+        a . z = 1, if any, is the only one that raises the rank.  It is
+        reduced and added, x becomes x + z if it does not solve that row
+        (a . z = 1 flips a . x), and every row counts as reached.
         """
         n, m = self.nvars, self.sizes.size
-        state = self._copy()
-        found, unchecked, slots = state._extend(rhs, self._slots(rhs))
-        checked = self.reached == len(self.greedy) and unchecked == m
-        if found is not None and checked:
+        state = self._copy() if self.reached < m else self
+        found, slots = state._extend(rhs, self._slots(rhs))
+        passing = found is None and state.reached < m
+        if found is not None and self.reached == len(self.greedy):
             return found, state
-        x = _back_substitute(state.basis, state.low, slots)
-        if not checked:
+        z = state.null
+        if z is None and found is None and len(state.greedy) >= n - 1:
+            z = state._free()
+        x, z = _back_substitute(state.basis, state.low, slots, z or 0)
+        if passing or self.reached > len(self.greedy):
             stop = found.witness_rows[-1] if found else m
-            bad = np.flatnonzero(state._parities(x, 0, stop) != rhs[:stop])
+            ax, az = state._parities(x, z if passing else 0, stop)
+            if passing:
+                raising = np.flatnonzero(az)
+                if raising.size:
+                    lift, greedy = int(raising[0]), state.greedy
+                    row = state._row(lift)
+                    state.basis[row.bit_length()] = row | 1 << len(greedy)
+                    greedy.append(lift)
+                    if ax[lift] != rhs[lift]:
+                        x ^= z
+                        ax ^= az
+                    z = 0
+                state.reached, state.null = m, z
+            bad = np.flatnonzero(ax != rhs[:stop])
             if bad.size:
                 return state._witness(int(bad[0])), state
             if found is not None:
@@ -440,10 +500,10 @@ class _GF2Reduction:
             keep = np.zeros(m, dtype=bool)
             keep[state.greedy] = True
             sub = _GF2Reduction(n, self.members[keep.repeat(self.sizes)], self.sizes[keep])
-            _, _, sub_slots = sub._extend(rhs[keep], 0)  # independent rows: never 0 = 1
-            return sub._canonical(_back_substitute(sub.basis, sub.low, sub_slots), 0), state
-        if len(state.greedy) >= n - 1 and state.null is None:
-            state.null = state._null()
+            _, sub_slots = sub._extend(rhs[keep], 0)  # independent rows: never 0 = 1
+            return sub._canonical(_back_substitute(sub.basis, sub.low, sub_slots, 0)[0], 0), state
+        if state.null is None and len(state.greedy) >= n - 1:
+            state.null = z
         return state._canonical(x, state.null or 0), state
 
     def _canonical(self, x: int, z: int) -> GF2Solution:
@@ -452,16 +512,12 @@ class _GF2Reduction:
         n - 1, where the column order is the input order).  At rank n - 1
         the one free column of the input order is the last variable of z,
         and one of x and x + z is zero there."""
-        n, low, order = self.nvars, self.low, self.order
-        solution = [0] * n
-        for p in _ones(x >> low):
-            solution[order[n - 1 - p]] = 1
+        solution = self._bits(x)[self.column]
         if z:
-            null = [order[n - 1 - p] for p in _ones(z >> low)]
-            if solution[max(null)]:
-                for j in null:
-                    solution[j] ^= 1
-        return GF2Solution(n, tuple(solution))
+            null = self._bits(z)[self.column]
+            if solution[np.flatnonzero(null)[-1]]:
+                solution ^= null
+        return GF2Solution(self.nvars, tuple(solution.tolist()))
 
 
 def gf2_solve(system: GF2System) -> GF2Solution | GF2Infeasible:

@@ -22,9 +22,12 @@ per-edge tuple is built.  The left-hand side of a structure's full edge
 system reads no sign, so its reduction is kept in the incidence core's
 store: each signing asked of the structure, or of a derived copy,
 resumes the kept reduction on a private copy, reduces the rows it needs
-and stores the copy in its place, so that odd_bipartite, the even-k
-criteria, the battery and signed_switch_equivalent reduce those rows
-once between them.  The leader rows of signed_tensor_similarity get a
+and stores the copy in its place (a reduction that has reached every row
+is read, not copied), so that odd_bipartite, the even-k criteria, the
+battery and signed_switch_equivalent reduce those rows once between
+them.  The signings reach the route as arrays: the all-+1 one, the
+signed hypergraph's own signs (kept as an array on it) or their
+products.  The leader rows of signed_tensor_similarity get a
 reduction that is not kept.
 """
 
@@ -194,7 +197,7 @@ def signed_switch_equivalent(
         raise StructureMismatchError(
             "switching equivalence needs identical underlying structures"
         )
-    return _edge_parity(first, tuple(-a * b for a, b in zip(first.gamma, second.gamma)))
+    return _edge_parity(first, -(first._gamma_array * second._gamma_array))
 
 
 def _parity_route(
@@ -204,17 +207,18 @@ def _parity_route(
 
     members holds the vertex nodes (vertex v is v - 1) of every edge in
     edge order, as the incidence core's edge-major arrays do, and sizes
-    the number of each edge's; signing has one sign per edge.  One
+    the number of each edge's; signing has one sign per edge, an array
+    (the routes pass one, so nothing is converted) or any sequence.  One
     equation per edge, in edge order: the canonical solution (free
     variables zero), or edges whose equations XOR to 0 = 1.  When the
     arrays are every edge of ``core``, the reduction of their left-hand
     side is kept in core's store: each signing resumes it and stores the
-    copy its solve returns (linalg._GF2Reduction.solve).  Either answer is
-    checked on the arrays before it is returned: every vertex lies in an
-    even number of a witness's edges, and an odd number of them are +1; a
-    solution meets every edge with the parity its sign asks.
+    reduction its solve returns (linalg._GF2Reduction.solve).  Either
+    answer is checked on the arrays before it is returned: every vertex
+    lies in an even number of a witness's edges, and an odd number of them
+    are +1; a solution meets every edge with the parity its sign asks.
     """
-    odd = np.array(signing) == 1  # by comparison: a sign may be 1.0
+    odd = np.asarray(signing) == 1  # by comparison: a sign may be 1.0
     if core is None:
         outcome = _GF2Reduction(n, members, sizes).solve(odd)[0]
     else:
@@ -231,7 +235,7 @@ def _parity_route(
                 "do not sum to 0 = 1"
             )
         return NotEquivalent(witness_edges=witness)
-    inside = np.array(outcome.assignment, dtype=np.intp)[members]
+    inside = np.fromiter(outcome.assignment, dtype=np.intp, count=n)[members]
     # An edge is never empty, where reduceat would read its successor's term.
     hits = np.add.reduceat(inside, sizes.cumsum() - sizes)
     wrong = (hits & 1) != odd

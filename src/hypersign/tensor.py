@@ -38,7 +38,8 @@ read at each call.  The radius reads no sign, so it is computed once per
 structure and (tolerance, budget, shift), and kept in the incidence
 core's store for the core's life: an instance, its induced signing and
 its switched copies share it, and nqz_spectral_radius and the -rho
-criterion read the same result.  A run that raises stores nothing.
+criterion read the same result; the criterion reads its vector as the
+array the iteration ended on.  A run that raises stores nothing.
 
 For even k and a connected instance, the negated structural spectral
 radius is an H-eigenvalue exactly when a parity system over the vertices
@@ -61,6 +62,7 @@ their entry, so each member set's summed sign must match (Shao 2013).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from numbers import Number
 from typing import Sequence
@@ -145,10 +147,6 @@ def _as_vector(h, x) -> np.ndarray:
 def _edge_index(h: OrientedHypergraph | SignedHypergraph) -> np.ndarray:
     """(m, k) read-only array of 0-based members in stored order; checks uniformity."""
     return h.incidence_core.edge_major()[1].reshape(h.m, _uniform_k(h))
-
-
-def _gamma(h: SignedHypergraph) -> np.ndarray:
-    return np.fromiter(h.gamma, np.int64, h.m)
 
 
 class _ContractionPlan:
@@ -252,13 +250,13 @@ def adj_apply(h: SignedHypergraph, x) -> np.ndarray:
     """Adjacency contraction: per vertex, the signed sum over incident
     edges of the product of the other k-1 coordinates."""
     idx = _edge_index(h)
-    return _edge_products(idx, _gamma(h), _as_vector(h, x))
+    return _edge_products(idx, h._gamma_array, _as_vector(h, x))
 
 
 def lap_apply(h: SignedHypergraph, x) -> np.ndarray:
     """Laplacian contraction: degree * x_v^(k-1) plus the adjacency part."""
     idx = _edge_index(h)
-    return _lap_products(idx, _gamma(h), _as_vector(h, x))
+    return _lap_products(idx, h._gamma_array, _as_vector(h, x))
 
 
 def lap_form(h: SignedHypergraph, x) -> complex | float:
@@ -268,7 +266,7 @@ def lap_form(h: SignedHypergraph, x) -> complex | float:
     """
     idx = _edge_index(h)
     vec = _as_vector(h, x)
-    value = complex(vec @ _lap_products(idx, _gamma(h), vec))
+    value = complex(vec @ _lap_products(idx, h._gamma_array, vec))
     return value if value.imag != 0 else value.real
 
 
@@ -298,14 +296,15 @@ def nqz_spectral_radius(
     idx = _edge_index(h)
     if not is_connected(h):
         raise NotConnectedError("the iteration needs a connected structure")
-    return _radius(h, idx, tol)
+    return _radius(h, idx, tol)[0]
 
 
-def _radius(h, idx, tol: float) -> NQZResult:
-    """The iteration's result on h's structure, for callers that checked
-    connectivity.  The budget and the shift are read here, at each call;
-    the iteration runs once per structure and (tol, budget, shift), and
-    later calls read its result from the core's store."""
+def _radius(h, idx, tol: float) -> tuple[NQZResult, np.ndarray]:
+    """The iteration's result on h's structure and its vector as a
+    read-only array, for callers that checked connectivity.  The budget and
+    the shift are read here, at each call; the iteration runs once per
+    structure and (tol, budget, shift), and later calls read the pair from
+    the core's store."""
     tol = check_tolerance(tol, "tol")
     max_iters, shift = NQZ_MAX_ITERS, NQZ_SHIFT
     return h.incidence_core._once(
@@ -313,8 +312,8 @@ def _radius(h, idx, tol: float) -> NQZResult:
     )
 
 
-def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
-    """The iteration itself."""
+def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> tuple[NQZResult, np.ndarray]:
+    """The iteration itself: its result, and the result's vector as an array."""
     m, k = idx.shape
     plan = _ContractionPlan(idx, np.ones(m, dtype=np.int64), np.float64)  # signs +1
     x = np.ones(n, dtype=np.float64)
@@ -333,7 +332,8 @@ def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
         upper = float(np.maximum.reduce(ratios)) - shift
         history.append((lower, upper))
         if upper - lower < tol:
-            return NQZResult(
+            x.setflags(write=False)
+            result = NQZResult(
                 rho=(upper + lower) / 2.0,
                 vector=tuple(x.tolist()),
                 iterations=iteration,
@@ -341,6 +341,7 @@ def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
                 upper=upper,
                 bounds_history=tuple(history),
             )
+            return result, x
         y **= root  # y is the plan's fresh output: the next x
         x = y
         x /= np.maximum.reduce(x)
@@ -351,18 +352,34 @@ def _nqz(idx, n: int, tol: float, max_iters: int, shift: float) -> NQZResult:
 
 
 def eigenpair_residual(h: SignedHypergraph, eigenvalue: complex, x) -> float:
-    """Max-norm defect of the eigen-relation after max-modulus normalization."""
-    if not isinstance(eigenvalue, Number):
-        raise InvalidValueError(f"eigenvalue must be a number, got {eigenvalue!r:.40}")
+    """Max-norm defect of the eigen-relation after max-modulus normalization.
+
+    The eigenvalue is a finite number, complex allowed, and x a vector of
+    finite entries; anything else raises InvalidValueError."""
+    if not _finite_number(eigenvalue):
+        raise InvalidValueError(f"eigenvalue must be a finite number, got {eigenvalue!r:.40}")
     idx = _edge_index(h)
-    arr = _as_vector(h, x).astype(np.complex128)
+    arr = _as_vector(h, x)
+    if not np.isfinite(arr).all():
+        raise InvalidValueError("eigenvector entries must be finite")
+    arr = arr.astype(np.complex128)
     scale = float(np.abs(arr).max()) if arr.size else 0.0
     if scale == 0.0:
         raise ZeroVectorError("eigenvectors must be nonzero")
     arr = arr / scale
     k = idx.shape[1]
-    defect = _edge_products(idx, _gamma(h), arr) - eigenvalue * arr ** (k - 1)
+    defect = _edge_products(idx, h._gamma_array, arr) - eigenvalue * arr ** (k - 1)
     return float(np.abs(defect).max())
+
+
+def _finite_number(value) -> bool:
+    """Is value a number whose complex value is finite?"""
+    if not isinstance(value, Number):
+        return False
+    try:
+        return cmath.isfinite(value)
+    except (OverflowError, TypeError, ValueError):  # past float range, or no complex value
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +403,7 @@ def odd_bipartite(
     """
     idx = _edge_index(h)
     _require_even(idx.shape[1])
-    outcome = _edge_parity(h, (1,) * h.m)
+    outcome = _edge_parity(h, np.ones(h.m, dtype=np.int64))
     if isinstance(outcome, NotEquivalent):
         return outcome
     inside = set(outcome.vertices)
@@ -413,28 +430,32 @@ class ParityCertificate:
     residual: float
 
 
-def _signs_from_support(n: int, support: Sequence[int]) -> tuple[int, ...]:
+def _signs_from_support(n: int, support: Sequence[int]) -> np.ndarray:
+    """The int64 vector that is -1 at the vertices of support, +1 elsewhere."""
     signs = np.ones(n, dtype=np.int64)
     signs[np.array(support, dtype=np.intp) - 1] = -1
-    return tuple(signs.tolist())
+    return signs
 
 
 def _solve_parity(h: SignedHypergraph, message: str):
-    """Edge index and the parity route's answer for h's own signing
-    (even k, connected)."""
+    """Edge index, the parity route's answer for h's own signing (even k,
+    connected) and, for a solution, its signs as an int64 array (None for
+    a witness)."""
     idx = _edge_index(h)
     _require_even(idx.shape[1])
     if not is_connected(h):
         raise NotConnectedError(message)
-    return idx, _edge_parity(h, h.gamma)
+    outcome = _edge_parity(h, h._gamma_array)
+    if isinstance(outcome, NotEquivalent):
+        return idx, outcome, None
+    return idx, outcome, np.asarray(_signs_from_support(h.n, outcome.vertices), dtype=np.int64)
 
 
-def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotEquivalent:
+def _minus_rho_certificate(h, idx, outcome, signs, tol) -> ParityCertificate | NotEquivalent:
     if isinstance(outcome, NotEquivalent):
         return outcome
-    signs = _signs_from_support(h.n, outcome.vertices)
-    radius = _radius(h, idx, tol)
-    vector = np.array(signs, dtype=np.float64) * np.array(radius.vector)
+    radius, perron = _radius(h, idx, tol)
+    vector = signs * perron  # each entry +-1.0 times the Perron entry, exactly
     residual = eigenpair_residual(h, -radius.rho, vector)
     if residual > 10.0 * tol:
         raise InternalCheckError(
@@ -442,18 +463,17 @@ def _minus_rho_certificate(h, idx, outcome, tol) -> ParityCertificate | NotEquiv
         )
     return ParityCertificate(
         vertices=outcome.vertices,
-        signs=signs,
+        signs=tuple(signs.tolist()),
         eigenvalue=-radius.rho,
         eigenvector=tuple(vector.tolist()),
         residual=residual,
     )
 
 
-def _zero_certificate(h, idx, outcome) -> ParityCertificate | NotEquivalent:
+def _zero_certificate(h, idx, outcome, signs) -> ParityCertificate | NotEquivalent:
     if isinstance(outcome, NotEquivalent):
         return outcome
-    signs = _signs_from_support(h.n, outcome.vertices)
-    contraction = _lap_products(idx, _gamma(h), np.array(signs, dtype=np.int64))
+    contraction = _lap_products(idx, h._gamma_array, signs)
     nonzero = np.flatnonzero(contraction)
     if nonzero.size:
         v = int(nonzero[0])
@@ -463,9 +483,9 @@ def _zero_certificate(h, idx, outcome) -> ParityCertificate | NotEquivalent:
         )
     return ParityCertificate(
         vertices=outcome.vertices,
-        signs=signs,
+        signs=tuple(signs.tolist()),
         eigenvalue=0.0,
-        eigenvector=tuple(float(s) for s in signs),
+        eigenvector=tuple(signs.astype(np.float64).tolist()),
         residual=0,
     )
 
@@ -477,8 +497,8 @@ def h_eigen_minus_rho(h: SignedHypergraph) -> ParityCertificate | NotEquivalent:
     vector on the switched set, which is then verified to satisfy the
     eigen-relation to within 10x the iteration tolerance NQZ_TOL.
     """
-    idx, outcome = _solve_parity(h, "this criterion assumes a connected instance")
-    return _minus_rho_certificate(h, idx, outcome, NQZ_TOL)
+    idx, outcome, signs = _solve_parity(h, "this criterion assumes a connected instance")
+    return _minus_rho_certificate(h, idx, outcome, signs, NQZ_TOL)
 
 
 def lap_zero_h_eigen(h: SignedHypergraph) -> ParityCertificate | NotEquivalent:
@@ -488,8 +508,8 @@ def lap_zero_h_eigen(h: SignedHypergraph) -> ParityCertificate | NotEquivalent:
     Laplacian contraction cancels edge by edge, checked in exact integer
     arithmetic.
     """
-    idx, outcome = _solve_parity(h, "this criterion assumes a connected instance")
-    return _zero_certificate(h, idx, outcome)
+    idx, outcome, signs = _solve_parity(h, "this criterion assumes a connected instance")
+    return _zero_certificate(h, idx, outcome, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +520,7 @@ def _similar_under(idx, gamma, target, signs) -> bool:
     """Does diag(signs) conjugate the tensors of edge signs gamma into
     those of target, over the members idx?  In O(incidences): only edges
     that differ one by one are grouped by their sorted member tuple."""
-    diff = gamma * np.prod(np.array(signs)[idx], axis=1) - target
+    diff = gamma * np.prod(signs[idx], axis=1) - target
     off = np.flatnonzero(diff)
     sums: dict[tuple[int, ...], int] = {}
     for key, d in zip(map(tuple, np.sort(idx[off]).tolist()), diff[off].tolist()):
@@ -553,10 +573,10 @@ def signed_tensor_similarity(
     )
     if isinstance(outcome, NotEquivalent):
         return NotEquivalent(witness_edges=tuple(leaders[r] for r in outcome.witness_edges))
-    signs = _signs_from_support(first.n, outcome.vertices)
-    if not _similar_under(idx, _gamma(first), _gamma(second), signs):
+    signs = np.asarray(_signs_from_support(first.n, outcome.vertices), dtype=np.int64)
+    if not _similar_under(idx, first._gamma_array, second._gamma_array, signs):
         raise InternalCheckError("internal check failed: no similarity under the signs")
-    return TensorSimilarity(signs=signs, vertices=outcome.vertices)
+    return TensorSimilarity(signs=tuple(signs.tolist()), vertices=outcome.vertices)
 
 
 @dataclass(frozen=True)
@@ -609,11 +629,11 @@ def theorem_battery_even(
     check draws nothing); it stays for callers that still pass it.
     """
     tol = check_tolerance(tol, "tol")
-    idx, outcome = _solve_parity(h, "the equivalence battery assumes connectivity")
+    idx, outcome, signs = _solve_parity(h, "the equivalence battery assumes connectivity")
     statement_6 = isinstance(outcome, SignedSwitchCertificate)
-    eigen_outcome = _minus_rho_certificate(h, idx, outcome, tol)
-    laplacian_outcome = _zero_certificate(h, idx, outcome)
-    similar = statement_6 and _similar_under(idx, _gamma(h), -1, laplacian_outcome.signs)
+    eigen_outcome = _minus_rho_certificate(h, idx, outcome, signs, tol)
+    laplacian_outcome = _zero_certificate(h, idx, outcome, signs)
+    similar = statement_6 and _similar_under(idx, h._gamma_array, -1, signs)
     return SixWayReport(
         switch_equivalent_all_positive=statement_6,
         adjacency_similarity=similar,

@@ -8,7 +8,8 @@ which feeds it each hostile value while its other arguments stay valid.  A
 result is allowed only for a value that the contract in ``hypersign.errors``
 admits: ids, sizes and budgets are integers and never bool (budgets at
 least 1), tolerances finite reals above 0 and never bool, labels real and
-+1 or -1, content and names str, paths str or os.PathLike.  Any other
++1 or -1, eigenvalues finite numbers (complex allowed), content and names
+str, paths str or os.PathLike.  Any other
 exception fails, and so does an answer for a refused value; a path or a
 name that names no file may also raise OSError.
 
@@ -16,6 +17,7 @@ The command line gets the same treatment: every subcommand, given hostile
 arguments or files, exits 0, 2 or 3 and prints no traceback.
 """
 
+import cmath
 import contextlib
 import importlib
 import inspect
@@ -64,6 +66,7 @@ ADMITS = {
     "label": lambda x: isinstance(x, numbers.Real) and x in (-1, 1),
     "probability": lambda x: _real(x) and 0 <= x <= 1,
     "number": lambda x: isinstance(x, (numbers.Real, np.bool_)) and math.isfinite(x),
+    "eigenvalue": lambda x: isinstance(x, numbers.Number) and cmath.isfinite(x),
     "pair": lambda x: False,  # no hostile value is an element, a kind or a (low, high) pair
     "text": lambda x: isinstance(x, str),
     "path": lambda x: isinstance(x, (str, os.PathLike)),
@@ -82,6 +85,7 @@ ROLES = {
     **dict.fromkeys(("tol", "abs_tol"), "tolerance"),
     "p_neg": "probability",
     "target": "number",
+    "eigenvalue": "eigenvalue",
     **dict.fromkeys(("text", "name"), "text"),
     "path": "path",
 }
@@ -215,6 +219,8 @@ CASES = {
     "tensor.theorem_battery_even:tol": (
         "tolerance", lambda x: hs.theorem_battery_even(SEX, tol=x)),
     "tensor.theorem_battery_even:seed": ("unused", lambda x: hs.theorem_battery_even(SEX, seed=x)),
+    "tensor.eigenpair_residual:eigenvalue": (
+        "eigenvalue", lambda x: hs.eigenpair_residual(SEX, x, [1.0] * 6)),
     "generate.generate:n": ("size", lambda x: hs.generate(x, 2, k=1)),
     "generate.generate:m": ("size", lambda x: hs.generate(3, x, k=1)),
     "generate.generate:k": ("size", lambda x: hs.generate(3, 2, k=x)),

@@ -535,6 +535,79 @@ def test_several_signings_resume_one_reduction():
     } - {(False, True, "GF2Solution"), (False, True, "GF2Infeasible")}
 
 
+def _summed_rows(reduction: _GF2Reduction, start: int, stop: int) -> list[int]:
+    """Rows start..stop-1 of a reduction as the sum of 1 << p over the bits
+    p of each row's members."""
+    begin = int(reduction.ends[start - 1]) if start else 0
+    out = []
+    for size in reduction.sizes[start:stop].tolist():
+        bits = reduction.positions[begin : begin + size].tolist()
+        out.append(sum(1 << (reduction.low + p) for p in bits))
+        begin += size
+    return out
+
+
+def test_rows_built_in_bulk_are_the_sums_of_their_bits():
+    # Blocks below, at and past the row count from which rows are built in
+    # bulk, from starts inside the system, on seeded systems with empty
+    # rows, no variables or no rows.
+    rng = random.Random(30)
+    bulk = linalg._GF2_PASS_ROWS
+    for _ in range(80):
+        n = rng.choice([0, 1, 7, 8, 9, 16, 63, 64, 65, 200])
+        m = rng.choice([0, 1, bulk - 1, bulk, bulk + 1, 3 * bulk + 5, 120])
+        rows = [rng.sample(range(1, n + 1), rng.randint(0, min(n, 6))) for _ in range(m)]
+        reduction = _GF2Reduction(n, *_flat(rows))
+        for start in sorted({0, 1, m // 3, m}):
+            for stop in sorted({start + bulk - 1, start + bulk, start + bulk + 1, m}):
+                if start <= stop <= m:
+                    built = reduction._built(start, stop)
+                    assert built == _summed_rows(reduction, start, stop), (n, m, start, stop)
+    # Fewer rows than n - 1 keep the input order, so variable 1 takes the
+    # top column: with n a multiple of 8 it is the last bit of a row's
+    # bytes, and no byte of such a row is dropped.
+    for n in (8, 64, 200):
+        rows = [[1, *rng.sample(range(2, n + 1), rng.randint(0, 5))] for _ in range(n - 2)]
+        reduction = _GF2Reduction(n, *_flat(rows))
+        for stop in {min(bulk - 1, n - 2), min(bulk, n - 2), n - 2}:
+            built = reduction._built(0, stop)
+            assert built == _summed_rows(reduction, 0, stop)
+            assert {row.bit_length() for row in built} == {reduction.low + n}
+
+
+def test_solves_across_block_edges_match_the_referee(monkeypatch):
+    # Blocks of 20 rows: systems one row short of a block, exactly one and
+    # one row past, one and two blocks long, reduced one row at a time.  A
+    # signing that stops at a dependent row inside the second block, then
+    # one that resumes from the row after it, must give the referee's
+    # answers.
+    n, block = 64, 20
+    monkeypatch.setattr(linalg, "_GF2_BLOCK_BYTES", block * n // 8)
+    rng = random.Random(31)
+    resumed = Counter()
+    for m in (block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1):
+        for _ in range(5):
+            rows = [rng.sample(range(1, n + 1), rng.randint(1, 5)) for _ in range(m)]
+            hidden = {v for v in range(1, n + 1) if rng.random() < 0.5}
+            own = [len(hidden.intersection(row)) % 2 for row in rows]
+            at = block + 5 if m > block + 5 else m - 1
+            rows[at] = sorted(set(rows[3]) ^ set(rows[11]))
+            own[at] = len(hidden.intersection(rows[at])) % 2
+            wrong = [*own[:at], 1 - own[at], *own[at + 1 :]]
+            reduction = _GF2Reduction(n, *_flat(rows))
+            for bits in (wrong, own):
+                want = gf2_solve_by_reduction(GF2System.from_sets(n, zip(rows, bits)))
+                got, reduction = reduction.solve(np.array(bits, dtype=bool))
+                assert got == want
+                resumed[m, reduction.reached] += 1
+            assert isinstance(got, GF2Solution)
+    # The wrong signing stopped at the dependent row; the second block of
+    # the longer systems was then entered at row 26, not at its start.
+    assert set(resumed) == {(m, m) for m in (19, 20, 21, 39, 40, 41)} | {
+        (m, 26) for m in (39, 40, 41)
+    }
+
+
 def test_gf2_late_conflict_witness_comes_from_the_reduction():
     # Rank n - 1 after three rows (all masks are orthogonal to 1111), two
     # rows the basis already decides, then a dependent row with the wrong

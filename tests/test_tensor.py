@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -370,6 +371,26 @@ def test_eigenpair_residual_validation(sex):
         hs.eigenpair_residual(sex, 1.0, np.zeros(6))
     with pytest.raises(DimensionMismatchError):
         hs.eigenpair_residual(sex, 1.0, np.ones(2))
+
+
+def test_eigenpair_residual_refuses_non_finite_input():
+    # A nan or an inf, in the eigenvalue or in the vector, made the residual
+    # nan (an inf with numpy's "invalid value" warnings on the way), and an
+    # int past float range raised OverflowError.
+    pair = hs.build_signed(2, [[1, 2]], [1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eigenvalue in (math.nan, math.inf, -math.inf, complex(0, math.nan),
+                           complex(math.inf, 1), np.float64(math.nan), 10**400):
+            with pytest.raises(InvalidValueError, match="finite number"):
+                hs.eigenpair_residual(pair, eigenvalue, [1, 1])
+        for x in ([math.nan, 1], [1, math.inf], np.array([1j, complex(1, -math.inf)])):
+            with pytest.raises(InvalidValueError, match="finite"):
+                hs.eigenpair_residual(pair, 1.0, x)
+        # Finite numbers of every kind still get their residual.
+        for eigenvalue in (1, 1.0, 1 + 0j, np.int64(1), np.complex128(1), True):
+            assert hs.eigenpair_residual(pair, eigenvalue, [1, 1]) == 0.0
+        assert hs.eigenpair_residual(pair, -1.0, [1, 1]) == 2.0
 
 
 # ---------------------------------------------------------------------------
